@@ -31,7 +31,7 @@ from cuspzeta.oracle import (
     trace_powers,
 )
 from cuspzeta.spectra import RootFindingError, pole_gap_sweep, pole_report
-from cuspzeta.zeta import bass_ihara_zeta, counting_series
+from cuspzeta.zeta import CountingSeries, ZetaResult, bass_ihara_zeta, counting_series
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -43,14 +43,17 @@ def _fail_usage(message: str) -> int:
 
 
 def _load_graph(path: str) -> CuspidalGraph:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphFormatError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     graph = CuspidalGraph.from_json(data)
     report = validate(graph)
@@ -122,7 +125,7 @@ def cmd_zeta(args: argparse.Namespace) -> int:
     if args.series is not None:
         if args.series < 1:
             return _fail_usage("--series must be >= 1")
-        payload["series"] = counting_series(graph, args.series).to_json()
+        payload["series"] = counting_series(result, args.series).to_json()
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -131,7 +134,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     if args.m < 1:
         return _fail_usage("--m must be >= 1")
-    series = counting_series(graph, args.m)
+    series = counting_series(bass_ihara_zeta(graph), args.m)
     payload = series.to_json()
     if args.oracle:
         traces = (
@@ -158,7 +161,10 @@ def cmd_poles(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.family != "loops":
         return _fail_usage(f"unknown sweep family {args.family!r}")
-    rows = pole_gap_sweep(args.q, list(args.n_range))
+    try:
+        rows = pole_gap_sweep(args.q, list(args.n_range))
+    except ValueError as exc:
+        return _fail_usage(str(exc))
     print("N,R,second_modulus,ramanujan")
     for row in rows:
         second = "" if row.second_modulus is None else f"{row.second_modulus:.15g}"
@@ -170,9 +176,10 @@ def _check(name: str, ok: bool, lhs, rhs) -> dict:
     return {"name": name, "pass": bool(ok), "lhs": lhs, "rhs": rhs}
 
 
-def _verify_checks(graph: CuspidalGraph, max_m: int) -> list[dict]:
+def _verify_checks(
+    graph: CuspidalGraph, result: ZetaResult, series: CountingSeries, max_m: int
+) -> list[dict]:
     checks = []
-    series = counting_series(graph, max_m)
     traces = (
         trace_powers(truncate(graph, max_m // 2 + 1), max_m)
         if graph.cusps
@@ -187,7 +194,7 @@ def _verify_checks(graph: CuspidalGraph, max_m: int) -> list[dict]:
     checks.append(entry)
 
     euler_order = min(max_m, 10)
-    z = bass_ihara_zeta(graph).bass_ihara
+    z = result.bass_ihara
     finite = truncate(graph, euler_order // 2 + 1) if graph.cusps else graph.core
     classes = enumerate_primitive_cycles(finite, euler_order)
     product = euler_product_series(classes, euler_order, enumerated_to=euler_order)
@@ -202,7 +209,7 @@ def _verify_checks(graph: CuspidalGraph, max_m: int) -> list[dict]:
     )
 
     rng = random.Random(20260808)
-    base = bass_ihara_zeta(graph).bass_ihara
+    base = result.bass_ihara
     ok = True
     for _ in range(5):
         names = list(graph.core.vertices)
@@ -253,7 +260,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail_usage("--max-m must be between 1 and 14")
     started = time.monotonic()
     result = bass_ihara_zeta(graph)
-    checks = _verify_checks(graph, args.max_m)
+    series = counting_series(result, args.max_m)
+    checks = _verify_checks(graph, result, series, args.max_m)
     if args.fixtures:
         checks.extend(_fixture_checks())
     elapsed = time.monotonic() - started
@@ -266,7 +274,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "central_order": graph.central_order,
         },
         "zeta": result.to_json(),
-        "counting": counting_series(graph, args.max_m).to_json(),
+        "counting": series.to_json(),
         "poles": pole_report(result.bass_ihara).to_json(),
         "checks": checks,
         "elapsed_s": round(elapsed, 6),
@@ -331,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, FileNotFoundError) as exc:
+    except GraphFormatError as exc:
         return _fail_usage(str(exc))
     except BudgetExceededError as exc:
         print(f"FAIL budget: {exc}", file=sys.stderr)

@@ -15,6 +15,16 @@ Determinants of polynomial matrices use Bareiss fraction-free elimination
 over integer polynomials (rows are cleared of denominators first), and
 polynomial gcds use the subresultant pseudo-remainder sequence; both avoid
 the coefficient blow-up of naive rational elimination.
+
+The elimination keeps rows sparse and skips every row whose pivot-column
+entry is zero, since Bareiss would only rescale it by P_k / P_{k-1} (P_k
+the pivot of step k).  A skipped row remembers the step its values belong
+to; the factors it missed telescope to one quotient of two pivots, which
+is folded into the row's next update, or applied when the row becomes the
+pivot row or the last row.  An up-to-date entry is then the same minor of
+the matrix as in dense Bareiss, so every division stays exact and the
+determinant is unchanged; on the banded edge-side matrices of the loop
+family most rows sit out most steps, and the work drops accordingly.
 """
 
 from __future__ import annotations
@@ -549,44 +559,90 @@ class PolyMatrix:
         return f"PolyMatrix(n={self.n})"
 
 
+def _rescale(row: dict[int, list[int]], up: list[int], down: list[int]) -> dict[int, list[int]]:
+    """Multiply every entry by ``up`` and divide it exactly by ``down``."""
+    if up == down:
+        return row
+    if down == [1]:
+        return {j: _zmul(p, up) for j, p in row.items()}
+    return {j: _zdiv_exact(_zmul(p, up), down) for j, p in row.items()}
+
+
 def poly_det(matrix: PolyMatrix) -> Poly:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant by fraction-free (Bareiss) elimination, sparse rows.
 
     Each row is first multiplied by the lcm of its coefficient denominators
     so the elimination runs over integer polynomials; the final determinant
-    is divided by the accumulated row multipliers.  Intermediate entries are
-    minors of the scaled matrix, so every division is exact.
+    is divided by the accumulated row multipliers.  Rows are stored as maps
+    from column to nonzero entry.
+
+    Write P_k for the pivot of step k and P_{-1} = 1.  Step k of Bareiss
+    replaces a_ij by (P_k a_ij - a_ik a_kj) / P_{k-1}; a row with a_ik = 0
+    is only rescaled by P_k / P_{k-1}.  Such a row is skipped instead, and
+    the step ``s`` its stored values belong to is recorded.  Over skipped
+    steps s..k-1 the factors telescope to P_{k-1} / P_{s-1}, and folding
+    that into the next elimination gives
+
+        a_ij <- (P_k a_ij - a_ik a_kj) / P_{s-1}
+
+    on the stored values; a row that becomes the pivot row, or the last
+    row, is brought up to date by P_{k-1} / P_{s-1} alone.  Zero tests do not
+    care about the missing nonzero factor, so the pivots and row swaps are
+    those of dense Bareiss.  Every entry of an up-to-date row is the same
+    minor of the scaled matrix as in dense Bareiss, and a stale row times
+    P_{k-1} / P_{s-1} is that minor too, so each division is exact and the
+    determinant is identical.  The update touches only columns where the
+    row or the pivot row is nonzero.
     """
     n = matrix.n
     if n == 0:
         return ONE
     scale = 1
-    rows: list[list[list[int]]] = []
+    rows: list[dict[int, list[int]]] = []
     for row in matrix.rows:
         mult = 1
         for p in row:
             for c in p.coeffs:
                 mult = mult * c.denominator // _int_gcd(mult, c.denominator)
         scale *= mult
-        rows.append([_ztrim([int(c * mult) for c in p.coeffs]) for p in row])
+        rows.append({j: [int(c * mult) for c in p.coeffs] for j, p in enumerate(row) if p})
+    divisors: list[list[int]] = [[1]]  # divisors[k] = P_{k-1}, the divisor of step k
+    step = [0] * n  # the step whose values each row holds
     sign = 1
-    prev: list[int] = [1]
     for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if rows[r][k]), None)
+        pivot_row = next((r for r in range(k, n) if k in rows[r]), None)
         if pivot_row is None:
             return ZERO
         if pivot_row != k:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            step[k], step[pivot_row] = step[pivot_row], step[k]
             sign = -sign
-        pivot = rows[k][k]
+        top = _rescale(rows[k], divisors[k], divisors[step[k]])
+        pivot = top.pop(k)
         for i in range(k + 1, n):
-            rik = rows[i][k]
-            for j in range(k + 1, n):
-                num = _zsub(_zmul(pivot, rows[i][j]), _zmul(rik, rows[k][j]))
-                rows[i][j] = _zdiv_exact(num, prev)
-            rows[i][k] = []
-        prev = pivot
-    det = rows[n - 1][n - 1]
+            row = rows[i]
+            rik = row.pop(k, None)
+            if rik is None:
+                continue
+            divisor = divisors[step[i]]
+            for j in row.keys() | top.keys():
+                a, b = row.get(j), top.get(j)
+                if b is None:
+                    num = _zmul(pivot, a)
+                elif a is None:
+                    num = [-c for c in _zmul(rik, b)]
+                else:
+                    num = _zsub(_zmul(pivot, a), _zmul(rik, b))
+                if num and divisor != [1]:
+                    num = _zdiv_exact(num, divisor)
+                if num:
+                    row[j] = num
+                else:
+                    row.pop(j, None)
+            step[i] = k + 1
+        divisors.append(pivot)
+    last = _rescale(rows[n - 1], divisors[n - 1], divisors[step[n - 1]])
+    det = last.get(n - 1, [])
     if sign < 0:
         det = [-c for c in det]
     return Poly(det) / scale

@@ -220,6 +220,13 @@ def _positive_int(value, where: str) -> int:
     return value
 
 
+def _list_field(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise GraphFormatError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def _cuspidal_from_json(data: dict) -> CuspidalGraph:
     if not isinstance(data, dict):
         raise GraphFormatError("graph JSON must be an object")
@@ -233,26 +240,29 @@ def _cuspidal_from_json(data: dict) -> CuspidalGraph:
         raise GraphFormatError("duplicate vertex ids")
     vset = set(vertices)
     pairs = []
-    for entry in data["edges"]:
+    for entry in _list_field(data, "edges"):
         if not isinstance(entry, dict):
             raise GraphFormatError("each edge must be an object")
         _require_keys(entry, {"a", "b", "wa", "wb"}, set(), "edge")
         a, b = entry["a"], entry["b"]
-        if a not in vset or b not in vset:
+        if not isinstance(a, str) or not isinstance(b, str) or a not in vset or b not in vset:
             raise GraphFormatError(f"edge ({a!r}, {b!r}) references an unknown vertex")
         if a == b:
             raise GraphFormatError(f"self-loop at {a!r} is not supported")
         pairs.append((a, b, _positive_int(entry["wa"], "wa"), _positive_int(entry["wb"], "wb")))
     cusps = []
-    for entry in data.get("cusps", []):
+    for entry in _list_field(data, "cusps"):
         if not isinstance(entry, dict):
             raise GraphFormatError("each cusp must be an object")
         _require_keys(entry, {"vertex", "alpha"}, {"ray_q"}, "cusp")
         v = entry["vertex"]
-        if v not in vset:
+        if not isinstance(v, str) or v not in vset:
             raise GraphFormatError(f"cusp attached to unknown vertex {v!r}")
         ray_q = _positive_int(entry.get("ray_q", q), "ray_q")
-        cusps.append(Cusp(v, _positive_int(entry["alpha"], "alpha"), ray_q))
+        try:
+            cusps.append(Cusp(v, _positive_int(entry["alpha"], "alpha"), ray_q))
+        except ValueError as exc:
+            raise GraphFormatError(str(exc)) from exc
     core = EdgeIndexedGraph.from_pairs(vertices, pairs)
     return CuspidalGraph(core, tuple(cusps), q, central)
 

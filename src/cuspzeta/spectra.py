@@ -39,6 +39,7 @@ __all__ = [
 MAX_ITERATIONS = 400
 CLUSTER_RADIUS = 1e-6
 RESIDUAL_BOUND = 1e-8
+SWEEP_TOL = 1e-9
 
 
 class RootFindingError(RuntimeError):
@@ -268,7 +269,10 @@ def ramanujan_check(z: RatFunc, q: int, tol: float = 1e-9) -> RamanujanVerdict:
         raise ValueError("ramanujan check requires q >= 2")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    report = pole_report(z, tol)
+    return _classify_poles(pole_report(z, tol), q, tol)
+
+
+def _classify_poles(report: PoleReport, q: int, tol: float) -> RamanujanVerdict:
     trivial, critical, offending = [], [], []
     for value, _mult in report.poles:
         m = abs(value)
@@ -302,9 +306,9 @@ def pole_gap_sweep(q: int, n_values: Sequence[int]) -> list[SweepRow]:
     rows = []
     for n in n_values:
         z = bass_ihara_zeta(loop_family(q, n)).bass_ihara
-        report = pole_report(z)
+        report = pole_report(z, SWEEP_TOL)
         second = report.moduli_clusters[1] if len(report.moduli_clusters) > 1 else None
-        verdict = ramanujan_check(z, q)
+        verdict = _classify_poles(report, q, SWEEP_TOL)
         rows.append(SweepRow(n, report.radius, second, verdict.is_ramanujan))
     return rows
 
@@ -332,7 +336,7 @@ def growth_rate(
         raise ValueError("m range must contain positive integers")
     if ms[-1] > 200:
         raise ValueError("m range exceeds the series budget of 200")
-    series = counting_series(c, ms[-1])
+    series = counting_series(bass_ihara_zeta(c), ms[-1])
     r_values = []
     fit_points = []
     for m in ms:

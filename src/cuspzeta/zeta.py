@@ -263,12 +263,16 @@ class CountingSeries:
         }
 
 
-def counting_series(c: CuspidalGraph | EdgeIndexedGraph, order: int) -> CountingSeries:
-    """N_m as coefficients of u Z'/Z; R_m multiplies in the central order."""
+def counting_series(result: ZetaResult, order: int) -> CountingSeries:
+    """N_m as coefficients of u Z'/Z; R_m multiplies in the central order.
+
+    Takes the :class:`ZetaResult` of :func:`bass_ihara_zeta`, which carries
+    both Z and the central order, so a caller that already holds it pays
+    for no second determinant.
+    """
     if order < 1:
         raise ValueError("counting order must be >= 1")
-    central = c.central_order if isinstance(c, CuspidalGraph) else 1
-    z = bass_ihara_zeta(c).bass_ihara
+    z, central = result.bass_ihara, result.selberg[1]
     series = log_derivative_series(z, order)
     n_values = tuple(series.coeffs[1:])
     r_values = tuple(central * x for x in n_values)

@@ -1,8 +1,13 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspzeta import cli
 from cuspzeta.families import loop_family, pgl2
@@ -108,6 +113,86 @@ def test_zeta_missing_file_exit_2(capsys):
     capsys.readouterr()
 
 
+def _graph_with(**fields):
+    data = {"q": 3, "vertices": ["a", "b"], "edges": [{"a": "a", "b": "b", "wa": 1, "wb": 1}]}
+    data.update(fields)
+    return json.dumps(data).encode()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(_graph_with(edges=5), id="edges-int"),
+        pytest.param(_graph_with(cusps=None), id="cusps-null"),
+        pytest.param(_graph_with(cusps=[{"vertex": "a", "alpha": 1, "ray_q": 1}]), id="ray-q-1"),
+        pytest.param(None, id="directory"),
+        pytest.param(b'{"q": 3, "vertices": ["\xe9"]}', id="not-utf8"),
+    ],
+)
+def test_zeta_bad_input_exit_2(capsys, tmp_path, content):
+    path = tmp_path / "graph.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert cli.main(["zeta", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 10**6) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _graph_json(draw):
+    """A valid small graph, then up to two fields replaced by random JSON or deleted."""
+    names = st.sampled_from(["a", "b", "c"])
+    weight = st.integers(1, 3)
+    edges = [{"a": "a", "b": "b", "wa": draw(weight), "wb": draw(weight)},
+             {"a": "b", "b": "c", "wa": draw(weight), "wb": draw(weight)}]
+    for _ in range(draw(st.integers(0, 2))):
+        edges.append({"a": draw(names), "b": draw(names), "wa": draw(weight), "wb": draw(weight)})
+    cusps = []
+    for _ in range(draw(st.integers(0, 2))):
+        cusp = {"vertex": draw(names), "alpha": draw(weight)}
+        if draw(st.booleans()):
+            cusp["ray_q"] = draw(st.integers(2, 4))
+        cusps.append(cusp)
+    data = {"q": draw(st.integers(1, 4)), "central_order": draw(st.integers(1, 3)),
+            "vertices": ["a", "b", "c"], "edges": edges, "cusps": cusps}
+    for _ in range(draw(st.integers(0, 2))):
+        obj = draw(st.sampled_from([data, data, *edges, *cusps]))
+        key = draw(st.sampled_from(sorted(obj) + ["extra"]))
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(_json)
+    return data
+
+
+@given(data=_graph_json() | _json)
+@settings(max_examples=150, deadline=None)
+def test_zeta_random_json_keeps_exit_code_contract(data):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(data))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["zeta", "-", "--series", "4"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+
+
 # --- count -------------------------------------------------------------------
 
 
@@ -155,6 +240,15 @@ def test_sweep_csv_shape(capsys):
     assert all(line.split(",")[3] == "false" for line in lines[1:])
 
 
+@pytest.mark.parametrize("argv", [["--q", "1", "--N", "1..2"], ["--q", "3", "--N", "0..2"],
+                                  ["--q", "3", "--N", "3..1"]])
+def test_sweep_invalid_parameters_exit_2(capsys, argv):
+    assert cli.main(["sweep", "loops", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_sweep_rejects_unknown_family(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "stars", "--q", "3", "--N", "1..2"])
@@ -186,8 +280,8 @@ def test_verify_reports_first_failing_m(capsys, tmp_path, monkeypatch):
     # to be flagged with the first failing index
     real = cli.counting_series
 
-    def corrupted(graph, order):
-        series = real(graph, order)
+    def corrupted(result, order):
+        series = real(result, order)
         values = list(series.n_values)
         values[1] += 1
         return CountingSeries(tuple(values), series.r_values, series.order)
@@ -212,8 +306,6 @@ def test_verify_max_m_bounds(capsys, tmp_path):
 
 
 def test_family_pipes_into_zeta(capsys, tmp_path, monkeypatch):
-    import io
-
     out = run_cli(capsys, "family", "pgl2", "--q", "2").out
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     piped = run_cli(capsys, "zeta", "-").out

@@ -40,6 +40,8 @@ def cofactor_det(rows: list[list[Poly]]) -> Poly:
         return rows[0][0]
     acc = Poly()
     for j in range(n):
+        if rows[0][j].is_zero():
+            continue
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         term = rows[0][j] * cofactor_det(minor)
         acc = acc + (term if j % 2 == 0 else -term)
@@ -210,6 +212,65 @@ def test_det_random_5x5_matches_cofactor(rng):
             for _ in range(n)
         ]
         assert poly_det(PolyMatrix(rows)) == cofactor_det(rows)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Square matrices up to 7x7 that exercise the skipped-row bookkeeping.
+
+    Each row is zero left of a drawn column, so it sits out that many steps
+    before it is eliminated; some diagonal entries are zeroed and the rows
+    are shuffled, so pivots are often found by a row swap, and a row may be
+    replaced by a multiple of another (singular).
+    """
+    n = draw(st.integers(1, 7))
+    coeff = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+    entry = st.lists(coeff, min_size=2, max_size=3).map(Poly)
+    rows = []
+    for _ in range(n):
+        start = draw(st.integers(0, n - 1))
+        rows.append([
+            draw(entry) if j >= start and draw(st.integers(0, 2)) == 0 else ZERO
+            for j in range(n)
+        ])
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        rows[i][i] = ZERO
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        factor = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        rows[i] = [p * factor for p in rows[j]]
+    return draw(st.permutations(rows))
+
+
+@given(rows=sparse_matrices())
+@settings(max_examples=150, deadline=None)
+def test_det_sparse_matches_cofactor(rows):
+    assert poly_det(PolyMatrix(rows)) == cofactor_det(rows)
+
+
+def test_det_row_swap_carries_the_skipped_step():
+    # column 1 is nonzero only in the last row, which skipped step 0; after
+    # the swap it must be rescaled by the step-0 pivot 1 + u before use
+    u = Poly([0, 1])
+    rows = [
+        [ONE + u, ZERO, ONE, Poly([2])],
+        [Poly([3]), ZERO, ONE + u, ZERO],
+        [u, ZERO, ZERO, ONE],
+        [ZERO, ONE - u, ZERO, ZERO],
+    ]
+    assert poly_det(PolyMatrix(rows)) == cofactor_det(rows) == Poly([-2, 2, -1, 1])
+
+
+def test_det_row_skipped_for_several_steps():
+    # the last row is zero until its last column, so it skips every step and
+    # picks up the whole telescoped rescale at the end
+    rows = [
+        [Poly([1, 2]), Poly([0, 1]), Poly([3]), ZERO],
+        [Poly([0, F(1, 2)]), Poly([2]), ZERO, Poly([1, 1])],
+        [ZERO, Poly([1, -1]), Poly([0, 0, 1]), Poly([F(-2, 3)])],
+        [ZERO, ZERO, ZERO, Poly([5, 0, 1])],
+    ]
+    assert poly_det(PolyMatrix(rows)) == cofactor_det(rows)
 
 
 def test_det_singular_matrix_is_zero():
