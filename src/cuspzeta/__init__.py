@@ -43,8 +43,8 @@ from cuspzeta.oracle import (
     CycleClass,
     enumerate_primitive_cycles,
     euler_product_series,
-    trace_power,
-    trace_power_cuspidal,
+    trace_powers,
+    trace_powers_cuspidal,
 )
 from cuspzeta.spectra import (
     GrowthEstimate,

@@ -28,7 +28,7 @@ from cuspzeta.oracle import (
     BudgetExceededError,
     enumerate_primitive_cycles,
     euler_product_series,
-    trace_powers,
+    trace_powers_cuspidal,
 )
 from cuspzeta.spectra import RootFindingError, pole_gap_sweep, pole_report
 from cuspzeta.zeta import CountingSeries, ZetaResult, bass_ihara_zeta, counting_series
@@ -137,11 +137,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     series = counting_series(bass_ihara_zeta(graph), args.m)
     payload = series.to_json()
     if args.oracle:
-        traces = (
-            trace_powers(truncate(graph, args.m // 2 + 1), args.m)
-            if graph.cusps
-            else trace_powers(graph.core, args.m)
-        )
+        traces = trace_powers_cuspidal(graph, args.m)
         payload["oracle_N"] = [int(t) if t.denominator == 1 else str(t) for t in traces]
         payload["match"] = list(series.n_values) == traces
         print(json.dumps(payload, indent=2))
@@ -180,11 +176,7 @@ def _verify_checks(
     graph: CuspidalGraph, result: ZetaResult, series: CountingSeries, max_m: int
 ) -> list[dict]:
     checks = []
-    traces = (
-        trace_powers(truncate(graph, max_m // 2 + 1), max_m)
-        if graph.cusps
-        else trace_powers(graph.core, max_m)
-    )
+    traces = trace_powers_cuspidal(graph, max_m)
     engine = [str(x) for x in series.n_values]
     oracle = [str(t) for t in traces]
     mismatch = next((m for m in range(max_m) if series.n_values[m] != traces[m]), None)

@@ -24,9 +24,8 @@ from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph, truncate
 __all__ = [
     "CycleClass",
     "BudgetExceededError",
-    "trace_power",
     "trace_powers",
-    "trace_power_cuspidal",
+    "trace_powers_cuspidal",
     "enumerate_primitive_cycles",
     "euler_product_series",
 ]
@@ -91,23 +90,12 @@ def trace_powers(g: EdgeIndexedGraph, up_to: int) -> list[Fraction]:
     return [Fraction(t) for t in traces]
 
 
-def trace_power(g: EdgeIndexedGraph, m: int) -> Fraction:
-    """Exact trace of the m-th transfer-operator power of a finite graph."""
-    return trace_powers(g, m)[m - 1]
-
-
-def trace_power_cuspidal(c: CuspidalGraph, m: int, extra_depth: int = 0) -> Fraction:
-    """Trace of T^m for the infinite graph, via a sufficiently deep truncation."""
-    if m < 1:
-        raise ValueError("trace order must be >= 1")
-    return trace_power(truncate(c, m // 2 + 1 + extra_depth), m)
-
-
 def trace_powers_cuspidal(c: CuspidalGraph, up_to: int) -> list[Fraction]:
     """Traces of T^m for m = 1..up_to on one shared truncation."""
     if up_to < 1:
         raise ValueError("trace order must be >= 1")
-    return trace_powers(truncate(c, up_to // 2 + 1), up_to)
+    finite = truncate(c, up_to // 2 + 1) if c.cusps else c.core
+    return trace_powers(finite, up_to)
 
 
 @dataclass(frozen=True)

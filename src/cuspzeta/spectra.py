@@ -3,11 +3,13 @@
 Roots are located by Aberth-Ehrlich simultaneous iteration in double
 precision, started from a circle at the Cauchy root bound; exact rational
 coefficients are converted to floats once.  The polynomial is first split
-into square-free parts with the exact gcd, so the iteration only ever sees
-simple roots (a multiple root would cap double precision at eps**(1/m)
-accuracy, which no clustering radius can separate from the deliberately
-tiny root gaps of the loop family); multiplicities then come from the
-exact splitting, and clustering remains as the final grouping step.
+into square-free parts, so the iteration only ever sees simple roots (a
+multiple root would cap double precision at eps**(1/m) accuracy, which no
+clustering radius can separate from the deliberately tiny root gaps of the
+loop family).  The split first tries a certificate: a unit gcd of p and p'
+modulo the prime 2**61 - 1 proves p square-free, which is the common case.
+Otherwise it runs Yun's algorithm with the exact gcd.  Multiplicities come
+from the exact splitting, and clustering remains as the final grouping step.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from cuspzeta.exact import Poly, RatFunc, poly_gcd
+from cuspzeta.exact import Poly, RatFunc, _to_int_poly, _ztrim, poly_gcd
 from cuspzeta.graphs import CuspidalGraph
 from cuspzeta.zeta import bass_ihara_zeta, counting_series
 
@@ -40,6 +42,7 @@ MAX_ITERATIONS = 400
 CLUSTER_RADIUS = 1e-6
 RESIDUAL_BOUND = 1e-8
 SWEEP_TOL = 1e-9
+CERTIFICATE_PRIME = 2**61 - 1
 
 
 class RootFindingError(RuntimeError):
@@ -60,6 +63,8 @@ def square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
         raise ValueError("the zero polynomial has no square-free decomposition")
     if p.degree < 1:
         return []
+    if _square_free_mod_prime(p):
+        return [(p.monic(), 1)]
     g = poly_gcd(p, p.derivative())
     if g.degree == 0:
         return [(p.monic(), 1)]
@@ -76,6 +81,39 @@ def square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
         z = z - w.derivative()
         m += 1
     return parts
+
+
+def _square_free_mod_prime(p: Poly) -> bool:
+    """True proves p square-free over Q; False proves nothing.
+
+    With f = p cleared of denominators and the prime P not dividing lc(f),
+    the primitive gcd g of f and f' over Z divides f, so P does not divide
+    lc(g) and g keeps its degree modulo P, where it divides gcd(f, f') over
+    GF(P).  A unit gcd over GF(P) therefore forces deg g = 0.
+    """
+    f, _ = _to_int_poly(p)
+    if f[-1] % CERTIFICATE_PRIME == 0:
+        return False
+    a = [c % CERTIFICATE_PRIME for c in f]
+    b = _ztrim([i * c % CERTIFICATE_PRIME for i, c in enumerate(a)][1:])
+    while b:
+        if len(b) == 1:
+            return True
+        a, b = b, _gf_rem(a, b)
+    return False
+
+
+def _gf_rem(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of a modulo b over GF(P), ascending coefficients, b nonzero."""
+    rem = list(a)
+    db = len(b) - 1
+    inverse = pow(b[-1], -1, CERTIFICATE_PRIME)
+    for k in range(len(rem) - 1 - db, -1, -1):
+        c = rem[k + db] * inverse % CERTIFICATE_PRIME
+        if c:
+            for j in range(db):
+                rem[k + j] = (rem[k + j] - c * b[j]) % CERTIFICATE_PRIME
+    return _ztrim(rem[:db])
 
 
 def complex_roots(p: Poly, tol: float = 1e-12) -> list[tuple[complex, int]]:
@@ -112,30 +150,36 @@ def _aberth(coeffs: Sequence[float], tol: float) -> list[complex]:
     """Simultaneous iteration on a square-free float polynomial.
 
     A root stops moving once its residual reaches the evaluation noise
-    floor; requiring further shrinking steps there would spin forever.
+    floor; requiring further shrinking steps there would spin forever.  Its
+    residual cannot change after that, so it is never evaluated again.
     """
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
     deriv = [i * c for i, c in enumerate(monic)][1:]
+    sizes = [abs(c) for c in monic]
     degree = len(monic) - 1
-    bound = 1.0 + max(abs(c) for c in monic[:-1])
+    bound = 1.0 + max(sizes[:-1])
     z = [bound * cmath.exp(2j * math.pi * (k / degree) + 0.4j) for k in range(degree)]
     noise = 8.0 * degree * 2.3e-16
+    moving = list(range(degree))
     converged = False
     for _ in range(MAX_ITERATIONS):
         shift = 0.0
-        for i in range(degree):
-            pv = _horner(monic, z[i])
-            scale = sum(abs(c) * max(1.0, abs(z[i])) ** k for k, c in enumerate(monic))
-            if abs(pv) <= noise * scale:
+        still_moving = []
+        for i in moving:
+            zi = z[i]
+            pv = _horner(monic, zi)
+            if abs(pv) <= noise * _evaluation_scale(sizes, zi):
                 continue
-            dv = _horner(deriv, z[i])
+            still_moving.append(i)
+            dv = _horner(deriv, zi)
             ratio = pv / dv if dv != 0 else pv
-            rep = sum(1.0 / (z[i] - z[j]) for j in range(degree) if j != i)
+            rep = sum(1.0 / (zi - zj) for j, zj in enumerate(z) if j != i)
             denom = 1.0 - ratio * rep
             delta = ratio / denom if denom != 0 else ratio
-            z[i] -= delta
+            z[i] = zi - delta
             shift = max(shift, abs(delta) / max(1.0, abs(z[i])))
+        moving = still_moving
         if shift <= tol:
             converged = True
             break
@@ -145,10 +189,18 @@ def _aberth(coeffs: Sequence[float], tol: float) -> list[complex]:
         )
     for i in range(degree):
         z[i] = _polish(monic, deriv, z[i])
-        scale = sum(abs(c) * max(1.0, abs(z[i])) ** k for k, c in enumerate(monic))
-        if abs(_horner(monic, z[i])) > RESIDUAL_BOUND * scale:
+        if abs(_horner(monic, z[i])) > RESIDUAL_BOUND * _evaluation_scale(sizes, z[i]):
             raise RootFindingError(f"root candidate {z[i]} failed the residual check")
     return z
+
+
+def _evaluation_scale(sizes: Sequence[float], z: complex) -> float:
+    """sum |c_k| max(1, |z|)**k by Horner's rule: the size of the terms of p(z)."""
+    r = max(1.0, abs(z))
+    acc = 0.0
+    for c in reversed(sizes):
+        acc = acc * r + c
+    return acc
 
 
 def _polish(monic: Sequence[float], deriv: Sequence[float], z: complex) -> complex:

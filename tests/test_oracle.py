@@ -11,9 +11,8 @@ from cuspzeta.oracle import (
     BudgetExceededError,
     enumerate_primitive_cycles,
     euler_product_series,
-    trace_power,
-    trace_power_cuspidal,
     trace_powers,
+    trace_powers_cuspidal,
 )
 from cuspzeta.zeta import bass_ihara_zeta, build_transfer
 
@@ -40,39 +39,39 @@ def path_graph(n: int) -> EdgeIndexedGraph:
 
 
 def test_triangle_traces():
-    assert trace_power(triangle(), 3) == 6  # two directed triangles, three marks each
-    assert trace_power(triangle(), 2) == 0
+    assert trace_powers(triangle(), 3)[2] == 6  # two directed triangles, three marks each
+    assert trace_powers(triangle(), 2)[1] == 0
 
 
 def test_k4_trace_three():
     # 4 triangles x 2 orientations x 3 starting edges
-    assert trace_power(complete_graph(4), 3) == 24
+    assert trace_powers(complete_graph(4), 3)[2] == 24
 
 
 def test_trace_powers_prefix_consistency():
     g = complete_graph(4)
     up = trace_powers(g, 6)
     for m in (1, 3, 6):
-        assert trace_power(g, m) == up[m - 1]
+        assert trace_powers(g, m)[m - 1] == up[m - 1]
 
 
 def test_trace_power_fractional_weights():
     g = EdgeIndexedGraph.from_pairs(["x", "y"], [("x", "y", F(3, 2), 2)])
     # both orientations can only backtrack, so each closed 2-path has
     # cyclic weight (2 - 1) * (3/2 - 1) and there are two starting edges
-    assert trace_power(g, 2) == 2 * (F(3, 2) - 1) * (2 - 1)
+    assert trace_powers(g, 2)[1] == 2 * (F(3, 2) - 1) * (2 - 1)
 
 
 def test_cuspidal_traces_of_pgl2_2():
-    assert trace_power_cuspidal(pgl2(2), 2) == 4
-    assert trace_power_cuspidal(pgl2(2), 3) == 0
+    assert trace_powers_cuspidal(pgl2(2), 2)[1] == 4
+    assert trace_powers_cuspidal(pgl2(2), 3)[2] == 0
 
 
 def test_cuspidal_trace_depth_stability():
     for c in (pgl2(2), chain(3, 2), star(3, (2, 1)), loop_family(3, 1)):
         for m in (2, 5, 8):
-            base = trace_power_cuspidal(c, m)
-            deeper = trace_power_cuspidal(c, m, extra_depth=1)
+            base = trace_powers_cuspidal(c, m)[m - 1]
+            deeper = trace_powers(truncate(c, m // 2 + 2), m)[m - 1]
             assert base == deeper
 
 
@@ -106,7 +105,7 @@ def test_enumerated_classes_reproduce_traces():
     classes = enumerate_primitive_cycles(g, bound)
     for m in range(1, bound + 1):
         total = sum(c.primitive_length * c.weight for c in classes if c.length == m)
-        assert total == trace_power(g, m), m
+        assert total == trace_powers(g, m)[m - 1], m
 
 
 def test_enumeration_rejects_large_bound():

@@ -1,18 +1,24 @@
 """Tests for root finding, pole reports, Ramanujan classification, growth rates."""
 
 import math
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cuspzeta.exact import ONE, Poly, RatFunc
+from cuspzeta import spectra
+from cuspzeta.exact import ONE, Poly, RatFunc, poly_gcd
 from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
 from cuspzeta.spectra import (
+    CERTIFICATE_PRIME,
     complex_roots,
     growth_rate,
     pole_gap_sweep,
     pole_report,
     ramanujan_check,
+    square_free_parts,
 )
 from cuspzeta.zeta import bass_ihara_zeta, counting_series
 
@@ -63,8 +69,6 @@ def test_triple_root_multiplicity_is_exact():
 
 
 def test_square_free_parts_reconstruct_input():
-    from cuspzeta.spectra import square_free_parts
-
     p = Poly([5]) * Poly([-1, 1]) ** 2 * Poly([2, 1]) ** 3 * Poly([1, 0, 1])
     parts = square_free_parts(p)
     assert sorted(m for _, m in parts) == [1, 2, 3]
@@ -72,6 +76,81 @@ def test_square_free_parts_reconstruct_input():
     for part, m in parts:
         recon = recon * part**m
     assert recon == p.monic()
+
+
+# --- square-free certificate -------------------------------------------------
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+factors = st.lists(small_rationals, min_size=1, max_size=4).map(
+    lambda cs: Poly(cs + [F(1)])
+)
+
+
+def assert_square_free_decomposition(p: Poly, parts: list[tuple[Poly, int]]) -> None:
+    recon = ONE
+    for part, m in parts:
+        assert part.degree > 0 and m > 0
+        assert poly_gcd(part, part.derivative()) == ONE
+        recon = recon * part**m
+    for i, (a, _) in enumerate(parts):
+        for b, _ in parts[i + 1 :]:
+            assert poly_gcd(a, b) == ONE
+    assert recon == p.monic()
+
+
+@given(a=factors, b=factors, c=factors, scale=small_rationals.filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_square_free_parts_of_random_products(a, b, c, scale):
+    p = Poly([scale]) * a * b**2 * c**3
+    assert_square_free_decomposition(p, square_free_parts(p))
+
+
+@given(roots=st.sets(small_rationals, min_size=1, max_size=8), scale=small_rationals.filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_square_free_input_is_one_part(roots, scale):
+    p = Poly([scale])
+    for r in roots:
+        p = p * Poly([-r, 1])
+    assert square_free_parts(p) == [(p.monic(), 1)]
+
+
+def count_exact_gcds(monkeypatch) -> list:
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(spectra, "poly_gcd", counting_gcd)
+    return calls
+
+
+def test_loop_denominators_are_certified_without_exact_gcd(monkeypatch):
+    calls = count_exact_gcds(monkeypatch)
+    for n in (1, 4, 8):
+        den = zeta_of(loop_family(3, n)).den
+        assert square_free_parts(den) == [(den.monic(), 1)]
+    assert calls == []
+
+
+def test_leading_coefficient_divisible_by_prime_takes_exact_path(monkeypatch):
+    calls = count_exact_gcds(monkeypatch)
+    p = Poly([-1, CERTIFICATE_PRIME]) ** 2 * Poly([1, 1])
+    parts = square_free_parts(p)
+    assert calls
+    assert sorted((m, part) for part, m in parts) == [
+        (1, Poly([1, 1])),
+        (2, Poly([F(-1, CERTIFICATE_PRIME), 1])),
+    ]
+    assert_square_free_decomposition(p, parts)
+
+
+def test_square_free_over_q_but_not_modulo_prime_takes_exact_path(monkeypatch):
+    calls = count_exact_gcds(monkeypatch)
+    p = Poly([0, 1]) * Poly([-CERTIFICATE_PRIME, 1])
+    assert square_free_parts(p) == [(p, 1)]
+    assert calls
 
 
 def test_root_product_matches_constant_over_leading(rng):
@@ -168,6 +247,21 @@ def test_sweep_radius_and_monotone_gap():
         assert not row.is_ramanujan
     seconds = [row.second_modulus for row in rows]
     assert all(a > b for a, b in zip(seconds, seconds[1:]))
+
+
+@pytest.mark.parametrize("q, last", [(3, 12), (4, 10), (5, 8)])
+def test_loop_family_poles_up_to_benchmark_edge(q, last):
+    previous = None
+    for n in range(1, last + 1):
+        z = zeta_of(loop_family(q, n))
+        report = pole_report(z)
+        assert abs(report.radius * q - 1) <= 1e-6, n
+        second = report.moduli_clusters[1]
+        assert 1 / q < second < 1 / math.sqrt(q), n
+        assert sum(m for _, m in report.poles) == z.den.degree, n
+        if previous is not None:
+            assert second < previous, n
+        previous = second
 
 
 def test_sweep_requires_values():
