@@ -36,7 +36,6 @@ from cuspzeta.zeta import (
     build_transfer,
     counting_series,
     ihara_three_term,
-    selberg_zeta,
 )
 from cuspzeta.oracle import (
     BudgetExceededError,

@@ -2,9 +2,14 @@
 
 Everything here is deliberately independent of the determinant engine.
 Traces of transfer-operator powers are computed by exact sparse matrix
-multiplication; cycle classes are enumerated by depth-first search over the
-weighted successor graph and deduplicated by their lexicographically
-minimal rotation.
+multiplication.  Cycle classes come from one depth-first search per start
+edge over the weighted successor graph, restricted to edges not below the
+start, on a single mutable path with a running weight product (a plain int
+when every transition weight is integral).  A closed walk is recorded only
+if it is its class's lexicographically minimal rotation, so each class is
+built once, when its walk closes, and the search emits the classes already
+sorted.  Only a walk that revisits its start needs the rotation comparison;
+a walk whose minimum occurs once is minimal and primitive as it stands.
 
 A closed path of length m can penetrate a cusp ray at most floor(m/2)
 steps (it has to come back), so traces of the infinite operator are exact
@@ -135,48 +140,58 @@ def enumerate_primitive_cycles(
             f"cycle length bound {max_length} exceeds the cap {MAX_CYCLE_LENGTH}"
         )
     rows = _successor_rows(g)
-    weight_of = [dict(row) for row in rows]
     n = len(rows)
-    canonical: set[tuple[int, ...]] = set()
+    cast = int if all(w.denominator == 1 for row in rows for _, w in row) else Fraction
+    weight_of = [{j: cast(w) for j, w in row} for row in rows]
+    # Descending successors: the stack then pops siblings in ascending order.
+    descending = [sorted(row.items(), reverse=True) for row in weight_of]
+    classes: list[CycleClass] = []
+    path = [0] * max_length
     visited = 0
     for start in range(n):
-        stack: list[tuple[int, ...]] = [(start,)]
+        closing = [row.get(start) for row in weight_of]
+        stack = [(start, 0, cast(1))]
         while stack:
-            path = stack.pop()
+            tip, depth, weight = stack.pop()
+            path[depth] = tip
+            depth += 1
             visited += 1
             if visited > max_visited:
                 raise BudgetExceededError(
                     f"cycle enumeration exceeded {max_visited} visited paths"
                 )
-            tip = path[-1]
-            for nxt, _w in rows[tip]:
-                if nxt < start:
-                    continue
-                if nxt == start:
-                    canonical.add(_min_rotation(path))
-                if len(path) < max_length:
-                    stack.append(path + (nxt,))
-    classes = []
-    for cycle in sorted(canonical):
-        length = len(cycle)
-        weight = Fraction(1)
-        for i in range(length):
-            weight *= weight_of[cycle[i]][cycle[(i + 1) % length]]
-        period = _primitive_period(cycle)
-        classes.append(CycleClass(length, weight, period, period))
+            last = closing[tip]
+            if last is not None:
+                _close(classes, path[:depth], start, weight * last)
+            if depth < max_length:
+                for nxt, w in descending[tip]:
+                    if nxt < start:
+                        break
+                    stack.append((nxt, depth, weight * w))
     return classes
 
 
-def _min_rotation(path: tuple[int, ...]) -> tuple[int, ...]:
-    return min(path[i:] + path[:i] for i in range(len(path)))
+def _close(
+    classes: list[CycleClass], cycle: list[int], start: int, weight: int | Fraction
+) -> None:
+    """Append the class of ``cycle`` if the walk is its minimal rotation.
 
-
-def _primitive_period(cycle: tuple[int, ...]) -> int:
-    n = len(cycle)
-    for p in range(1, n):
-        if n % p == 0 and all(cycle[i] == cycle[i % p] for i in range(n)):
-            return p
-    return n
+    ``start`` leads and is the minimum, so only rotations to another
+    occurrence of it can be smaller, and the first one equal to the walk
+    gives the primitive period.
+    """
+    length = period = len(cycle)
+    if cycle.count(start) > 1:
+        doubled = cycle + cycle
+        for i in range(1, length):
+            if cycle[i] == start:
+                rotation = doubled[i : i + length]
+                if rotation < cycle:
+                    return
+                if rotation == cycle:
+                    period = i
+                    break
+    classes.append(CycleClass(length, Fraction(weight), period, period))
 
 
 def euler_product_series(
@@ -195,12 +210,14 @@ def euler_product_series(
         raise ValueError(
             f"class list complete through length {enumerated_to} cannot support order {order}"
         )
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
+    integral = all(cls.weight.denominator == 1 for cls in classes)
+    out = [0] * (order + 1)
+    out[0] = 1
     for cls in classes:
         if not cls.is_primitive or cls.length > order:
             continue
+        w = cls.weight.numerator if integral else cls.weight
         # Multiply by the geometric series of one primitive class in place.
         for m in range(cls.length, order + 1):
-            out[m] += cls.weight * out[m - cls.length]
-    return PowerSeries(tuple(out), order)
+            out[m] += w * out[m - cls.length]
+    return PowerSeries(tuple(map(Fraction, out)), order)

@@ -43,7 +43,6 @@ __all__ = [
     "build_transfer",
     "build_effective",
     "bass_ihara_zeta",
-    "selberg_zeta",
     "ihara_three_term",
     "counting_series",
 ]
@@ -200,12 +199,6 @@ def bass_ihara_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> ZetaResult:
         raise ArithmeticError("transfer determinant vanished identically (internal error)")
     z = ratfunc_reduce(prefactor, det)
     return ZetaResult(z, (z, c.central_order), len(c.cusps), det)
-
-
-def selberg_zeta(c: CuspidalGraph) -> tuple[RatFunc, int]:
-    """Group-level zeta function as (weighted-graph zeta, central order)."""
-    result = bass_ihara_zeta(c)
-    return result.selberg
 
 
 def ihara_three_term(g: EdgeIndexedGraph) -> RatFunc:

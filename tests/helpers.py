@@ -3,8 +3,9 @@
 import random
 from fractions import Fraction as F
 
-from cuspzeta.exact import ONE, Poly, PolyMatrix, RatFunc, poly_det, ratfunc_reduce
+from cuspzeta.exact import ONE, Poly, PolyMatrix, PowerSeries, RatFunc, poly_det, ratfunc_reduce
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
+from cuspzeta.oracle import CycleClass
 
 
 def vertex_side_determinant(g: EdgeIndexedGraph) -> Poly:
@@ -81,3 +82,57 @@ def random_min_degree_two_graph(rng: random.Random, max_vertices: int = 10) -> E
             taken.add((j, i))
             pairs.append((names[i], names[j], 1, 1))
     return EdgeIndexedGraph.from_pairs(names, pairs)
+
+
+def reference_cycle_classes(g: EdgeIndexedGraph, max_length: int) -> tuple[list[CycleClass], int]:
+    """Cycle classes by a plain tuple-stack search, and the number of paths it visits.
+
+    Every path is a fresh tuple; every closed walk goes into a set as its
+    minimal rotation, and class weights are Fraction products taken after
+    sorting.  Same search tree as the engine's oracle, none of its shortcuts.
+    """
+    order = g.canonical_edge_order()
+    pos = {eid: i for i, eid in enumerate(order)}
+    weight_of = []
+    for eid in order:
+        e = g.edges[eid]
+        row = {}
+        for sid in g.out_edges(e.target):
+            w = g.edges[sid].weight - (1 if sid == e.inverse else 0)
+            if w:
+                row[pos[sid]] = w
+        weight_of.append(row)
+    canonical = set()
+    visited = 0
+    for start in range(len(order)):
+        stack = [(start,)]
+        while stack:
+            path = stack.pop()
+            visited += 1
+            for nxt in weight_of[path[-1]]:
+                if nxt < start:
+                    continue
+                if nxt == start:
+                    canonical.add(min(path[i:] + path[:i] for i in range(len(path))))
+                if len(path) < max_length:
+                    stack.append(path + (nxt,))
+    classes = []
+    for cycle in sorted(canonical):
+        length = len(cycle)
+        weight = F(1)
+        for i in range(length):
+            weight *= weight_of[cycle[i]][cycle[(i + 1) % length]]
+        period = next(p for p in range(1, length + 1)
+                      if length % p == 0 and cycle == cycle[p:] + cycle[:p])
+        classes.append(CycleClass(length, weight, period, period))
+    return classes, visited
+
+
+def reference_euler_product(classes: list[CycleClass], order: int) -> PowerSeries:
+    """prod over primitive classes of 1/(1 - w u^l) through u^order, in Fractions."""
+    out = [F(1)] + [F(0)] * order
+    for cls in classes:
+        if cls.is_primitive and cls.length <= order:
+            for m in range(cls.length, order + 1):
+                out[m] += cls.weight * out[m - cls.length]
+    return PowerSeries(tuple(out), order)

@@ -1,12 +1,15 @@
 """Tests for the brute-force oracle: traces, cycle classes, Euler products."""
 
+import gc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspzeta.exact import ONE, ratfunc_reduce, series_expand, Poly, poly_det
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import EdgeIndexedGraph, truncate
+from cuspzeta.graphs import Cusp, CuspidalGraph, EdgeIndexedGraph, truncate
 from cuspzeta.oracle import (
     BudgetExceededError,
     enumerate_primitive_cycles,
@@ -15,6 +18,7 @@ from cuspzeta.oracle import (
     trace_powers_cuspidal,
 )
 from cuspzeta.zeta import bass_ihara_zeta, build_transfer
+from helpers import reference_cycle_classes, reference_euler_product
 
 
 def triangle() -> EdgeIndexedGraph:
@@ -116,6 +120,62 @@ def test_enumeration_rejects_large_bound():
 def test_enumeration_rejects_exhausted_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_primitive_cycles(complete_graph(5), 10, max_visited=50)
+
+
+@st.composite
+def small_graphs(draw) -> EdgeIndexedGraph:
+    """Up to four vertices with loops and multi-edges; weight 1 makes a zero-weight backtrack.
+
+    Half the draws attach cusps and cut their rays at depth 1..3.
+    """
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    vertex = st.sampled_from(names)
+    weight = st.sampled_from([1, 1, 2, 3, F(3, 2), F(5, 2)])
+    if draw(st.booleans()):
+        weight = st.integers(1, 3)
+    pairs = draw(st.lists(st.tuples(vertex, vertex, weight, weight), min_size=1, max_size=3))
+    core = EdgeIndexedGraph.from_pairs(names, pairs)
+    cusps = draw(st.lists(st.builds(Cusp, vertex, st.integers(1, 3), st.integers(2, 4)),
+                          max_size=2))
+    if not cusps:
+        return core
+    return truncate(CuspidalGraph(core, tuple(cusps), q=2), draw(st.integers(1, 3)))
+
+
+@given(g=small_graphs(), max_length=st.integers(1, 6))
+@settings(max_examples=80, deadline=None)
+def test_enumeration_matches_tuple_stack_reference(g, max_length):
+    expected, visited = reference_cycle_classes(g, max_length)
+    classes = enumerate_primitive_cycles(g, max_length, max_visited=visited)
+    assert classes == expected
+    assert [type(c.weight) for c in classes] == [F] * len(classes)
+    with pytest.raises(BudgetExceededError):
+        enumerate_primitive_cycles(g, max_length, max_visited=visited - 1)
+    series = euler_product_series(classes, max_length, enumerated_to=max_length)
+    assert series == reference_euler_product(expected, max_length)
+    assert all(type(c) is F for c in series.coeffs)
+
+
+@pytest.mark.parametrize(
+    "g, bound", [(truncate(chain(2, 3), 4), 8), (complete_graph(4), 7), (triangle(), 14)]
+)
+def test_budget_boundary_is_the_reference_visited_count(g, bound):
+    expected, visited = reference_cycle_classes(g, bound)
+    assert enumerate_primitive_cycles(g, bound, max_visited=visited) == expected
+    with pytest.raises(BudgetExceededError, match=f"exceeded {visited - 1} visited"):
+        enumerate_primitive_cycles(g, bound, max_visited=visited - 1)
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    g = truncate(pgl2(2), 5)
+    gc.collect()
+    gc.disable()
+    try:
+        classes = enumerate_primitive_cycles(g, 10)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert classes
 
 
 # --- Euler products ----------------------------------------------------------

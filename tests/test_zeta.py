@@ -14,7 +14,6 @@ from cuspzeta.zeta import (
     build_transfer,
     counting_series,
     ihara_three_term,
-    selberg_zeta,
 )
 
 
@@ -157,13 +156,13 @@ def test_zeta_result_records_raw_determinant():
 
 
 def test_selberg_pgl2_exponent():
-    base, exponent = selberg_zeta(pgl2(3))
+    base, exponent = bass_ihara_zeta(pgl2(3)).selberg
     assert base == rf([1, 0, -3], [1, 0, -9])
     assert exponent == 2
 
 
 def test_selberg_chain_equals_bass_ihara():
-    base, exponent = selberg_zeta(chain(3, 2))
+    base, exponent = bass_ihara_zeta(chain(3, 2)).selberg
     assert exponent == 1
     assert base == bass_ihara_zeta(chain(3, 2)).bass_ihara
 
