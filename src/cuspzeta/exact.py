@@ -25,13 +25,22 @@ pivot row or the last row.  An up-to-date entry is then the same minor of
 the matrix as in dense Bareiss, so every division stays exact and the
 determinant is unchanged; on the banded edge-side matrices of the loop
 family most rows sit out most steps, and the work drops accordingly.
+
+Inside the elimination each integer polynomial entry is one integer, its
+value at u = 2^B (Kronecker substitution), so every product and exact
+division is a single big-integer operation in CPython's C code.  B comes
+from a proven bound on the coefficients of every minor the elimination
+stores (Hadamard's inequality on |u| = 1 with Cauchy's estimate), so
+packing is injective on them: zero tests, pivots and quotients are those
+over Z[u], and the determinant is read back as balanced base-2^B digits
+with masks and shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, prod
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -256,53 +265,6 @@ def _ztrim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _zmul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ztrim(out)
-
-
-def _zsub(a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _ztrim(out)
-
-
-def _zdiv_exact(a: list[int], b: list[int]) -> list[int]:
-    """Exact division in Z[u]; the caller guarantees divisibility."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not a:
-        return []
-    rem = list(a)
-    db, lb = len(b) - 1, b[-1]
-    dq = len(rem) - 1 - db
-    if dq < 0:
-        raise ValueError("inexact polynomial division")
-    quot = [0] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[db + k]
-        if c % lb:
-            raise ValueError("inexact polynomial division")
-        q = c // lb
-        quot[k] = q
-        if q:
-            for j, y in enumerate(b):
-                rem[k + j] -= q * y
-    if any(rem):
-        raise ValueError("inexact polynomial division")
-    return _ztrim(quot)
 
 
 def _zcontent(p: list[int]) -> int:
@@ -559,15 +521,6 @@ class PolyMatrix:
         return f"PolyMatrix(n={self.n})"
 
 
-def _rescale(row: dict[int, list[int]], up: list[int], down: list[int]) -> dict[int, list[int]]:
-    """Multiply every entry by ``up`` and divide it exactly by ``down``."""
-    if up == down:
-        return row
-    if down == [1]:
-        return {j: _zmul(p, up) for j, p in row.items()}
-    return {j: _zdiv_exact(_zmul(p, up), down) for j, p in row.items()}
-
-
 def poly_det(matrix: PolyMatrix) -> Poly:
     """Exact determinant by fraction-free (Bareiss) elimination, sparse rows.
 
@@ -575,6 +528,27 @@ def poly_det(matrix: PolyMatrix) -> Poly:
     so the elimination runs over integer polynomials; the final determinant
     is divided by the accumulated row multipliers.  Rows are stored as maps
     from column to nonzero entry.
+
+    Every entry is then packed into one integer, its value at u = 2^B
+    (Kronecker substitution), and the elimination below runs on those
+    integers.  Every value it stores is a minor of the scaled integer
+    matrix, and its coefficients are bounded: by Cauchy's estimate each is
+    at most the minor's maximum modulus on |u| = 1, and by Hadamard's
+    inequality that is at most the product of the minor's row 2-norms (or
+    of its column 2-norms), where |a_ij(u)| <= ||a_ij||_1.  Each nonzero
+    integer row or column adds a factor >= 1, so every minor's coefficients
+    are at most
+
+        H = min(prod_i sqrt(sum_j ||a_ij||_1^2), prod_j sqrt(sum_i ||a_ij||_1^2)),
+
+    the products over nonzero rows and columns.  B is the least width with
+    2^(B-1) > H, decided on the exact integer H^2.  A minor is then the sum
+    of balanced base-2^B digits (its coefficients), so it is zero exactly
+    when its packed value is; since evaluation at 2^B is a ring
+    homomorphism, the pivots and row swaps are those over Z[u], every
+    division is exact in the integers and its quotient is the packed minor.
+    The determinant is read back as balanced base-2^B digits by masks and
+    shifts, never through a decimal string.
 
     Write P_k for the pivot of step k and P_{-1} = 1.  Step k of Bareiss
     replaces a_ij by (P_k a_ij - a_ik a_kj) / P_{k-1}; a row with a_ik = 0
@@ -598,15 +572,33 @@ def poly_det(matrix: PolyMatrix) -> Poly:
     if n == 0:
         return ONE
     scale = 1
-    rows: list[dict[int, list[int]]] = []
+    int_rows: list[dict[int, list[int]]] = []
+    row_sq, col_sq = [], [0] * n  # sums of squared 1-norms of the entries
     for row in matrix.rows:
         mult = 1
         for p in row:
             for c in p.coeffs:
                 mult = mult * c.denominator // _int_gcd(mult, c.denominator)
         scale *= mult
-        rows.append({j: [int(c * mult) for c in p.coeffs] for j, p in enumerate(row) if p})
-    divisors: list[list[int]] = [[1]]  # divisors[k] = P_{k-1}, the divisor of step k
+        int_row = {j: [int(c * mult) for c in p.coeffs] for j, p in enumerate(row) if p}
+        row_sq.append(0)
+        for j, p in int_row.items():
+            square = sum(map(abs, p)) ** 2
+            row_sq[-1] += square
+            col_sq[j] += square
+        int_rows.append(int_row)
+    bound_sq = min(prod(max(1, s) for s in row_sq), prod(max(1, s) for s in col_sq))
+    width = (bound_sq.bit_length() + 1) // 2 + 1  # least B with 4^(B-1) > H^2
+    rows: list[dict[int, int]] = []
+    for int_row in int_rows:
+        packed = {}
+        for j, p in int_row.items():
+            value = 0
+            for c in reversed(p):
+                value = (value << width) + c
+            packed[j] = value
+        rows.append(packed)
+    divisors = [1]  # divisors[k] = P_{k-1}, the divisor of step k
     step = [0] * n  # the step whose values each row holds
     sign = 1
     for k in range(n - 1):
@@ -617,7 +609,9 @@ def poly_det(matrix: PolyMatrix) -> Poly:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             step[k], step[pivot_row] = step[pivot_row], step[k]
             sign = -sign
-        top = _rescale(rows[k], divisors[k], divisors[step[k]])
+        top, up, down = rows[k], divisors[k], divisors[step[k]]
+        if up != down:
+            top = {j: v * up // down for j, v in top.items()}
         pivot = top.pop(k)
         for i in range(k + 1, n):
             row = rows[i]
@@ -626,23 +620,21 @@ def poly_det(matrix: PolyMatrix) -> Poly:
                 continue
             divisor = divisors[step[i]]
             for j in row.keys() | top.keys():
-                a, b = row.get(j), top.get(j)
-                if b is None:
-                    num = _zmul(pivot, a)
-                elif a is None:
-                    num = [-c for c in _zmul(rik, b)]
-                else:
-                    num = _zsub(_zmul(pivot, a), _zmul(rik, b))
-                if num and divisor != [1]:
-                    num = _zdiv_exact(num, divisor)
-                if num:
-                    row[j] = num
+                value = (pivot * row.get(j, 0) - rik * top.get(j, 0)) // divisor
+                if value:
+                    row[j] = value
                 else:
                     row.pop(j, None)
             step[i] = k + 1
         divisors.append(pivot)
-    last = _rescale(rows[n - 1], divisors[n - 1], divisors[step[n - 1]])
-    det = last.get(n - 1, [])
-    if sign < 0:
-        det = [-c for c in det]
-    return Poly(det) / scale
+    det = rows[n - 1].get(n - 1, 0) * divisors[n - 1] // divisors[step[n - 1]] * sign
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    coeffs = []
+    while det:
+        digit = det & mask
+        det >>= width
+        if digit >= half:
+            digit -= 1 << width
+            det += 1
+        coeffs.append(digit)
+    return Poly(coeffs) / scale

@@ -157,23 +157,22 @@ def build_effective(c: CuspidalGraph) -> EffectiveMatrix:
 class ZetaResult:
     """Weighted-graph zeta function with its group-level power form.
 
-    ``selberg`` is kept as (base, exponent) with base equal to the
-    weighted-graph zeta function and exponent the central order, to avoid
-    expanding large powers unless asked.
+    The group-level (Selberg) zeta function is ``bass_ihara`` to the power
+    ``central_order``; it is expanded only when asked.
     """
 
     bass_ihara: RatFunc
-    selberg: tuple[RatFunc, int]
+    central_order: int
     cusp_count: int
     raw_determinant: Poly
 
     def selberg_expanded(self) -> RatFunc:
-        return ratfunc_pow(self.selberg[0], self.selberg[1])
+        return ratfunc_pow(self.bass_ihara, self.central_order)
 
     def to_json(self) -> dict:
         return {
             "bass_ihara": self.bass_ihara.to_json(),
-            "c_gamma": self.selberg[1],
+            "c_gamma": self.central_order,
             "cusps": self.cusp_count,
         }
 
@@ -198,7 +197,7 @@ def bass_ihara_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> ZetaResult:
     if det.is_zero():
         raise ArithmeticError("transfer determinant vanished identically (internal error)")
     z = ratfunc_reduce(prefactor, det)
-    return ZetaResult(z, (z, c.central_order), len(c.cusps), det)
+    return ZetaResult(z, c.central_order, len(c.cusps), det)
 
 
 def ihara_three_term(g: EdgeIndexedGraph) -> RatFunc:
@@ -265,8 +264,7 @@ def counting_series(result: ZetaResult, order: int) -> CountingSeries:
     """
     if order < 1:
         raise ValueError("counting order must be >= 1")
-    z, central = result.bass_ihara, result.selberg[1]
-    series = log_derivative_series(z, order)
+    series = log_derivative_series(result.bass_ihara, order)
     n_values = tuple(series.coeffs[1:])
-    r_values = tuple(central * x for x in n_values)
+    r_values = tuple(result.central_order * x for x in n_values)
     return CountingSeries(n_values, r_values, order)

@@ -2,8 +2,18 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
-from cuspzeta.exact import ONE, Poly, PolyMatrix, PowerSeries, RatFunc, poly_det, ratfunc_reduce
+from cuspzeta.exact import (
+    ONE,
+    ZERO,
+    Poly,
+    PolyMatrix,
+    PowerSeries,
+    RatFunc,
+    poly_det,
+    ratfunc_reduce,
+)
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
 from cuspzeta.oracle import CycleClass
 
@@ -136,3 +146,150 @@ def reference_euler_product(classes: list[CycleClass], order: int) -> PowerSerie
             for m in range(cls.length, order + 1):
                 out[m] += cls.weight * out[m - cls.length]
     return PowerSeries(tuple(out), order)
+
+
+def _ztrim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _ztrim(out)
+
+
+def _zsub(a: list[int], b: list[int]) -> list[int]:
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i, x in enumerate(a):
+        out[i] = x
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _ztrim(out)
+
+
+def _zdiv_exact(a: list[int], b: list[int]) -> list[int]:
+    """Exact division in Z[u]; the caller guarantees divisibility."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not a:
+        return []
+    rem = list(a)
+    db, lb = len(b) - 1, b[-1]
+    dq = len(rem) - 1 - db
+    if dq < 0:
+        raise ValueError("inexact polynomial division")
+    quot = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[db + k]
+        if c % lb:
+            raise ValueError("inexact polynomial division")
+        q = c // lb
+        quot[k] = q
+        if q:
+            for j, y in enumerate(b):
+                rem[k + j] -= q * y
+    if any(rem):
+        raise ValueError("inexact polynomial division")
+    return _ztrim(quot)
+
+
+def _rescale(row: dict[int, list[int]], up: list[int], down: list[int]) -> dict[int, list[int]]:
+    """Multiply every entry by ``up`` and divide it exactly by ``down``."""
+    if up == down:
+        return row
+    if down == [1]:
+        return {j: _zmul(p, up) for j, p in row.items()}
+    return {j: _zdiv_exact(_zmul(p, up), down) for j, p in row.items()}
+
+
+def reference_poly_det(matrix: PolyMatrix) -> Poly:
+    """Exact determinant by sparse Bareiss elimination on Z[u] coefficient lists.
+
+    The engine's previous determinant, kept as the reference for the
+    integer-packed one: the same pivots, skipped rows and telescoped
+    rescale, but every product and exact division is a schoolbook loop over
+    polynomial coefficients.
+
+    Each row is first multiplied by the lcm of its coefficient denominators
+    so the elimination runs over integer polynomials; the final determinant
+    is divided by the accumulated row multipliers.  Rows are stored as maps
+    from column to nonzero entry.
+
+    Write P_k for the pivot of step k and P_{-1} = 1.  Step k of Bareiss
+    replaces a_ij by (P_k a_ij - a_ik a_kj) / P_{k-1}; a row with a_ik = 0
+    is only rescaled by P_k / P_{k-1}.  Such a row is skipped instead, and
+    the step ``s`` its stored values belong to is recorded.  Over skipped
+    steps s..k-1 the factors telescope to P_{k-1} / P_{s-1}, and folding
+    that into the next elimination gives
+
+        a_ij <- (P_k a_ij - a_ik a_kj) / P_{s-1}
+
+    on the stored values; a row that becomes the pivot row, or the last
+    row, is brought up to date by P_{k-1} / P_{s-1} alone.  Zero tests do not
+    care about the missing nonzero factor, so the pivots and row swaps are
+    those of dense Bareiss.  Every entry of an up-to-date row is the same
+    minor of the scaled matrix as in dense Bareiss, and a stale row times
+    P_{k-1} / P_{s-1} is that minor too, so each division is exact and the
+    determinant is identical.  The update touches only columns where the
+    row or the pivot row is nonzero.
+    """
+    n = matrix.n
+    if n == 0:
+        return ONE
+    scale = 1
+    rows: list[dict[int, list[int]]] = []
+    for row in matrix.rows:
+        mult = 1
+        for p in row:
+            for c in p.coeffs:
+                mult = mult * c.denominator // gcd(mult, c.denominator)
+        scale *= mult
+        rows.append({j: [int(c * mult) for c in p.coeffs] for j, p in enumerate(row) if p})
+    divisors: list[list[int]] = [[1]]  # divisors[k] = P_{k-1}, the divisor of step k
+    step = [0] * n  # the step whose values each row holds
+    sign = 1
+    for k in range(n - 1):
+        pivot_row = next((r for r in range(k, n) if k in rows[r]), None)
+        if pivot_row is None:
+            return ZERO
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            step[k], step[pivot_row] = step[pivot_row], step[k]
+            sign = -sign
+        top = _rescale(rows[k], divisors[k], divisors[step[k]])
+        pivot = top.pop(k)
+        for i in range(k + 1, n):
+            row = rows[i]
+            rik = row.pop(k, None)
+            if rik is None:
+                continue
+            divisor = divisors[step[i]]
+            for j in row.keys() | top.keys():
+                a, b = row.get(j), top.get(j)
+                if b is None:
+                    num = _zmul(pivot, a)
+                elif a is None:
+                    num = [-c for c in _zmul(rik, b)]
+                else:
+                    num = _zsub(_zmul(pivot, a), _zmul(rik, b))
+                if num and divisor != [1]:
+                    num = _zdiv_exact(num, divisor)
+                if num:
+                    row[j] = num
+                else:
+                    row.pop(j, None)
+            step[i] = k + 1
+        divisors.append(pivot)
+    last = _rescale(rows[n - 1], divisors[n - 1], divisors[step[n - 1]])
+    det = last.get(n - 1, [])
+    if sign < 0:
+        det = [-c for c in det]
+    return Poly(det) / scale

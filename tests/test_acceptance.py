@@ -109,7 +109,7 @@ def test_criterion_1_pgl2_closed_form():
     for q in (2, 3, 4, 5, 7):
         result = bass_ihara_zeta(pgl2(q))
         assert result.bass_ihara == rf([1, 0, -q], [1, 0, -q * q]), q
-        assert result.selberg[1] == q - 1, q
+        assert result.central_order == q - 1, q
 
 
 @criterion(2, "chain family zeta")

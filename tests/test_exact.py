@@ -27,6 +27,7 @@ from cuspzeta.exact import (
     rational_to_json,
     series_expand,
 )
+from helpers import reference_poly_det
 
 # --- independent oracles -----------------------------------------------------
 
@@ -282,6 +283,83 @@ def test_det_singular_matrix_is_zero():
 def test_det_zero_pivot_forces_row_swap():
     m = PolyMatrix([[ZERO, ONE], [ONE, ZERO]])
     assert poly_det(m) == Poly([-1])
+
+
+# Coefficients far past one machine word, of both signs, and fractions whose
+# denominators run up to 2^70, so row clearing and the packing width see
+# integers of a hundred bits and more.
+wide_coeffs = st.one_of(
+    st.integers(-4, 4),
+    st.sampled_from([2**64, -(2**64), 2**64 + 1, -(2**65) - 3, 3**50, -(7**40)]),
+    st.builds(F, st.integers(-(2**40), 2**40), st.integers(1, 2**70)),
+)
+wide_entries = st.lists(wide_coeffs, min_size=1, max_size=4).map(Poly)
+
+
+@st.composite
+def wide_matrices(draw):
+    """Sparse square matrices with wide coefficients, zero rows and dependent rows.
+
+    Entries have degree up to 3; a row may be zeroed, or replaced by a Z[u]
+    combination of two other rows (singular), and the rows are shuffled.
+    """
+    n = draw(st.integers(1, 8))
+    rows = [
+        [draw(wide_entries) if draw(st.booleans()) else ZERO for _ in range(n)]
+        for _ in range(n)
+    ]
+    if draw(st.integers(0, 5)) == 0:
+        rows[draw(st.integers(0, n - 1))] = [ZERO] * n
+    if n > 2 and draw(st.booleans()):
+        i, j, k = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+        a = Poly([draw(st.integers(-3, 3)), draw(st.integers(-3, 3))])
+        b = Poly([draw(wide_coeffs)])
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return draw(st.permutations(rows))
+
+
+@given(rows=wide_matrices())
+@settings(max_examples=100, deadline=None)
+def test_det_wide_coefficients_match_reference(rows):
+    det = poly_det(PolyMatrix(rows))
+    assert det == reference_poly_det(PolyMatrix(rows))
+    if len(rows) <= 6:
+        assert det == cofactor_det(rows)
+
+
+def sylvester(order: int) -> tuple[list[list[int]], int]:
+    """Sylvester-Hadamard sign matrix of a power-of-two order, and its determinant.
+
+    S_2n = [[S_n, S_n], [S_n, -S_n]] has det S_2n = det(S_n) det(-2 S_n)
+    = (-2)^n det(S_n)^2.
+    """
+    signs, det = [[1]], 1
+    while len(signs) < order:
+        det = (-2) ** len(signs) * det * det
+        signs = [r + r for r in signs] + [r + [-x for x in r] for r in signs]
+    return signs, det
+
+
+@pytest.mark.parametrize("order", [2, 4, 8, 16])
+@pytest.mark.parametrize("flip", [False, True])
+def test_det_meets_hadamard_bound(order, flip):
+    # entry (i, j) is +-u^(i % 3 + j % 2): every row and column has 2-norm
+    # sqrt(order) on |u| = 1 and det = +-order^(order/2) u^K meets Hadamard's
+    # bound, so the packing width has no bit to spare; flipping a row flips
+    # the sign, and only a positive top coefficient needs that last bit
+    signs, det = sylvester(order)
+    if flip:
+        signs[0] = [-x for x in signs[0]]
+        det = -det
+    assert abs(det) == order ** (order // 2)
+    rows = [
+        [Poly([0] * (i % 3 + j % 2) + [x]) for j, x in enumerate(r)]
+        for i, r in enumerate(signs)
+    ]
+    shift = sum(i % 3 + i % 2 for i in range(order))
+    expected = Poly([0] * shift + [det])
+    assert poly_det(PolyMatrix(rows)) == expected
+    assert reference_poly_det(PolyMatrix(rows)) == expected
 
 
 def test_det_needs_square_matrix():

@@ -264,6 +264,27 @@ def test_loop_family_poles_up_to_benchmark_edge(q, last):
         previous = second
 
 
+# loop_family(4, 10) has its exact pole at 1/4 and a second real pole just
+# past -1/4, at modulus about 0.2500000715; pole_report misplaces the pair,
+# reporting R = 0.2499999969 and a second modulus of 0.25000000000000205.
+SECOND_POLE_BRACKET = (F(25000007, 10**8), F(2500001, 10**7))
+
+
+def test_loop_4_10_second_pole_is_just_past_minus_a_quarter():
+    den = zeta_of(loop_family(4, 10)).den
+    deflated, rem = divmod(den, Poly([1, -4]))
+    assert rem.is_zero()
+    inner, outer = SECOND_POLE_BRACKET
+    assert deflated(-inner) * deflated(-outer) < 0
+
+
+@pytest.mark.xfail(strict=False, reason="pole_report misplaces the second pole near -1/4")
+def test_loop_4_10_pole_report_finds_the_second_pole():
+    second = pole_report(zeta_of(loop_family(4, 10))).moduli_clusters[1]
+    inner, outer = SECOND_POLE_BRACKET
+    assert float(inner) < second < float(outer)
+
+
 def test_sweep_requires_values():
     with pytest.raises(ValueError):
         pole_gap_sweep(3, [])
