@@ -5,7 +5,6 @@ from cuspzeta.exact import (
     PolyMatrix,
     PowerSeries,
     RatFunc,
-    Rational,
     log_derivative_series,
     poly_det,
     poly_gcd,
@@ -33,9 +32,7 @@ from cuspzeta.zeta import (
     ZetaResult,
     bass_ihara_zeta,
     build_effective,
-    build_transfer,
     counting_series,
-    ihara_three_term,
 )
 from cuspzeta.oracle import (
     BudgetExceededError,

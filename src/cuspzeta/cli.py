@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
 
-from cuspzeta.exact import Poly, ratfunc_reduce, series_expand
+from cuspzeta.exact import Poly, rational_to_json, ratfunc_reduce, series_expand
 from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.graphs import CuspidalGraph, GraphFormatError, relabel, truncate, validate
 from cuspzeta.oracle import (
@@ -53,7 +54,7 @@ def _load_graph(path: str) -> CuspidalGraph:
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, int digit limit
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     graph = CuspidalGraph.from_json(data)
     report = validate(graph)
@@ -89,8 +90,8 @@ def _positive_tol(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad tolerance: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("tolerance must be positive")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("tolerance must be finite and positive")
     return value
 
 
@@ -118,13 +119,13 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 def cmd_zeta(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
+    if args.series is not None and args.series < 1:
+        return _fail_usage("--series must be >= 1")
     result = bass_ihara_zeta(graph)
     payload = result.to_json()
     if args.expand_selberg:
         payload["selberg"] = result.selberg_expanded().to_json()
     if args.series is not None:
-        if args.series < 1:
-            return _fail_usage("--series must be >= 1")
         payload["series"] = counting_series(result, args.series).to_json()
     print(json.dumps(payload, indent=2))
     return 0
@@ -138,7 +139,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     payload = series.to_json()
     if args.oracle:
         traces = trace_powers_cuspidal(graph, args.m)
-        payload["oracle_N"] = [int(t) if t.denominator == 1 else str(t) for t in traces]
+        payload["oracle_N"] = [rational_to_json(t) for t in traces]
         payload["match"] = list(series.n_values) == traces
         print(json.dumps(payload, indent=2))
         return 0 if payload["match"] else FAILURE

@@ -43,12 +43,9 @@ from fractions import Fraction
 from math import gcd as _int_gcd, prod
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 __all__ = [
-    "Rational",
     "Poly",
     "RatFunc",
     "PowerSeries",

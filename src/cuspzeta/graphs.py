@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from cuspzeta.exact import Rational
 
 __all__ = [
     "OrientedEdge",
@@ -70,7 +69,7 @@ class EdgeIndexedGraph:
     def from_pairs(
         cls,
         vertices: Iterable[str],
-        pairs: Iterable[tuple[str, str, Rational | int, Rational | int]],
+        pairs: Iterable[tuple[str, str, Fraction | int, Fraction | int]],
     ) -> EdgeIndexedGraph:
         """Build a graph from undirected pairs (a, b, weight a->b, weight b->a)."""
         edges: list[OrientedEdge] = []

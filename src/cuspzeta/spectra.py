@@ -126,8 +126,8 @@ def complex_roots(p: Poly, tol: float = 1e-12) -> list[tuple[complex, int]]:
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined roots")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and positive")
     result: list[tuple[complex, int]] = []
     for part, mult in square_free_parts(p):
         coeffs = [float(c) for c in part.coeffs]
@@ -278,8 +278,8 @@ def pole_report(z: RatFunc, tol: float = 1e-9) -> PoleReport:
     ``tol`` is the relative tolerance for merging moduli into one cluster;
     a zeta function without poles reports an infinite radius of convergence.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and positive")
     if z.den.degree < 1:
         return PoleReport((), (), math.inf, None)
     poles = tuple(complex_roots(z.den))
@@ -319,8 +319,8 @@ def ramanujan_check(z: RatFunc, q: int, tol: float = 1e-9) -> RamanujanVerdict:
     """
     if q < 2:
         raise ValueError("ramanujan check requires q >= 2")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and positive")
     return _classify_poles(pole_report(z, tol), q, tol)
 
 

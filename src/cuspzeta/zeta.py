@@ -1,9 +1,9 @@
 """Zeta functions of weighted and cuspidal graphs via edge-transfer determinants.
 
-The transfer operator acts on oriented edges: an edge e is sent to the
-weighted sum of the edges e' leaving its target, where e' picks up weight
-w(e') except for the reversal of e, which picks up w(e') - 1.  For a finite
-graph the weighted-graph zeta function is 1/det(I - uT).
+The transfer operator acts on oriented edges.  One rule gives every row: an
+edge e steps to each move out of its head, with the move's weight w, or
+w - 1 on the move that reverses e.  The weighted-graph zeta function is
+1/det(I - uT).
 
 For a cuspidal graph the operator is infinite, but each standard ray can be
 eliminated in closed form: summing the geometric series of excursions into
@@ -14,7 +14,8 @@ the ray turns the outward attachment row into
 so det(I - uT) equals det(EffectiveMatrix) divided by one factor
 (1 - ray_q u^2) per cusp.  The effective matrix is finite (core edges plus
 an (o, i) pair per cusp) and exact, so no limit of truncations is ever
-taken numerically.
+taken numerically.  A graph without cusps is the zero-cusp case: its
+effective matrix is I - uT itself.
 """
 
 from __future__ import annotations
@@ -36,121 +37,71 @@ from cuspzeta.exact import (
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
 
 __all__ = [
-    "TransferMatrix",
     "EffectiveMatrix",
     "ZetaResult",
     "CountingSeries",
-    "build_transfer",
     "build_effective",
     "bass_ihara_zeta",
-    "ihara_three_term",
     "counting_series",
 ]
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """I - uT of a finite graph, rows and columns indexed by oriented edges."""
-
-    edge_index: tuple[int, ...]
-    entries: PolyMatrix
 
 
 @dataclass(frozen=True)
 class EffectiveMatrix:
     """Finite matrix whose determinant carries det(I - uT) of a cuspidal graph.
 
-    Rows are labelled by core oriented edges plus, per cusp, the outward and
-    inward attachment edges ("o" and "i"); each outward row is the closed
-    form of its eliminated ray.
+    Rows are labelled by core oriented edges ``("core", id)`` in canonical
+    edge order, then per cusp the outward and inward attachment edges
+    ``("cusp", idx, "o")`` and ``("cusp", idx, "i")``; each outward row is
+    the closed form of its eliminated ray.
     """
 
     labels: tuple[tuple, ...]
     entries: PolyMatrix
-    cusp_count: int
-    cusp_qs: tuple[int, ...]
 
 
-def _minus_u(weight: Fraction) -> Poly:
+def _minus_u(weight: Fraction | int) -> Poly:
     return Poly([0, -weight])
 
 
-def build_transfer(g: EdgeIndexedGraph) -> TransferMatrix:
-    """Assemble I - uT with the deterministic canonical edge order."""
-    order = g.canonical_edge_order()
-    pos = {eid: i for i, eid in enumerate(order)}
-    n = len(order)
-    rows = [[ZERO] * n for _ in range(n)]
-    for eid in order:
-        e = g.edges[eid]
-        i = pos[eid]
-        rows[i][i] = ONE
-        for sid in g.out_edges(e.target):
-            succ = g.edges[sid]
-            w = succ.weight - 1 if sid == e.inverse else succ.weight
-            if w:
-                rows[i][pos[sid]] = rows[i][pos[sid]] + _minus_u(w)
-    return TransferMatrix(order, PolyMatrix(rows))
-
-
 def build_effective(c: CuspidalGraph) -> EffectiveMatrix:
-    """Restrict I - uT to core edges plus one (o, i) pair per cusp.
+    """Assemble I - uT on core edges plus one (o, i) pair per cusp.
 
-    Core rows follow the plain transfer rule (an outward cusp edge at the
-    row's head contributes -u * alpha).  The inward row at a cusp sees every
-    retained edge leaving the attachment vertex, with backtrack weight
-    alpha - 1 on its own outward edge.  The outward row is the eliminated
-    ray: [1 - ray_q u^2, -(ray_q - 1) u].
+    The moves out of a vertex are its core out-edges and the outward edge o
+    of each cusp there (weight alpha).  A move reverses the inverse core
+    edge, or for o the cusp's inward edge i.  Every core row and every i row
+    takes each move out of its head with weight w, or w - 1 on the move
+    that reverses it.  Only the o rows differ: [1 - ray_q u^2, -(ray_q - 1) u].
     """
     core = c.core
     order = core.canonical_edge_order()
+    pos = {eid: r for r, eid in enumerate(order)}
     labels: list[tuple] = [("core", eid) for eid in order]
-    for idx in range(len(c.cusps)):
-        labels.append(("cusp", idx, "o"))
-        labels.append(("cusp", idx, "i"))
-    pos = {label: i for i, label in enumerate(labels)}
-    cusps_at: dict[str, list[int]] = {}
-    for idx, cusp in enumerate(c.cusps):
-        cusps_at.setdefault(cusp.vertex, []).append(idx)
-    n = len(labels)
+    heads = [(r, core.edges[eid].target) for r, eid in enumerate(order)]
+    # moves[v]: (column, entry for weight w, entry for w - 1, row it reverses)
+    moves: dict[str, list[tuple]] = {}
+    for e in core.edges:
+        moves.setdefault(e.source, []).append(
+            (pos[e.id], _minus_u(e.weight), _minus_u(e.weight - 1), pos[e.inverse])
+        )
+    n = len(order) + 2 * len(c.cusps)
     rows = [[ZERO] * n for _ in range(n)]
-
-    def core_successors(row: int, vertex: str, backtrack_of: int | None) -> None:
-        for sid in core.out_edges(vertex):
-            succ = core.edges[sid]
-            w = succ.weight - 1 if sid == backtrack_of else succ.weight
-            if w:
-                col = pos[("core", sid)]
-                rows[row][col] = rows[row][col] + _minus_u(w)
-
-    for eid in order:
-        e = core.edges[eid]
-        i = pos[("core", eid)]
-        rows[i][i] = ONE
-        core_successors(i, e.target, backtrack_of=e.inverse)
-        for idx in cusps_at.get(e.target, []):
-            col = pos[("cusp", idx, "o")]
-            rows[i][col] = rows[i][col] + _minus_u(Fraction(c.cusps[idx].alpha))
-
     for idx, cusp in enumerate(c.cusps):
-        o = pos[("cusp", idx, "o")]
-        i = pos[("cusp", idx, "i")]
+        o = len(labels)
+        labels += [("cusp", idx, "o"), ("cusp", idx, "i")]
         rows[o][o] = Poly([1, 0, -cusp.ray_q])
-        rows[o][i] = _minus_u(Fraction(cusp.ray_q - 1))
-        rows[i][i] = ONE
-        core_successors(i, cusp.vertex, backtrack_of=None)
-        for jdx in cusps_at.get(cusp.vertex, []):
-            w = Fraction(c.cusps[jdx].alpha - (1 if jdx == idx else 0))
-            if w:
-                col = pos[("cusp", jdx, "o")]
-                rows[i][col] = rows[i][col] + _minus_u(w)
+        rows[o][o + 1] = _minus_u(cusp.ray_q - 1)
+        heads.append((o + 1, cusp.vertex))
+        moves.setdefault(cusp.vertex, []).append(
+            (o, _minus_u(cusp.alpha), _minus_u(cusp.alpha - 1), o + 1)
+        )
 
-    return EffectiveMatrix(
-        tuple(labels),
-        PolyMatrix(rows),
-        len(c.cusps),
-        tuple(cusp.ray_q for cusp in c.cusps),
-    )
+    for r, v in heads:
+        row = rows[r]
+        for col, step, back, rev in moves.get(v, ()):
+            row[col] = back if rev == r else step
+        row[r] = row[r] + ONE
+    return EffectiveMatrix(tuple(labels), PolyMatrix(rows))
 
 
 @dataclass(frozen=True)
@@ -164,7 +115,6 @@ class ZetaResult:
     bass_ihara: RatFunc
     central_order: int
     cusp_count: int
-    raw_determinant: Poly
 
     def selberg_expanded(self) -> RatFunc:
         return ratfunc_pow(self.bass_ihara, self.central_order)
@@ -180,62 +130,17 @@ class ZetaResult:
 def bass_ihara_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> ZetaResult:
     """Weighted-graph zeta function: prod_c (1 - ray_q u^2) / det(effective).
 
-    A plain finite graph (or a cuspidal graph without cusps) reduces to
-    1 / det(I - uT).
+    A plain finite graph is the cuspidal graph without cusps.
     """
     if isinstance(c, EdgeIndexedGraph):
         c = CuspidalGraph(c, (), 1, 1)
-    if c.cusps:
-        eff = build_effective(c)
-        det = poly_det(eff.entries)
-        prefactor = ONE
-        for ray_q in eff.cusp_qs:
-            prefactor = prefactor * Poly([1, 0, -ray_q])
-    else:
-        det = poly_det(build_transfer(c.core).entries)
-        prefactor = ONE
+    det = poly_det(build_effective(c).entries)
     if det.is_zero():
         raise ArithmeticError("transfer determinant vanished identically (internal error)")
-    z = ratfunc_reduce(prefactor, det)
-    return ZetaResult(z, c.central_order, len(c.cusps), det)
-
-
-def ihara_three_term(g: EdgeIndexedGraph) -> RatFunc:
-    """Vertex-side determinant formula for a finite unit-weight graph.
-
-    Z = (1 - u^2)^chi / det(I - uA + u^2 Q) with chi = |V| - |E|, A the
-    vertex adjacency matrix and Q the diagonal (degree - 1) matrix.
-    """
-    for e in g.edges:
-        if e.weight != 1:
-            raise ValueError("the three-term formula applies to unit-weight graphs only")
-    if len(g.edges) % 2:
-        raise ValueError("oriented edges must come in inverse pairs")
-    verts = sorted(g.vertices)
-    vpos = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    adj = [[0] * n for _ in range(n)]
-    deg = [0] * n
-    for e in g.edges:
-        adj[vpos[e.source]][vpos[e.target]] += 1
-        deg[vpos[e.source]] += 1
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            coeffs = [Fraction(0)] * 3
-            if i == j:
-                coeffs[0] = Fraction(1)
-                coeffs[2] = Fraction(deg[i] - 1)
-            coeffs[1] = Fraction(-adj[i][j])
-            row.append(Poly(coeffs))
-        rows.append(row)
-    det = poly_det(PolyMatrix(rows))
-    chi = n - len(g.edges) // 2
-    one_minus_u2 = Poly([1, 0, -1])
-    if chi >= 0:
-        return ratfunc_reduce(one_minus_u2**chi, det)
-    return ratfunc_reduce(ONE, det * one_minus_u2 ** (-chi))
+    prefactor = ONE
+    for cusp in c.cusps:
+        prefactor = prefactor * Poly([1, 0, -cusp.ray_q])
+    return ZetaResult(ratfunc_reduce(prefactor, det), c.central_order, len(c.cusps))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from helpers import random_min_degree_two_graph, vertex_side_determinant
 
 from cuspzeta.exact import Poly, PolyMatrix, poly_det, ratfunc_reduce, series_expand
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import invariant_signature, relabel, truncate
+from cuspzeta.graphs import CuspidalGraph, invariant_signature, relabel, truncate
 from cuspzeta.oracle import (
     enumerate_primitive_cycles,
     euler_product_series,
@@ -24,7 +24,7 @@ from cuspzeta.oracle import (
     trace_powers_cuspidal,
 )
 from cuspzeta.spectra import growth_rate, pole_report
-from cuspzeta.zeta import bass_ihara_zeta, build_transfer, counting_series
+from cuspzeta.zeta import bass_ihara_zeta, build_effective, counting_series
 
 
 def criterion(number, label):
@@ -167,7 +167,7 @@ def test_criterion_6_bass_identity():
     one_minus_u2 = Poly([1, 0, -1])
     for trial in range(50):
         g = random_min_degree_two_graph(rng, max_vertices=10)
-        edge_det = poly_det(build_transfer(g).entries)
+        edge_det = poly_det(build_effective(CuspidalGraph(g, (), 1)).entries)
         chi = len(g.vertices) - len(g.edges) // 2
         assert chi <= 0, trial
         assert edge_det == one_minus_u2 ** (-chi) * vertex_side_determinant(g), trial

@@ -84,6 +84,18 @@ def test_zeta_series_and_selberg_flags(capsys, tmp_path):
     assert data["selberg"] == expected.to_json()
 
 
+def test_zeta_rejects_series_zero_before_the_determinant(capsys, tmp_path, monkeypatch):
+    def no_determinant(graph):
+        raise AssertionError("the determinant ran before --series was checked")
+
+    monkeypatch.setattr(cli, "bass_ihara_zeta", no_determinant)
+    path = write_graph(tmp_path, pgl2(3))
+    assert cli.main(["zeta", path, "--series", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_zeta_deterministic(capsys, tmp_path):
     path = write_graph(tmp_path, loop_family(3, 2))
     first = run_cli(capsys, "zeta", path).out
@@ -127,6 +139,8 @@ def _graph_with(**fields):
         pytest.param(_graph_with(cusps=[{"vertex": "a", "alpha": 1, "ray_q": 1}]), id="ray-q-1"),
         pytest.param(None, id="directory"),
         pytest.param(b'{"q": 3, "vertices": ["\xe9"]}', id="not-utf8"),
+        # past the int-str digit limit where the interpreter has one, negative where not
+        pytest.param(_graph_with().replace(b'"q": 3', b'"q": -1' + b"0" * 5000), id="q-5001-digits"),
     ],
 )
 def test_zeta_bad_input_exit_2(capsys, tmp_path, content):
@@ -225,6 +239,15 @@ def test_poles_zero_tolerance_exit_2(capsys, tmp_path):
         cli.main(["poles", path, "--tol", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_poles_non_finite_tolerance_exit_2(capsys, tmp_path, tol):
+    path = write_graph(tmp_path, loop_family(3, 3))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["poles", path, "--tol", tol])
+    assert exc.value.code == 2
+    assert "finite and positive" in capsys.readouterr().err
 
 
 # --- sweep -------------------------------------------------------------------

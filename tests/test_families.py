@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import validate
-from cuspzeta.zeta import bass_ihara_zeta, build_transfer
+from cuspzeta.graphs import CuspidalGraph, validate
+from cuspzeta.zeta import bass_ihara_zeta, build_effective
 
 
 def successor_weights(graph, source, target):
@@ -156,7 +156,7 @@ def test_loop_family_cusp_parameters():
 
 def test_transfer_matrix_dimension_counts_oriented_edges():
     c = loop_family(3, 2)
-    t = build_transfer(c.core)
+    t = build_effective(CuspidalGraph(c.core, (), 1))
     assert t.entries.n == len(c.core.edges) == 2 * (2 * 2 + 1)
 
 

@@ -17,7 +17,7 @@ from cuspzeta.oracle import (
     trace_powers,
     trace_powers_cuspidal,
 )
-from cuspzeta.zeta import bass_ihara_zeta, build_transfer
+from cuspzeta.zeta import bass_ihara_zeta, build_effective
 from helpers import reference_cycle_classes, reference_euler_product
 
 
@@ -213,5 +213,5 @@ def test_euler_product_of_finite_graph_matches_edge_determinant():
     bound = 8
     classes = enumerate_primitive_cycles(g, bound)
     product = euler_product_series(classes, bound, enumerated_to=bound)
-    det = poly_det(build_transfer(g).entries)
+    det = poly_det(build_effective(CuspidalGraph(g, (), 1)).entries)
     assert product == series_expand(ratfunc_reduce(ONE, det), bound)

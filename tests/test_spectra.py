@@ -172,6 +172,17 @@ def test_roots_reject_zero_polynomial():
         complex_roots(Poly())
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+def test_tolerances_must_be_finite_and_positive(tol):
+    z = zeta_of(loop_family(3, 3))
+    with pytest.raises(ValueError):
+        pole_report(z, tol)
+    with pytest.raises(ValueError):
+        ramanujan_check(z, 3, tol)
+    with pytest.raises(ValueError):
+        complex_roots(z.den, tol)
+
+
 # --- pole_report -------------------------------------------------------------
 
 

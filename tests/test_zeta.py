@@ -6,15 +6,9 @@ import pytest
 
 from cuspzeta.exact import ONE, Poly, RatFunc, poly_det, ratfunc_reduce, series_expand
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import EdgeIndexedGraph, relabel, truncate
-from cuspzeta.oracle import trace_powers
-from cuspzeta.zeta import (
-    bass_ihara_zeta,
-    build_effective,
-    build_transfer,
-    counting_series,
-    ihara_three_term,
-)
+from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph, relabel, truncate
+from cuspzeta.oracle import _successor_rows, trace_powers
+from cuspzeta.zeta import bass_ihara_zeta, build_effective, counting_series
 
 
 def rf(num, den) -> RatFunc:
@@ -33,6 +27,22 @@ def complete_graph(n: int) -> EdgeIndexedGraph:
     return EdgeIndexedGraph.from_pairs(names, pairs)
 
 
+def transfer(g: EdgeIndexedGraph):
+    """I - uT of a finite graph: the effective matrix with no cusps."""
+    return build_effective(CuspidalGraph(g, (), 1))
+
+
+def three_term(g: EdgeIndexedGraph) -> RatFunc:
+    """(1 - u^2)^chi / det(I - uA + u^2 Q) with chi = |V| - |E|, from the vertex side."""
+    from helpers import vertex_side_determinant
+
+    chi = len(g.vertices) - len(g.edges) // 2
+    one_minus_u2 = Poly([1, 0, -1])
+    if chi >= 0:
+        return ratfunc_reduce(one_minus_u2**chi, vertex_side_determinant(g))
+    return ratfunc_reduce(ONE, vertex_side_determinant(g) * one_minus_u2 ** (-chi))
+
+
 def series_exp(coeffs: list[F], order: int) -> list[F]:
     """exp of a power series with zero constant term, truncated; test oracle."""
     # exp(S)' = S' exp(S) gives the recurrence below
@@ -47,11 +57,11 @@ def series_exp(coeffs: list[F], order: int) -> list[F]:
     return out
 
 
-# --- build_transfer ----------------------------------------------------------
+# --- build_effective without cusps: I - uT -----------------------------------
 
 
 def test_transfer_triangle_is_permutation_like():
-    t = build_transfer(triangle())
+    t = transfer(triangle())
     for row in t.entries.rows:
         off_diag = [p for p in row if p.degree == 1]
         assert len(off_diag) == 1
@@ -60,8 +70,8 @@ def test_transfer_triangle_is_permutation_like():
 
 def test_transfer_backtrack_weight_on_weighted_path():
     g = EdgeIndexedGraph.from_pairs(["x", "y"], [("x", "y", 4, 3)])
-    t = build_transfer(g)
-    pos = {t.edge_index[i]: i for i in range(2)}
+    t = transfer(g)
+    pos = {eid: i for i, (_, eid) in enumerate(t.labels)}
     outward = next(e.id for e in g.edges if e.source == "x")
     inward = g.edges[outward].inverse
     # the inward edge can only backtrack, with weight 4 - 1
@@ -74,12 +84,26 @@ def test_transfer_edge_into_leaf_with_unit_inverse_has_unit_row():
     g = EdgeIndexedGraph.from_pairs(
         ["x", "y", "z"], [("x", "y", 2, 2), ("y", "z", 2, 1)]
     )
-    t = build_transfer(g)
+    t = transfer(g)
     into_leaf = next(e.id for e in g.edges if e.target == "z")
-    i = t.edge_index.index(into_leaf)
+    i = t.labels.index(("core", into_leaf))
     row = t.entries.rows[i]
     assert row[i] == ONE
     assert all(p.is_zero() for j, p in enumerate(row) if j != i)
+
+
+def test_transfer_matches_oracle_successor_rows(rng):
+    # unit weights: every backtrack has weight 0 and is absent from the oracle's rows
+    from helpers import random_min_degree_two_graph
+
+    for _ in range(20):
+        g = random_min_degree_two_graph(rng, max_vertices=8)
+        rows = _successor_rows(g)
+        expected = [[ONE if i == j else Poly() for j in range(len(rows))] for i in range(len(rows))]
+        for i, row in enumerate(rows):
+            for j, w in row:
+                expected[i][j] = expected[i][j] - Poly([0, w])
+        assert [list(r) for r in transfer(g).entries.rows] == expected
 
 
 # --- build_effective ---------------------------------------------------------
@@ -118,7 +142,8 @@ def test_effective_includes_core_rows():
     c = loop_family(3, 1)
     eff = build_effective(c)
     assert eff.entries.n == len(c.core.edges) + 2
-    assert eff.cusp_qs == (3,)
+    o = eff.labels.index(("cusp", 0, "o"))
+    assert eff.entries[o, o] == Poly([1, 0, -3])
 
 
 # --- bass_ihara_zeta ---------------------------------------------------------
@@ -148,7 +173,7 @@ def test_zeta_finite_tree_is_one():
 
 def test_zeta_result_records_raw_determinant():
     z = bass_ihara_zeta(chain(2, 3))
-    assert z.raw_determinant == Poly([1, 0, -4])  # qk - k + 1 = 4
+    assert poly_det(build_effective(chain(2, 3)).entries) == Poly([1, 0, -4])  # qk - k + 1 = 4
     assert z.cusp_count == 1
 
 
@@ -186,28 +211,20 @@ def test_selberg_expansion_squares_the_base():
 
 def test_three_term_triangle_matches_edge_determinant():
     g = triangle()
-    lhs = ihara_three_term(g)
-    rhs = ratfunc_reduce(ONE, poly_det(build_transfer(g).entries))
+    lhs = three_term(g)
+    rhs = bass_ihara_zeta(g).bass_ihara
     assert lhs == rhs
     assert lhs.den == Poly([1, 0, 0, -1]) ** 2  # two directed triangles
 
 
 def test_three_term_single_edge_is_one():
     g = EdgeIndexedGraph.from_pairs(["x", "y"], [("x", "y", 1, 1)])
-    assert ihara_three_term(g) == RatFunc(ONE, ONE)
+    assert three_term(g) == bass_ihara_zeta(g).bass_ihara == RatFunc(ONE, ONE)
 
 
 def test_three_term_complete_graph():
     g = complete_graph(4)
-    lhs = ihara_three_term(g)
-    rhs = ratfunc_reduce(ONE, poly_det(build_transfer(g).entries))
-    assert lhs == rhs
-
-
-def test_three_term_rejects_weighted_graphs():
-    g = EdgeIndexedGraph.from_pairs(["x", "y"], [("x", "y", 2, 1)])
-    with pytest.raises(ValueError):
-        ihara_three_term(g)
+    assert three_term(g) == bass_ihara_zeta(g).bass_ihara
 
 
 def test_bass_identity_on_random_graphs(rng):
@@ -217,7 +234,7 @@ def test_bass_identity_on_random_graphs(rng):
     one_minus_u2 = Poly([1, 0, -1])
     for _ in range(10):
         g = random_min_degree_two_graph(rng, max_vertices=7)
-        edge_det = poly_det(build_transfer(g).entries)
+        edge_det = poly_det(transfer(g).entries)
         chi = len(g.vertices) - len(g.edges) // 2
         assert chi <= 0
         assert edge_det == one_minus_u2 ** (-chi) * vertex_side_determinant(g)
@@ -291,7 +308,7 @@ def test_counting_values_are_nonnegative_integers():
 def test_exp_trace_identity_on_finite_graphs():
     order = 12
     for g in (triangle(), complete_graph(4), truncate(chain(2, 3), 3)):
-        det = poly_det(build_transfer(g).entries)
+        det = poly_det(transfer(g).entries)
         lhs = series_expand(ratfunc_reduce(ONE, det), order)
         traces = trace_powers(g, order)
         rhs = series_exp([F(0)] + [t / m for m, t in enumerate(traces, start=1)], order)
@@ -357,4 +374,4 @@ def test_loop_family_determinant_product_form(q, n):
         odd_coeffs[2 * k + 1] += (q - 1) * q**k
     odd_coeffs[2 * n + 1] -= q**n
     expected = Poly([1, 0, -1]) * Poly([1, -q]) * even_factor * Poly(odd_coeffs)
-    assert bass_ihara_zeta(loop_family(q, n)).raw_determinant == expected
+    assert poly_det(build_effective(loop_family(q, n)).entries) == expected
