@@ -3,7 +3,6 @@
 from cuspzeta.exact import (
     Poly,
     PolyMatrix,
-    PowerSeries,
     RatFunc,
     log_derivative_series,
     poly_det,

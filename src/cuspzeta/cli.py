@@ -196,8 +196,8 @@ def _verify_checks(
         _check(
             "euler_product_vs_series",
             product == expansion,
-            [str(c) for c in product.coeffs],
-            [str(c) for c in expansion.coeffs],
+            [str(c) for c in product],
+            [str(c) for c in expansion],
         )
     )
 

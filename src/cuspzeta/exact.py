@@ -8,13 +8,16 @@ ascending coefficient tuple with no trailing zeros (the zero polynomial is
 the empty tuple).  A :class:`RatFunc` is a reduced rational function
 ``num/den`` with ``gcd(num, den) = 1``; whenever ``den(0) != 0`` both parts
 are scaled so that ``den(0) = 1``, which makes equality of rational
-functions a plain structural comparison.  A :class:`PowerSeries` is a
-truncated Taylor expansion that carries its truncation order explicitly.
+functions a plain structural comparison.  A truncated Taylor expansion is
+a plain tuple of its coefficients, of length order + 1.
 
 Determinants of polynomial matrices use Bareiss fraction-free elimination
 over integer polynomials (rows are cleared of denominators first), and
 polynomial gcds use the subresultant pseudo-remainder sequence; both avoid
-the coefficient blow-up of naive rational elimination.
+the coefficient blow-up of naive rational elimination.  Before that
+sequence, :func:`poly_gcd` tries a certificate: a unit gcd modulo the prime
+2**61 - 1 proves the gcd over Q is 1, which is the common case (reduced
+zeta functions, square-free denominators).
 
 The elimination keeps rows sparse and skips every row whose pivot-column
 entry is zero, since Bareiss would only rescale it by P_k / P_{k-1} (P_k
@@ -41,14 +44,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd, prod
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
+
+CERTIFICATE_PRIME = 2**61 - 1
 
 __all__ = [
     "Poly",
     "RatFunc",
-    "PowerSeries",
     "PolyMatrix",
     "poly_gcd",
     "poly_det",
@@ -57,7 +61,6 @@ __all__ = [
     "series_expand",
     "log_derivative_series",
     "rational_to_json",
-    "rational_from_json",
 ]
 
 
@@ -66,13 +69,6 @@ def rational_to_json(x: Fraction) -> int | str:
     if x.denominator == 1:
         return int(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def rational_from_json(value: int | str) -> Fraction:
-    """Parse the serialization produced by :func:`rational_to_json`."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected int or 'p/q' string, got {value!r}")
-    return Fraction(value)
 
 
 class Poly:
@@ -221,10 +217,6 @@ class Poly:
     def to_json(self) -> list[int | str]:
         return [rational_to_json(c) for c in self._coeffs]
 
-    @classmethod
-    def from_json(cls, data: Sequence[int | str]) -> Poly:
-        return cls([rational_from_json(v) for v in data])
-
     def __repr__(self) -> str:
         if not self._coeffs:
             return "Poly(0)"
@@ -283,7 +275,7 @@ def _to_int_poly(p: Poly) -> tuple[list[int], int]:
     mult = 1
     for c in p.coeffs:
         mult = mult * c.denominator // _int_gcd(mult, c.denominator)
-    return [int(c * mult) for c in p.coeffs], mult
+    return [c.numerator * (mult // c.denominator) for c in p.coeffs], mult
 
 
 def _zprem(f: list[int], g: list[int]) -> list[int]:
@@ -304,8 +296,41 @@ def _zprem(f: list[int], g: list[int]) -> list[int]:
     return rem
 
 
+def _gf_rem(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of a modulo b over GF(P), ascending coefficients, b nonzero."""
+    rem = list(a)
+    db = len(b) - 1
+    inverse = pow(b[-1], -1, CERTIFICATE_PRIME)
+    for k in range(len(rem) - 1 - db, -1, -1):
+        c = rem[k + db] * inverse % CERTIFICATE_PRIME
+        if c:
+            for j in range(db):
+                rem[k + j] = (rem[k + j] - c * b[j]) % CERTIFICATE_PRIME
+    return _ztrim(rem[:db])
+
+
+def _coprime_mod_prime(f: list[int], g: list[int]) -> bool:
+    """True proves f and g coprime over Q; False proves nothing.
+
+    The primitive gcd h of f and g over Z divides both, so when the prime P
+    does not divide lc(f), or else lc(g), it does not divide lc(h) either:
+    h keeps its degree modulo P, where it divides gcd(f, g) over GF(P).  A
+    unit gcd over GF(P) therefore forces deg h = 0.
+    """
+    if f[-1] % CERTIFICATE_PRIME == 0 and g[-1] % CERTIFICATE_PRIME == 0:
+        return False
+    a = _ztrim([c % CERTIFICATE_PRIME for c in f])
+    b = _ztrim([c % CERTIFICATE_PRIME for c in g])
+    while b:
+        if len(b) == 1:
+            return True
+        a, b = b, _gf_rem(a, b)
+    return False
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor via the subresultant remainder sequence."""
+    """Monic greatest common divisor: a certificate modulo a prime, else the
+    subresultant remainder sequence."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
     if a.is_zero():
@@ -317,6 +342,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     f, _ = _to_int_poly(a)
     g, _ = _to_int_poly(b)
     f, g = _zprimitive(f), _zprimitive(g)
+    if _coprime_mod_prime(f, g):
+        return ONE
     if len(f) < len(g):
         f, g = g, f
     gg, h = 1, 1
@@ -341,9 +368,6 @@ class RatFunc:
     num: Poly
     den: Poly
 
-    def __call__(self, x):
-        return self.num(x) / self.den(x)
-
     def is_one(self) -> bool:
         return self.num == ONE and self.den == ONE
 
@@ -352,17 +376,8 @@ class RatFunc:
             return NotImplemented
         return ratfunc_reduce(self.num * other.num, self.den * other.den)
 
-    def __truediv__(self, other: RatFunc) -> RatFunc:
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return ratfunc_reduce(self.num * other.den, self.den * other.num)
-
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> RatFunc:
-        return ratfunc_reduce(Poly.from_json(data["num"]), Poly.from_json(data["den"]))
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r} / {self.den!r})"
@@ -398,62 +413,7 @@ def ratfunc_pow(f: RatFunc, c: int) -> RatFunc:
     return RatFunc(f.num**c, f.den**c)
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated power series with an explicit truncation order.
-
-    ``coeffs[m]`` is the coefficient of ``u**m`` for m = 0..order.
-    """
-
-    coeffs: tuple[Fraction, ...]
-    order: int
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("coefficient count must equal order + 1")
-
-    @classmethod
-    def of(cls, coeffs: Iterable[Scalar], order: int | None = None) -> PowerSeries:
-        cs = [Fraction(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
-        cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
-        return cls(tuple(cs), order)
-
-    def __getitem__(self, m: int) -> Fraction:
-        if m < 0 or m > self.order:
-            raise IndexError(f"coefficient {m} beyond truncation order {self.order}")
-        return self.coeffs[m]
-
-    def __mul__(self, other: PowerSeries) -> PowerSeries:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        out = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if a == 0:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(tuple(out), order)
-
-    def __add__(self, other: PowerSeries) -> PowerSeries:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return PowerSeries(
-            tuple(self.coeffs[m] + other.coeffs[m] for m in range(order + 1)), order
-        )
-
-    def to_json(self) -> list[int | str]:
-        return [rational_to_json(c) for c in self.coeffs]
-
-
-def _series_div(num: Poly, den: Poly, order: int) -> PowerSeries:
+def _series_div(num: Poly, den: Poly, order: int) -> tuple[Fraction, ...]:
     d0 = den(Fraction(0))
     if d0 == 0:
         raise ZeroDivisionError("series expansion at a pole of the function")
@@ -465,10 +425,10 @@ def _series_div(num: Poly, den: Poly, order: int) -> PowerSeries:
             if dcs[i]:
                 acc -= dcs[i] * out[m - i]
         out[m] = acc / d0
-    return PowerSeries(tuple(out), order)
+    return tuple(out)
 
 
-def series_expand(f: RatFunc, order: int) -> PowerSeries:
+def series_expand(f: RatFunc, order: int) -> tuple[Fraction, ...]:
     """Taylor coefficients of f at 0 through ``order``.
 
     Uses the linear recurrence induced by the denominator, so the cost is
@@ -479,7 +439,7 @@ def series_expand(f: RatFunc, order: int) -> PowerSeries:
     return _series_div(f.num, f.den, order)
 
 
-def log_derivative_series(z: RatFunc, order: int) -> PowerSeries:
+def log_derivative_series(z: RatFunc, order: int) -> tuple[Fraction, ...]:
     """Coefficients of u*Z'(u)/Z(u) through ``order``; requires Z(0) = 1.
 
     The m-th coefficient equals m times the u**m coefficient of log Z, which
@@ -513,9 +473,6 @@ class PolyMatrix:
     @classmethod
     def identity(cls, n: int) -> PolyMatrix:
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    def __repr__(self) -> str:
-        return f"PolyMatrix(n={self.n})"
 
 
 def poly_det(matrix: PolyMatrix) -> Poly:

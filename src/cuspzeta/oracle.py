@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from cuspzeta.exact import PowerSeries
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph, truncate
 
 __all__ = [
@@ -198,7 +197,7 @@ def euler_product_series(
     classes: Sequence[CycleClass],
     order: int,
     enumerated_to: int | None = None,
-) -> PowerSeries:
+) -> tuple[Fraction, ...]:
     """Coefficients through u^order of prod over primitive classes of 1/(1 - w u^l).
 
     ``enumerated_to`` documents the completeness bound of ``classes``; when
@@ -220,4 +219,4 @@ def euler_product_series(
         # Multiply by the geometric series of one primitive class in place.
         for m in range(cls.length, order + 1):
             out[m] += w * out[m - cls.length]
-    return PowerSeries(tuple(map(Fraction, out)), order)
+    return tuple(map(Fraction, out))

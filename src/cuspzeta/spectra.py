@@ -3,13 +3,14 @@
 Roots are located by Aberth-Ehrlich simultaneous iteration in double
 precision, started from a circle at the Cauchy root bound; exact rational
 coefficients are converted to floats once.  The polynomial is first split
-into square-free parts, so the iteration only ever sees simple roots (a
-multiple root would cap double precision at eps**(1/m) accuracy, which no
-clustering radius can separate from the deliberately tiny root gaps of the
-loop family).  The split first tries a certificate: a unit gcd of p and p'
-modulo the prime 2**61 - 1 proves p square-free, which is the common case.
-Otherwise it runs Yun's algorithm with the exact gcd.  Multiplicities come
-from the exact splitting, and clustering remains as the final grouping step.
+into square-free parts by Yun's algorithm, so the iteration only ever sees
+simple roots (a multiple root would cap double precision at eps**(1/m)
+accuracy, far coarser than the deliberately tiny root gaps of the loop
+family).  The split costs one certified :func:`poly_gcd` of p and p' in the
+common square-free case.  Multiplicities come from the exact split alone:
+each root of a part of multiplicity m is reported once with multiplicity m,
+and no distance between float roots ever merges them.  A root at 0 is read
+off the exact constant term.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from cuspzeta.exact import Poly, RatFunc, _to_int_poly, _ztrim, poly_gcd
+from cuspzeta.exact import Poly, RatFunc, poly_gcd
 from cuspzeta.graphs import CuspidalGraph
 from cuspzeta.zeta import bass_ihara_zeta, counting_series
 
@@ -39,10 +40,8 @@ __all__ = [
 ]
 
 MAX_ITERATIONS = 400
-CLUSTER_RADIUS = 1e-6
 RESIDUAL_BOUND = 1e-8
 SWEEP_TOL = 1e-9
-CERTIFICATE_PRIME = 2**61 - 1
 
 
 class RootFindingError(RuntimeError):
@@ -63,13 +62,12 @@ def square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
         raise ValueError("the zero polynomial has no square-free decomposition")
     if p.degree < 1:
         return []
-    if _square_free_mod_prime(p):
-        return [(p.monic(), 1)]
-    g = poly_gcd(p, p.derivative())
+    dp = p.derivative()
+    g = poly_gcd(p, dp)
     if g.degree == 0:
         return [(p.monic(), 1)]
     w = p / g
-    z = p.derivative() / g - w.derivative()
+    z = dp / g - w.derivative()
     parts = []
     m = 1
     while w.degree > 0:
@@ -83,46 +81,14 @@ def square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
     return parts
 
 
-def _square_free_mod_prime(p: Poly) -> bool:
-    """True proves p square-free over Q; False proves nothing.
-
-    With f = p cleared of denominators and the prime P not dividing lc(f),
-    the primitive gcd g of f and f' over Z divides f, so P does not divide
-    lc(g) and g keeps its degree modulo P, where it divides gcd(f, f') over
-    GF(P).  A unit gcd over GF(P) therefore forces deg g = 0.
-    """
-    f, _ = _to_int_poly(p)
-    if f[-1] % CERTIFICATE_PRIME == 0:
-        return False
-    a = [c % CERTIFICATE_PRIME for c in f]
-    b = _ztrim([i * c % CERTIFICATE_PRIME for i, c in enumerate(a)][1:])
-    while b:
-        if len(b) == 1:
-            return True
-        a, b = b, _gf_rem(a, b)
-    return False
-
-
-def _gf_rem(a: list[int], b: list[int]) -> list[int]:
-    """Remainder of a modulo b over GF(P), ascending coefficients, b nonzero."""
-    rem = list(a)
-    db = len(b) - 1
-    inverse = pow(b[-1], -1, CERTIFICATE_PRIME)
-    for k in range(len(rem) - 1 - db, -1, -1):
-        c = rem[k + db] * inverse % CERTIFICATE_PRIME
-        if c:
-            for j in range(db):
-                rem[k + j] = (rem[k + j] - c * b[j]) % CERTIFICATE_PRIME
-    return _ztrim(rem[:db])
-
-
 def complex_roots(p: Poly, tol: float = 1e-12) -> list[tuple[complex, int]]:
     """All complex roots of p with multiplicities, as (value, multiplicity).
 
     The exact square-free splitting supplies the multiplicities, so the
     simultaneous iteration always runs on simple roots.  Raises
-    :class:`RootFindingError` if the iteration cap is reached before
-    convergence or an approximation fails the scaled residual check.
+    :class:`RootFindingError` if a nonzero constant term underflows to 0.0
+    (which would fake a root at 0), if the iteration cap is reached before
+    convergence or if an approximation fails the scaled residual check.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined roots")
@@ -130,18 +96,16 @@ def complex_roots(p: Poly, tol: float = 1e-12) -> list[tuple[complex, int]]:
         raise ValueError("tolerance must be finite and positive")
     result: list[tuple[complex, int]] = []
     for part, mult in square_free_parts(p):
-        coeffs = [float(c) for c in part.coeffs]
-        zeros_at_origin = 0
-        while coeffs and coeffs[0] == 0.0:
-            coeffs.pop(0)
-            zeros_at_origin += 1
-        if zeros_at_origin:
-            result.append((0j, zeros_at_origin * mult))
-        degree = len(coeffs) - 1
-        if degree < 1:
+        coeffs = part.coeffs
+        if coeffs[0] == 0:  # u divides a square-free part at most once
+            result.append((0j, mult))
+            coeffs = coeffs[1:]
+        if len(coeffs) < 2:
             continue
-        for value, count in _cluster_points(_aberth(coeffs, tol), CLUSTER_RADIUS):
-            result.append((value, count * mult))
+        floats = [float(c) for c in coeffs]
+        if floats[0] == 0.0:
+            raise RootFindingError("a nonzero constant term underflows to 0.0")
+        result.extend((value, mult) for value in _aberth(floats, tol))
     result.sort(key=lambda pair: (abs(pair[0]), pair[0].real, pair[0].imag))
     return result
 
@@ -213,43 +177,6 @@ def _polish(monic: Sequence[float], deriv: Sequence[float], z: complex) -> compl
         if abs(step) <= 1e-17 * max(1.0, abs(z)):
             break
     return z
-
-
-def _cluster_points(points: Sequence[complex], radius: float) -> list[tuple[complex, int]]:
-    """Group points whose transitive-closure distance stays within radius."""
-    remaining = list(points)
-    clusters: list[list[complex]] = []
-    for pt in remaining:
-        hit = None
-        for cluster in clusters:
-            if any(abs(pt - other) <= radius * max(1.0, abs(pt)) for other in cluster):
-                hit = cluster
-                break
-        if hit is None:
-            clusters.append([pt])
-        else:
-            hit.append(pt)
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                if any(
-                    abs(a - b) <= radius * max(1.0, abs(a))
-                    for a in clusters[i]
-                    for b in clusters[j]
-                ):
-                    clusters[i].extend(clusters[j])
-                    del clusters[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    out = []
-    for cluster in clusters:
-        mean = sum(cluster) / len(cluster)
-        out.append((mean, len(cluster)))
-    return out
 
 
 @dataclass(frozen=True)

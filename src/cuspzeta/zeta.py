@@ -170,6 +170,6 @@ def counting_series(result: ZetaResult, order: int) -> CountingSeries:
     if order < 1:
         raise ValueError("counting order must be >= 1")
     series = log_derivative_series(result.bass_ihara, order)
-    n_values = tuple(series.coeffs[1:])
+    n_values = series[1:]
     r_values = tuple(result.central_order * x for x in n_values)
     return CountingSeries(n_values, r_values, order)

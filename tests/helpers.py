@@ -9,7 +9,6 @@ from cuspzeta.exact import (
     ZERO,
     Poly,
     PolyMatrix,
-    PowerSeries,
     RatFunc,
     poly_det,
     ratfunc_reduce,
@@ -138,14 +137,14 @@ def reference_cycle_classes(g: EdgeIndexedGraph, max_length: int) -> tuple[list[
     return classes, visited
 
 
-def reference_euler_product(classes: list[CycleClass], order: int) -> PowerSeries:
+def reference_euler_product(classes: list[CycleClass], order: int) -> tuple[F, ...]:
     """prod over primitive classes of 1/(1 - w u^l) through u^order, in Fractions."""
     out = [F(1)] + [F(0)] * order
     for cls in classes:
         if cls.is_primitive and cls.length <= order:
             for m in range(cls.length, order + 1):
                 out[m] += cls.weight * out[m - cls.length]
-    return PowerSeries(tuple(out), order)
+    return tuple(out)
 
 
 def _ztrim(p: list[int]) -> list[int]:

@@ -250,6 +250,22 @@ def test_poles_non_finite_tolerance_exit_2(capsys, tmp_path, tol):
     assert "finite and positive" in capsys.readouterr().err
 
 
+def test_poles_underflowed_coefficient_exit_1(capsys, tmp_path):
+    # den = 1 + c2 u^2 + c4 u^4 with |c2|, |c4| near 10^400: the monic part's
+    # constant term is near 10^-400, below the double range
+    graph = {
+        "q": 3,
+        "vertices": ["a", "b"],
+        "edges": [{"a": "a", "b": "b", "wa": 2, "wb": 2}],
+        "cusps": [{"vertex": "a", "alpha": 1, "ray_q": 10**400}],
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    err = run_cli(capsys, "poles", str(path), expect=1).err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 # --- sweep -------------------------------------------------------------------
 
 

@@ -15,7 +15,6 @@ from cuspzeta.exact import (
     ONE,
     Poly,
     PolyMatrix,
-    PowerSeries,
     RatFunc,
     ZERO,
     log_derivative_series,
@@ -23,7 +22,6 @@ from cuspzeta.exact import (
     poly_gcd,
     ratfunc_pow,
     ratfunc_reduce,
-    rational_from_json,
     rational_to_json,
     series_expand,
 )
@@ -372,18 +370,18 @@ def test_det_needs_square_matrix():
 
 def test_series_geometric():
     f = ratfunc_reduce(ONE, Poly([1, -1]))
-    assert series_expand(f, 4).coeffs == (1, 1, 1, 1, 1)
+    assert series_expand(f, 4) == (1, 1, 1, 1, 1)
 
 
 def test_series_even_rational_function():
     f = ratfunc_reduce(Poly([1, 0, -2]), Poly([1, 0, -4]))
     expected = long_division_series(f.num, f.den, 6)
     assert expected == [1, 0, 2, 0, 8, 0, 32]
-    assert list(series_expand(f, 6).coeffs) == expected
+    assert list(series_expand(f, 6)) == expected
 
 
 def test_series_constant_one():
-    assert series_expand(RatFunc(ONE, ONE), 3).coeffs == (1, 0, 0, 0)
+    assert series_expand(RatFunc(ONE, ONE), 3) == (1, 0, 0, 0)
 
 
 def test_series_rejects_pole_at_zero():
@@ -397,7 +395,9 @@ def test_series_multiplicativity(p, q, r, s):
     f = ratfunc_reduce(ONE + Poly([0, 1]) * p, ONE + Poly([0, 1]) * q)
     g = ratfunc_reduce(ONE + Poly([0, 1]) * r, ONE + Poly([0, 1]) * s)
     order = 8
-    assert series_expand(f * g, order) == series_expand(f, order) * series_expand(g, order)
+    a, b = series_expand(f, order), series_expand(g, order)
+    product = tuple(sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(order + 1))
+    assert series_expand(f * g, order) == product
 
 
 # --- logarithmic derivative --------------------------------------------------
@@ -405,7 +405,7 @@ def test_series_multiplicativity(p, q, r, s):
 
 def test_log_derivative_geometric():
     f = ratfunc_reduce(ONE, Poly([1, -1]))
-    assert log_derivative_series(f, 6).coeffs == (0, 1, 1, 1, 1, 1, 1)
+    assert log_derivative_series(f, 6) == (0, 1, 1, 1, 1, 1, 1)
 
 
 def test_log_derivative_even_example():
@@ -414,13 +414,13 @@ def test_log_derivative_even_example():
     f = ratfunc_reduce(Poly([1, 0, -2]), Poly([1, 0, -4]))
     series = log_derivative_series(f, 8)
     for m in (1, 2, 3, 4):
-        assert series.coeffs[2 * m] == 2 * (2 ** (2 * m) - 2**m)
-        assert series.coeffs[2 * m - 1] == 0
+        assert series[2 * m] == 2 * (2 ** (2 * m) - 2**m)
+        assert series[2 * m - 1] == 0
 
 
 def test_log_derivative_of_one_is_zero():
     series = log_derivative_series(RatFunc(ONE, ONE), 5)
-    assert all(c == 0 for c in series.coeffs)
+    assert all(c == 0 for c in series)
 
 
 def test_log_derivative_requires_value_one_at_zero():
@@ -435,7 +435,7 @@ def test_log_derivative_additivity(p, q, r, s):
     g = ratfunc_reduce(ONE + Poly([0, 1]) * r, ONE + Poly([0, 1]) * s)
     order = 8
     lhs = log_derivative_series(f * g, order)
-    rhs = log_derivative_series(f, order) + log_derivative_series(g, order)
+    rhs = tuple(map(sum, zip(log_derivative_series(f, order), log_derivative_series(g, order))))
     assert lhs == rhs
 
 
@@ -443,22 +443,5 @@ def test_log_derivative_additivity(p, q, r, s):
 
 
 def test_rational_json_round_trip():
-    for x in (F(3), F(-7), F(2, 3), F(-5, 4)):
-        assert rational_from_json(rational_to_json(x)) == x
     assert rational_to_json(F(3)) == 3
     assert rational_to_json(F(2, 3)) == "2/3"
-
-
-def test_rational_json_rejects_floats():
-    with pytest.raises(ValueError):
-        rational_from_json(0.5)
-
-
-def test_poly_json_round_trip():
-    p = Poly([F(1), F(0), F(-2, 3)])
-    assert Poly.from_json(p.to_json()) == p
-
-
-def test_power_series_requires_consistent_order():
-    with pytest.raises(ValueError):
-        PowerSeries((F(1),), 3)

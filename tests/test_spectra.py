@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspzeta import spectra
-from cuspzeta.exact import ONE, Poly, RatFunc, poly_gcd
+from cuspzeta import exact
+from cuspzeta.exact import CERTIFICATE_PRIME, ONE, Poly, RatFunc, poly_gcd
 from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
 from cuspzeta.spectra import (
-    CERTIFICATE_PRIME,
+    RootFindingError,
     complex_roots,
     growth_rate,
     pole_gap_sweep,
@@ -50,6 +50,19 @@ def test_roots_of_chain_denominator():
     roots = complex_roots(Poly([1, 0, -9]))
     values = sorted(z.real for z, _ in roots)
     assert values == pytest.approx([-1 / 3, 1 / 3], abs=1e-12)
+
+
+def test_close_simple_roots_stay_separate():
+    half, gap = F(1, 2), F(1, 10**7)
+    roots = complex_roots(Poly([-half, 1]) * Poly([-(half + gap), 1]))
+    assert [m for _, m in roots] == [1, 1]
+    for (z, _), exact_root in zip(roots, (half, half + gap)):
+        assert abs(z - float(exact_root)) <= 1e-8
+
+
+def test_underflowing_constant_term_is_not_a_root_at_origin():
+    with pytest.raises(RootFindingError):
+        complex_roots(Poly([F(1, 10**400), 0, 1]))
 
 
 def test_roots_at_origin():
@@ -116,21 +129,31 @@ def test_square_free_input_is_one_part(roots, scale):
 
 
 def count_exact_gcds(monkeypatch) -> list:
+    """Record every pseudo-remainder step of the subresultant sequence."""
     calls = []
+    zprem = exact._zprem
 
-    def counting_gcd(a, b):
-        calls.append((a, b))
-        return poly_gcd(a, b)
+    def counting_zprem(f, g):
+        calls.append((f, g))
+        return zprem(f, g)
 
-    monkeypatch.setattr(spectra, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(exact, "_zprem", counting_zprem)
     return calls
 
 
 def test_loop_denominators_are_certified_without_exact_gcd(monkeypatch):
+    dens = [zeta_of(loop_family(3, n)).den for n in (1, 4, 8)]
     calls = count_exact_gcds(monkeypatch)
-    for n in (1, 4, 8):
-        den = zeta_of(loop_family(3, n)).den
+    for den in dens:
         assert square_free_parts(den) == [(den.monic(), 1)]
+    assert calls == []
+
+
+def test_reduced_loop_zeta_functions_are_certified_without_exact_gcd(monkeypatch):
+    zetas = [zeta_of(loop_family(3, n)) for n in (1, 4, 8)]
+    calls = count_exact_gcds(monkeypatch)
+    for z in zetas:
+        assert poly_gcd(z.num, z.den) == ONE
     assert calls == []
 
 
