@@ -39,7 +39,6 @@ from cuspzeta.oracle import (
     enumerate_primitive_cycles,
     euler_product_series,
     trace_powers,
-    trace_powers_cuspidal,
 )
 from cuspzeta.spectra import (
     GrowthEstimate,

@@ -24,12 +24,12 @@ import time
 
 from cuspzeta.exact import Poly, rational_to_json, ratfunc_reduce, series_expand
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import CuspidalGraph, GraphFormatError, relabel, truncate, validate
+from cuspzeta.graphs import CuspidalGraph, GraphFormatError, relabel, validate
 from cuspzeta.oracle import (
     BudgetExceededError,
     enumerate_primitive_cycles,
     euler_product_series,
-    trace_powers_cuspidal,
+    trace_powers,
 )
 from cuspzeta.spectra import RootFindingError, pole_gap_sweep, pole_report
 from cuspzeta.zeta import CountingSeries, ZetaResult, bass_ihara_zeta, counting_series
@@ -113,7 +113,7 @@ def cmd_family(args: argparse.Namespace) -> int:
             graph = loop_family(args.q, args.n)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    print(graph.to_json_str())
+    print(json.dumps(graph.to_json(), indent=2))
     return 0
 
 
@@ -135,16 +135,15 @@ def cmd_count(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     if args.m < 1:
         return _fail_usage("--m must be >= 1")
+    # The oracle goes first, so an order past its budget fails before any work.
+    traces = trace_powers(graph, args.m) if args.oracle else None
     series = counting_series(bass_ihara_zeta(graph), args.m)
     payload = series.to_json()
-    if args.oracle:
-        traces = trace_powers_cuspidal(graph, args.m)
+    if traces is not None:
         payload["oracle_N"] = [rational_to_json(t) for t in traces]
         payload["match"] = list(series.n_values) == traces
-        print(json.dumps(payload, indent=2))
-        return 0 if payload["match"] else FAILURE
     print(json.dumps(payload, indent=2))
-    return 0
+    return 0 if payload.get("match", True) else FAILURE
 
 
 def cmd_poles(args: argparse.Namespace) -> int:
@@ -177,7 +176,7 @@ def _verify_checks(
     graph: CuspidalGraph, result: ZetaResult, series: CountingSeries, max_m: int
 ) -> list[dict]:
     checks = []
-    traces = trace_powers_cuspidal(graph, max_m)
+    traces = trace_powers(graph, max_m)
     engine = [str(x) for x in series.n_values]
     oracle = [str(t) for t in traces]
     mismatch = next((m for m in range(max_m) if series.n_values[m] != traces[m]), None)
@@ -188,8 +187,7 @@ def _verify_checks(
 
     euler_order = min(max_m, 10)
     z = result.bass_ihara
-    finite = truncate(graph, euler_order // 2 + 1) if graph.cusps else graph.core
-    classes = enumerate_primitive_cycles(finite, euler_order)
+    classes = enumerate_primitive_cycles(graph, euler_order)
     product = euler_product_series(classes, euler_order, enumerated_to=euler_order)
     expansion = series_expand(z, euler_order)
     checks.append(

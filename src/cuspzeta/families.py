@@ -21,10 +21,6 @@ from cuspzeta.graphs import Cusp, CuspidalGraph, EdgeIndexedGraph
 __all__ = ["pgl2", "chain", "star", "loop_family"]
 
 
-def _single_vertex_core() -> EdgeIndexedGraph:
-    return EdgeIndexedGraph.from_pairs(["v0"], [])
-
-
 def pgl2(q: int) -> CuspidalGraph:
     """Quotient of the (q+1)-regular tree by the rank-one arithmetic lattice.
 
@@ -35,7 +31,7 @@ def pgl2(q: int) -> CuspidalGraph:
     if q < 2:
         raise ValueError("pgl2 requires q >= 2")
     return CuspidalGraph(
-        _single_vertex_core(), (Cusp("v0", q + 1, q),), q, central_order=q - 1
+        EdgeIndexedGraph(["v0"], []), (Cusp("v0", q + 1, q),), q, central_order=q - 1
     )
 
 
@@ -45,7 +41,7 @@ def chain(q: int, k: int) -> CuspidalGraph:
         raise ValueError("chain requires q >= 2")
     if k < 1:
         raise ValueError("chain requires k >= 1")
-    return CuspidalGraph(_single_vertex_core(), (Cusp("v0", k, q),), q, central_order=1)
+    return CuspidalGraph(EdgeIndexedGraph(["v0"], []), (Cusp("v0", k, q),), q, central_order=1)
 
 
 def star(q: int, parts: Sequence[int]) -> CuspidalGraph:
@@ -60,7 +56,7 @@ def star(q: int, parts: Sequence[int]) -> CuspidalGraph:
     if sum(parts) > q + 1:
         raise ValueError(f"star parts sum to {sum(parts)}, exceeding q + 1 = {q + 1}")
     cusps = tuple(Cusp("v0", a, q) for a in parts)
-    return CuspidalGraph(_single_vertex_core(), cusps, q, central_order=1)
+    return CuspidalGraph(EdgeIndexedGraph(["v0"], []), cusps, q, central_order=1)
 
 
 def loop_family(q: int, n: int) -> CuspidalGraph:
@@ -98,5 +94,5 @@ def loop_family(q: int, n: int) -> CuspidalGraph:
             pairs.append((a, b, 1, q))
         else:
             pairs.append((a, b, q, 1))
-    core = EdgeIndexedGraph.from_pairs(cycle, pairs)
+    core = EdgeIndexedGraph(cycle, pairs)
     return CuspidalGraph(core, (Cusp("c", q - 1, q),), q, central_order=1)

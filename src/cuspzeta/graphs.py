@@ -1,7 +1,8 @@
 """Edge-indexed weighted graphs, graphs of finite groups, and cuspidal graphs.
 
-Graphs are stored with *oriented* edges: every undirected edge appears as a
-pair of mutually inverse oriented edges, each carrying its own positive
+A graph is built from undirected edge pairs (a, b, w(a->b), w(b->a)); pair k
+becomes the oriented edges 2k (a->b) and 2k+1 (b->a), which are each
+other's inverse by construction, and each carries its own positive
 rational weight.  A cuspidal graph is a finite core plus finitely many
 standard rays; a ray is never materialized, only its attachment data
 (outward weight ``alpha`` and inward weight ``ray_q``) is stored, and
@@ -14,7 +15,6 @@ identical outputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -56,8 +56,18 @@ class EdgeIndexedGraph:
 
     __slots__ = ("vertices", "edges", "_out")
 
-    def __init__(self, vertices: Iterable[str], edges: Iterable[OrientedEdge]):
+    def __init__(
+        self,
+        vertices: Iterable[str],
+        pairs: Iterable[tuple[str, str, Fraction | int, Fraction | int]],
+    ):
+        """Pair k = (a, b, weight a->b, weight b->a) becomes inverse edges 2k and 2k+1."""
         self.vertices: tuple[str, ...] = tuple(vertices)
+        edges: list[OrientedEdge] = []
+        for a, b, wa, wb in pairs:
+            i = len(edges)
+            edges.append(OrientedEdge(i, a, b, i + 1, Fraction(wa)))
+            edges.append(OrientedEdge(i + 1, b, a, i, Fraction(wb)))
         self.edges: tuple[OrientedEdge, ...] = tuple(edges)
         out: dict[str, list[int]] = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -65,31 +75,14 @@ class EdgeIndexedGraph:
                 out[e.source].append(e.id)
         self._out = {v: tuple(ids) for v, ids in out.items()}
 
-    @classmethod
-    def from_pairs(
-        cls,
-        vertices: Iterable[str],
-        pairs: Iterable[tuple[str, str, Fraction | int, Fraction | int]],
-    ) -> EdgeIndexedGraph:
-        """Build a graph from undirected pairs (a, b, weight a->b, weight b->a)."""
-        edges: list[OrientedEdge] = []
-        for a, b, wa, wb in pairs:
-            i = len(edges)
-            edges.append(OrientedEdge(i, a, b, i + 1, Fraction(wa)))
-            edges.append(OrientedEdge(i + 1, b, a, i, Fraction(wb)))
-        return cls(vertices, edges)
-
     def out_edges(self, vertex: str) -> tuple[int, ...]:
         """Ids of oriented edges whose source is ``vertex``."""
         return self._out.get(vertex, ())
 
     def edge_pairs(self) -> list[tuple[str, str, Fraction, Fraction]]:
         """Undirected pairs (a, b, w(a->b), w(b->a)), one per inverse pair."""
-        pairs = []
-        for e in self.edges:
-            if e.id < e.inverse:
-                pairs.append((e.source, e.target, e.weight, self.edges[e.inverse].weight))
-        return pairs
+        return [(e.source, e.target, e.weight, self.edges[e.inverse].weight)
+                for e in self.edges[::2]]
 
     def canonical_edge_order(self) -> tuple[int, ...]:
         """Edge ids sorted by (source, target, id); fixes matrix row order."""
@@ -134,7 +127,7 @@ def weights_from_groups(g: GraphOfGroups) -> EdgeIndexedGraph:
                     f"vertex group order {g.vertex_order[v]} at {v}"
                 )
         pairs.append((a, b, Fraction(g.vertex_order[a], n_e), Fraction(g.vertex_order[b], n_e)))
-    return EdgeIndexedGraph.from_pairs(g.vertices, pairs)
+    return EdgeIndexedGraph(g.vertices, pairs)
 
 
 @dataclass(frozen=True)
@@ -172,9 +165,6 @@ class CuspidalGraph:
         if self.central_order < 1:
             raise ValueError("central_order must be a positive integer")
 
-    def cusps_at(self, vertex: str) -> tuple[Cusp, ...]:
-        return tuple(c for c in self.cusps if c.vertex == vertex)
-
     def to_json(self) -> dict:
         return {
             "q": self.q,
@@ -189,12 +179,46 @@ class CuspidalGraph:
             ],
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
     @classmethod
     def from_json(cls, data: dict) -> CuspidalGraph:
-        return _cuspidal_from_json(data)
+        """Parse graph JSON; any schema violation raises :class:`GraphFormatError`."""
+        if not isinstance(data, dict):
+            raise GraphFormatError("graph JSON must be an object")
+        _require_keys(data, {"q", "vertices", "edges"}, {"central_order", "cusps"}, "graph")
+        q = _positive_int(data["q"], "q")
+        central = _positive_int(data.get("central_order", 1), "central_order")
+        vertices = data["vertices"]
+        if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+            raise GraphFormatError("vertices must be a list of strings")
+        if len(set(vertices)) != len(vertices):
+            raise GraphFormatError("duplicate vertex ids")
+        vset = set(vertices)
+        pairs = []
+        for entry in _list_field(data, "edges"):
+            if not isinstance(entry, dict):
+                raise GraphFormatError("each edge must be an object")
+            _require_keys(entry, {"a", "b", "wa", "wb"}, set(), "edge")
+            a, b = entry["a"], entry["b"]
+            if not isinstance(a, str) or not isinstance(b, str) or a not in vset or b not in vset:
+                raise GraphFormatError(f"edge ({a!r}, {b!r}) references an unknown vertex")
+            if a == b:
+                raise GraphFormatError(f"self-loop at {a!r} is not supported")
+            pairs.append((a, b, _positive_int(entry["wa"], "wa"), _positive_int(entry["wb"], "wb")))
+        cusps = []
+        for entry in _list_field(data, "cusps"):
+            if not isinstance(entry, dict):
+                raise GraphFormatError("each cusp must be an object")
+            _require_keys(entry, {"vertex", "alpha"}, {"ray_q"}, "cusp")
+            v = entry["vertex"]
+            if not isinstance(v, str) or v not in vset:
+                raise GraphFormatError(f"cusp attached to unknown vertex {v!r}")
+            ray_q = _positive_int(entry.get("ray_q", q), "ray_q")
+            try:
+                cusps.append(Cusp(v, _positive_int(entry["alpha"], "alpha"), ray_q))
+            except ValueError as exc:
+                raise GraphFormatError(str(exc)) from exc
+        core = EdgeIndexedGraph(vertices, pairs)
+        return cls(core, tuple(cusps), q, central)
 
 
 def _int_weight(w: Fraction) -> int:
@@ -226,46 +250,6 @@ def _list_field(obj: dict, key: str) -> list:
     return value
 
 
-def _cuspidal_from_json(data: dict) -> CuspidalGraph:
-    if not isinstance(data, dict):
-        raise GraphFormatError("graph JSON must be an object")
-    _require_keys(data, {"q", "vertices", "edges"}, {"central_order", "cusps"}, "graph")
-    q = _positive_int(data["q"], "q")
-    central = _positive_int(data.get("central_order", 1), "central_order")
-    vertices = data["vertices"]
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise GraphFormatError("vertices must be a list of strings")
-    if len(set(vertices)) != len(vertices):
-        raise GraphFormatError("duplicate vertex ids")
-    vset = set(vertices)
-    pairs = []
-    for entry in _list_field(data, "edges"):
-        if not isinstance(entry, dict):
-            raise GraphFormatError("each edge must be an object")
-        _require_keys(entry, {"a", "b", "wa", "wb"}, set(), "edge")
-        a, b = entry["a"], entry["b"]
-        if not isinstance(a, str) or not isinstance(b, str) or a not in vset or b not in vset:
-            raise GraphFormatError(f"edge ({a!r}, {b!r}) references an unknown vertex")
-        if a == b:
-            raise GraphFormatError(f"self-loop at {a!r} is not supported")
-        pairs.append((a, b, _positive_int(entry["wa"], "wa"), _positive_int(entry["wb"], "wb")))
-    cusps = []
-    for entry in _list_field(data, "cusps"):
-        if not isinstance(entry, dict):
-            raise GraphFormatError("each cusp must be an object")
-        _require_keys(entry, {"vertex", "alpha"}, {"ray_q"}, "cusp")
-        v = entry["vertex"]
-        if not isinstance(v, str) or v not in vset:
-            raise GraphFormatError(f"cusp attached to unknown vertex {v!r}")
-        ray_q = _positive_int(entry.get("ray_q", q), "ray_q")
-        try:
-            cusps.append(Cusp(v, _positive_int(entry["alpha"], "alpha"), ray_q))
-        except ValueError as exc:
-            raise GraphFormatError(str(exc)) from exc
-    core = EdgeIndexedGraph.from_pairs(vertices, pairs)
-    return CuspidalGraph(core, tuple(cusps), q, central)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     errors: tuple[str, ...] = ()
@@ -295,20 +279,9 @@ def validate(
     errors: list[str] = []
     warnings: list[str] = []
     vset = set(graph.vertices)
-    n = len(graph.edges)
     for e in graph.edges:
         if e.source not in vset or e.target not in vset:
             errors.append(f"edge {e.id} has endpoint outside the vertex set")
-        if not (0 <= e.inverse < n):
-            errors.append(f"edge {e.id} has missing inverse {e.inverse}")
-            continue
-        inv = graph.edges[e.inverse]
-        if inv.inverse != e.id:
-            errors.append(f"inverse pairing of edges {e.id} and {e.inverse} is not involutive")
-        if e.inverse == e.id:
-            errors.append(f"edge {e.id} is its own inverse")
-        if inv.source != e.target or inv.target != e.source:
-            errors.append(f"edge {e.id} and its inverse disagree on endpoints")
         if e.weight <= 0:
             errors.append(f"edge {e.id} has non-positive weight {e.weight}")
     for c in cusps:
@@ -349,24 +322,26 @@ def truncate(c: CuspidalGraph, depth: int) -> EdgeIndexedGraph:
     The attachment edge keeps weights (alpha out, ray_q in); every deeper
     ray edge carries (1 out, ray_q in).  The deepest ray vertex is a leaf,
     so truncations are nested as subgraphs as ``depth`` grows.
+
+    Ray vertex k of cusp idx is ``{vertex}.ray{idx}.{k}`` with ``'`` appended
+    while that is a core vertex: distinct, and the same at every depth.
     """
     if depth < 1:
         raise ValueError("truncation depth must be >= 1")
     vertices = list(c.core.vertices)
-    existing = set(vertices)
+    core = set(vertices)
     pairs: list[tuple[str, str, Fraction | int, Fraction | int]] = c.core.edge_pairs()
     for idx, cusp in enumerate(c.cusps):
         prev = cusp.vertex
         for k in range(1, depth + 1):
             name = f"{cusp.vertex}.ray{idx}.{k}"
-            if name in existing:
-                raise ValueError(f"ray vertex name {name!r} collides with the core")
-            existing.add(name)
+            while name in core:
+                name += "'"
             vertices.append(name)
             outward = cusp.alpha if k == 1 else 1
             pairs.append((prev, name, outward, cusp.ray_q))
             prev = name
-    return EdgeIndexedGraph.from_pairs(vertices, pairs)
+    return EdgeIndexedGraph(vertices, pairs)
 
 
 def relabel(g: EdgeIndexedGraph | CuspidalGraph, mapping: Mapping[str, str]):
@@ -382,11 +357,7 @@ def relabel(g: EdgeIndexedGraph | CuspidalGraph, mapping: Mapping[str, str]):
     if len(set(new_names)) != len(new_names):
         raise ValueError("relabeling map is not a bijection on vertex ids")
     return EdgeIndexedGraph(
-        new_names,
-        [
-            OrientedEdge(e.id, mapping[e.source], mapping[e.target], e.inverse, e.weight)
-            for e in g.edges
-        ],
+        new_names, [(mapping[a], mapping[b], wa, wb) for a, b, wa, wb in g.edge_pairs()]
     )
 
 
@@ -404,7 +375,7 @@ def invariant_signature(c: CuspidalGraph):
     profiles = []
     for v in graph.vertices:
         out = [graph.edges[i].weight for i in graph.out_edges(v)]
-        alphas = [Fraction(x.alpha) for x in c.cusps_at(v)]
+        alphas = [Fraction(x.alpha) for x in c.cusps if x.vertex == v]
         degree_seq.append(len(out) + len(alphas))
         profiles.append(tuple(sorted(out + alphas)))
     weight_pairs = sorted(

@@ -11,10 +11,14 @@ built once, when its walk closes, and the search emits the classes already
 sorted.  Only a walk that revisits its start needs the rotation comparison;
 a walk whose minimum occurs once is minimal and primitive as it stands.
 
+Both oracles take a finite graph as it is, or a cuspidal graph, which they
+truncate themselves; this module is the only home of that truncation rule.
 A closed path of length m can penetrate a cusp ray at most floor(m/2)
 steps (it has to come back), so traces of the infinite operator are exact
 already on the depth floor(m/2) + 1 truncation; the extra level is a
-safety margin asserted by the depth-stability tests.
+safety margin asserted by the depth-stability tests.  The search budgets
+``MAX_TRACE_ORDER``, ``MAX_CYCLE_LENGTH`` and ``MAX_VISITED_PATHS`` live
+here too; past them the oracles raise :class:`BudgetExceededError`.
 """
 
 from __future__ import annotations
@@ -29,17 +33,24 @@ __all__ = [
     "CycleClass",
     "BudgetExceededError",
     "trace_powers",
-    "trace_powers_cuspidal",
     "enumerate_primitive_cycles",
     "euler_product_series",
 ]
 
 MAX_CYCLE_LENGTH = 14
+MAX_TRACE_ORDER = 200
 MAX_VISITED_PATHS = 10**6
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when enumeration would exceed the hard search budget."""
+    """Raised when an oracle would exceed one of its hard search budgets."""
+
+
+def _finite(g: EdgeIndexedGraph | CuspidalGraph, m: int) -> EdgeIndexedGraph:
+    """``g`` itself if finite, else the truncation exact for closed paths of length <= m."""
+    if isinstance(g, EdgeIndexedGraph):
+        return g
+    return truncate(g, m // 2 + 1) if g.cusps else g.core
 
 
 def _successor_rows(g: EdgeIndexedGraph) -> list[list[tuple[int, Fraction]]]:
@@ -59,15 +70,17 @@ def _successor_rows(g: EdgeIndexedGraph) -> list[list[tuple[int, Fraction]]]:
     return rows
 
 
-def trace_powers(g: EdgeIndexedGraph, up_to: int) -> list[Fraction]:
-    """Exact traces of T^m for m = 1..up_to.
+def trace_powers(g: EdgeIndexedGraph | CuspidalGraph, up_to: int) -> list[Fraction]:
+    """Exact traces of T^m for m = 1..up_to, on one shared truncation.
 
     Integer-weight graphs (all the builtin families) run on plain Python
     ints; fractional weights fall back to exact Fraction arithmetic.
     """
     if up_to < 1:
         raise ValueError("trace order must be >= 1")
-    rows = _successor_rows(g)
+    if up_to > MAX_TRACE_ORDER:
+        raise BudgetExceededError(f"trace order {up_to} exceeds the cap {MAX_TRACE_ORDER}")
+    rows = _successor_rows(_finite(g, up_to))
     n = len(rows)
     if n == 0:
         return [Fraction(0)] * up_to
@@ -94,14 +107,6 @@ def trace_powers(g: EdgeIndexedGraph, up_to: int) -> list[Fraction]:
     return [Fraction(t) for t in traces]
 
 
-def trace_powers_cuspidal(c: CuspidalGraph, up_to: int) -> list[Fraction]:
-    """Traces of T^m for m = 1..up_to on one shared truncation."""
-    if up_to < 1:
-        raise ValueError("trace order must be >= 1")
-    finite = truncate(c, up_to // 2 + 1) if c.cusps else c.core
-    return trace_powers(finite, up_to)
-
-
 @dataclass(frozen=True)
 class CycleClass:
     """A rotation class of closed paths with nonzero weight.
@@ -122,7 +127,7 @@ class CycleClass:
 
 
 def enumerate_primitive_cycles(
-    g: EdgeIndexedGraph,
+    g: EdgeIndexedGraph | CuspidalGraph,
     max_length: int,
     max_visited: int = MAX_VISITED_PATHS,
 ) -> list[CycleClass]:
@@ -138,7 +143,7 @@ def enumerate_primitive_cycles(
         raise BudgetExceededError(
             f"cycle length bound {max_length} exceeds the cap {MAX_CYCLE_LENGTH}"
         )
-    rows = _successor_rows(g)
+    rows = _successor_rows(_finite(g, max_length))
     n = len(rows)
     cast = int if all(w.denominator == 1 for row in rows for _, w in row) else Fraction
     weight_of = [{j: cast(w) for j, w in row} for row in rows]

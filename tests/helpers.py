@@ -90,7 +90,7 @@ def random_min_degree_two_graph(rng: random.Random, max_vertices: int = 10) -> E
             taken.add((i, j))
             taken.add((j, i))
             pairs.append((names[i], names[j], 1, 1))
-    return EdgeIndexedGraph.from_pairs(names, pairs)
+    return EdgeIndexedGraph(names, pairs)
 
 
 def reference_cycle_classes(g: EdgeIndexedGraph, max_length: int) -> tuple[list[CycleClass], int]:

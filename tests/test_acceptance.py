@@ -21,7 +21,6 @@ from cuspzeta.oracle import (
     enumerate_primitive_cycles,
     euler_product_series,
     trace_powers,
-    trace_powers_cuspidal,
 )
 from cuspzeta.spectra import growth_rate, pole_report
 from cuspzeta.zeta import bass_ihara_zeta, build_effective, counting_series
@@ -157,7 +156,7 @@ def test_criterion_5_oracle_equivalence():
     order = 12
     for name, graph in family_instances().items():
         engine = counting_series(bass_ihara_zeta(graph), order).n_values
-        oracle = trace_powers_cuspidal(graph, order)
+        oracle = trace_powers(graph, order)
         assert list(engine) == list(oracle), name
 
 
@@ -227,7 +226,7 @@ def test_criterion_10_property_suites():
     # truncation-depth stability of the trace oracle
     for graph in (pgl2(2), chain(3, 2), star(5, (2, 2, 1)), loop_family(3, 2)):
         for m in (3, 6, 9, 12):
-            assert trace_powers_cuspidal(graph, m)[m - 1] == trace_powers(
+            assert trace_powers(graph, m)[m - 1] == trace_powers(
                 truncate(graph, m // 2 + 2), m
             )[m - 1]
 

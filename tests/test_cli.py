@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cuspzeta import cli
 from cuspzeta.families import loop_family, pgl2
+from cuspzeta.oracle import MAX_TRACE_ORDER
 from cuspzeta.zeta import CountingSeries, bass_ihara_zeta
 
 
@@ -23,7 +24,7 @@ def run_cli(capsys, *argv, expect=0):
 
 def write_graph(tmp_path, graph, name="graph.json"):
     path = tmp_path / name
-    path.write_text(graph.to_json_str())
+    path.write_text(json.dumps(graph.to_json()))
     return str(path)
 
 
@@ -351,3 +352,31 @@ def test_family_pipes_into_zeta(capsys, tmp_path, monkeypatch):
     path = write_graph(tmp_path, pgl2(2))
     direct = run_cli(capsys, "zeta", path).out
     assert piped == direct
+
+
+# --- ray names and budgets ---------------------------------------------------
+
+
+COLLIDING_RAY_NAME = {
+    "q": 3,
+    "vertices": ["v0", "v0.ray0.1"],
+    "edges": [{"a": "v0", "b": "v0.ray0.1", "wa": 2, "wb": 2}],
+    "cusps": [{"vertex": "v0", "alpha": 2}],
+}
+
+
+def test_core_vertex_named_like_a_ray_vertex(capsys, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(COLLIDING_RAY_NAME))
+    data = json.loads(run_cli(capsys, "count", str(path), "--m", "8", "--oracle").out)
+    assert data["match"] is True
+    report = json.loads(run_cli(capsys, "verify", str(path)).out)
+    assert report["ok"] is True
+
+
+def test_count_oracle_past_the_trace_budget_exits_1(capsys, tmp_path):
+    path = write_graph(tmp_path, loop_family(3, 12))
+    m = str(MAX_TRACE_ORDER + 1)
+    assert run_cli(capsys, "count", path, "--m", m, "--oracle", expect=1).err.startswith(
+        "FAIL budget"
+    )

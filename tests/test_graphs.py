@@ -1,7 +1,5 @@
 """Tests for the graph data model: weights, validation, truncation, signatures."""
 
-from fractions import Fraction as F
-
 import pytest
 
 from cuspzeta.families import chain, loop_family, pgl2, star
@@ -11,7 +9,6 @@ from cuspzeta.graphs import (
     EdgeIndexedGraph,
     GraphFormatError,
     GraphOfGroups,
-    OrientedEdge,
     invariant_signature,
     relabel,
     truncate,
@@ -80,31 +77,14 @@ def test_validate_small_attachment_warns_only():
     assert any("out-degree" in w for w in report.warnings)
 
 
-def test_validate_missing_inverse_is_error():
-    bad = EdgeIndexedGraph(
-        ["x", "y"],
-        [
-            OrientedEdge(0, "x", "y", 1, F(1)),
-            OrientedEdge(1, "y", "x", 0, F(1)),
-            OrientedEdge(2, "x", "y", 5, F(1)),
-        ],
-    )
-    report = validate(bad)
-    assert not report.ok
-    assert any("inverse" in e for e in report.errors)
-
-
 def test_validate_detects_disconnected_graph():
-    g = EdgeIndexedGraph.from_pairs(["x", "y", "z"], [("x", "y", 1, 1)])
+    g = EdgeIndexedGraph(["x", "y", "z"], [("x", "y", 1, 1)])
     report = validate(g)
     assert any("connected" in e for e in report.errors)
 
 
 def test_validate_nonpositive_weight():
-    bad = EdgeIndexedGraph(
-        ["x", "y"],
-        [OrientedEdge(0, "x", "y", 1, F(0)), OrientedEdge(1, "y", "x", 0, F(1))],
-    )
+    bad = EdgeIndexedGraph(["x", "y"], [("x", "y", 0, 1)])
     assert any("weight" in e for e in validate(bad).errors)
 
 
@@ -150,6 +130,20 @@ def test_truncate_interior_out_degrees_match_infinite_graph():
 def test_truncate_requires_positive_depth():
     with pytest.raises(ValueError):
         truncate(chain(3, 2), 0)
+
+
+def test_truncate_ray_names_avoid_core_vertices():
+    core = EdgeIndexedGraph(
+        ["v0", "v0.ray0.1", "v0.ray0.1'"],
+        [("v0", "v0.ray0.1", 2, 2), ("v0.ray0.1", "v0.ray0.1'", 1, 1)],
+    )
+    c = CuspidalGraph(core, (Cusp("v0", 2, 3),), 3)
+    small, large = truncate(c, 1), truncate(c, 3)
+    assert small.vertices[3:] == ("v0.ray0.1''",)
+    assert large.vertices[3:] == ("v0.ray0.1''", "v0.ray0.2", "v0.ray0.3")
+    assert truncate(c, 3) == large
+    assert set(small.edge_pairs()) <= set(large.edge_pairs())
+    assert validate(large).ok
 
 
 # --- relabel -----------------------------------------------------------------

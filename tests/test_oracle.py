@@ -1,6 +1,7 @@
 """Tests for the brute-force oracle: traces, cycle classes, Euler products."""
 
 import gc
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -11,18 +12,18 @@ from cuspzeta.exact import ONE, ratfunc_reduce, series_expand, Poly, poly_det
 from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.graphs import Cusp, CuspidalGraph, EdgeIndexedGraph, truncate
 from cuspzeta.oracle import (
+    MAX_TRACE_ORDER,
     BudgetExceededError,
     enumerate_primitive_cycles,
     euler_product_series,
     trace_powers,
-    trace_powers_cuspidal,
 )
 from cuspzeta.zeta import bass_ihara_zeta, build_effective
 from helpers import reference_cycle_classes, reference_euler_product
 
 
 def triangle() -> EdgeIndexedGraph:
-    return EdgeIndexedGraph.from_pairs(
+    return EdgeIndexedGraph(
         ["x", "y", "z"], [("x", "y", 1, 1), ("y", "z", 1, 1), ("z", "x", 1, 1)]
     )
 
@@ -30,13 +31,13 @@ def triangle() -> EdgeIndexedGraph:
 def complete_graph(n: int) -> EdgeIndexedGraph:
     names = [f"v{i}" for i in range(n)]
     pairs = [(names[i], names[j], 1, 1) for i in range(n) for j in range(i + 1, n)]
-    return EdgeIndexedGraph.from_pairs(names, pairs)
+    return EdgeIndexedGraph(names, pairs)
 
 
 def path_graph(n: int) -> EdgeIndexedGraph:
     names = [f"p{i}" for i in range(n)]
     pairs = [(names[i], names[i + 1], 1, 1) for i in range(n - 1)]
-    return EdgeIndexedGraph.from_pairs(names, pairs)
+    return EdgeIndexedGraph(names, pairs)
 
 
 # --- trace powers ------------------------------------------------------------
@@ -60,23 +61,30 @@ def test_trace_powers_prefix_consistency():
 
 
 def test_trace_power_fractional_weights():
-    g = EdgeIndexedGraph.from_pairs(["x", "y"], [("x", "y", F(3, 2), 2)])
+    g = EdgeIndexedGraph(["x", "y"], [("x", "y", F(3, 2), 2)])
     # both orientations can only backtrack, so each closed 2-path has
     # cyclic weight (2 - 1) * (3/2 - 1) and there are two starting edges
     assert trace_powers(g, 2)[1] == 2 * (F(3, 2) - 1) * (2 - 1)
 
 
 def test_cuspidal_traces_of_pgl2_2():
-    assert trace_powers_cuspidal(pgl2(2), 2)[1] == 4
-    assert trace_powers_cuspidal(pgl2(2), 3)[2] == 0
+    assert trace_powers(pgl2(2), 2)[1] == 4
+    assert trace_powers(pgl2(2), 3)[2] == 0
 
 
 def test_cuspidal_trace_depth_stability():
     for c in (pgl2(2), chain(3, 2), star(3, (2, 1)), loop_family(3, 1)):
         for m in (2, 5, 8):
-            base = trace_powers_cuspidal(c, m)[m - 1]
+            base = trace_powers(c, m)[m - 1]
             deeper = trace_powers(truncate(c, m // 2 + 2), m)[m - 1]
             assert base == deeper
+
+
+def test_trace_order_past_the_budget_raises():
+    with pytest.raises(BudgetExceededError, match="trace order"):
+        trace_powers(loop_family(3, 12), MAX_TRACE_ORDER + 1)
+    with pytest.raises(BudgetExceededError):
+        trace_powers(EdgeIndexedGraph(["x"], []), MAX_TRACE_ORDER + 1)
 
 
 # --- cycle enumeration -------------------------------------------------------
@@ -112,6 +120,15 @@ def test_enumerated_classes_reproduce_traces():
         assert total == trace_powers(g, m)[m - 1], m
 
 
+def test_cuspidal_enumeration_depth_stability():
+    for c in (pgl2(2), chain(3, 2), star(3, (2, 1)), loop_family(3, 1)):
+        for length in (2, 5, 8):
+            base = enumerate_primitive_cycles(c, length)
+            deeper = enumerate_primitive_cycles(truncate(c, length // 2 + 2), length)
+            assert Counter(base) == Counter(deeper)
+            assert base == enumerate_primitive_cycles(truncate(c, length // 2 + 1), length)
+
+
 def test_enumeration_rejects_large_bound():
     with pytest.raises(BudgetExceededError):
         enumerate_primitive_cycles(triangle(), 15)
@@ -134,7 +151,7 @@ def small_graphs(draw) -> EdgeIndexedGraph:
     if draw(st.booleans()):
         weight = st.integers(1, 3)
     pairs = draw(st.lists(st.tuples(vertex, vertex, weight, weight), min_size=1, max_size=3))
-    core = EdgeIndexedGraph.from_pairs(names, pairs)
+    core = EdgeIndexedGraph(names, pairs)
     cusps = draw(st.lists(st.builds(Cusp, vertex, st.integers(1, 3), st.integers(2, 4)),
                           max_size=2))
     if not cusps:

@@ -341,7 +341,7 @@ def test_growth_rate_of_pgl2_reports_main_term():
 
 
 def test_growth_rate_of_tree_is_exactly_q():
-    tree = EdgeIndexedGraph.from_pairs(["r", "s"], [("r", "s", 1, 1)])
+    tree = EdgeIndexedGraph(["r", "s"], [("r", "s", 1, 1)])
     c = CuspidalGraph(tree, (), 3, 1)
     estimate = growth_rate(c, 3, range(5, 15))
     assert all(r == pytest.approx(3.0, abs=1e-12) for r in estimate.r_values)
