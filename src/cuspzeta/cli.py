@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 import time
@@ -26,13 +25,16 @@ from cuspzeta.exact import Poly, rational_to_json, ratfunc_reduce, series_expand
 from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.graphs import CuspidalGraph, GraphFormatError, relabel, validate
 from cuspzeta.oracle import (
+    MAX_CYCLE_LENGTH,
     BudgetExceededError,
     enumerate_primitive_cycles,
     euler_product_series,
     trace_powers,
 )
 from cuspzeta.spectra import RootFindingError, pole_gap_sweep, pole_report
-from cuspzeta.zeta import CountingSeries, ZetaResult, bass_ihara_zeta, counting_series
+from cuspzeta.zeta import (
+    MAX_SERIES_ORDER, CountingSeries, ZetaResult, bass_ihara_zeta, counting_series,
+)
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -85,16 +87,6 @@ def _parse_range(text: str) -> range:
     return range(n, n + 1)
 
 
-def _positive_tol(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad tolerance: {text!r}")
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError("tolerance must be finite and positive")
-    return value
-
-
 def cmd_family(args: argparse.Namespace) -> int:
     try:
         if args.name == "pgl2":
@@ -121,6 +113,8 @@ def cmd_zeta(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     if args.series is not None and args.series < 1:
         return _fail_usage("--series must be >= 1")
+    if args.series is not None and args.series > MAX_SERIES_ORDER:
+        raise BudgetExceededError(f"series order {args.series} exceeds the cap {MAX_SERIES_ORDER}")
     result = bass_ihara_zeta(graph)
     payload = result.to_json()
     if args.expand_selberg:
@@ -135,6 +129,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     if args.m < 1:
         return _fail_usage("--m must be >= 1")
+    if args.m > MAX_SERIES_ORDER:
+        raise BudgetExceededError(f"series order {args.m} exceeds the cap {MAX_SERIES_ORDER}")
     # The oracle goes first, so an order past its budget fails before any work.
     traces = trace_powers(graph, args.m) if args.oracle else None
     series = counting_series(bass_ihara_zeta(graph), args.m)
@@ -149,7 +145,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_poles(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     z = bass_ihara_zeta(graph).bass_ihara
-    report = pole_report(z, args.tol)
+    report = pole_report(z)
     print(json.dumps(report.to_json(), indent=2))
     return 0
 
@@ -247,8 +243,8 @@ def _fixture_checks() -> list[dict]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    if not 1 <= args.max_m <= 14:
-        return _fail_usage("--max-m must be between 1 and 14")
+    if not 1 <= args.max_m <= MAX_CYCLE_LENGTH:
+        return _fail_usage(f"--max-m must be between 1 and {MAX_CYCLE_LENGTH}")
     started = time.monotonic()
     result = bass_ihara_zeta(graph)
     series = counting_series(result, args.max_m)
@@ -307,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poles = sub.add_parser("poles", help="pole report of the zeta function")
     p_poles.add_argument("graph")
-    p_poles.add_argument("--tol", type=_positive_tol, default=1e-9)
     p_poles.set_defaults(func=cmd_poles)
 
     p_sweep = sub.add_parser("sweep", help="CSV pole sweep over a family range")

@@ -8,6 +8,10 @@ standard rays; a ray is never materialized, only its attachment data
 (outward weight ``alpha`` and inward weight ``ray_q``) is stored, and
 :func:`truncate` produces finite approximations on demand.
 
+The constructors enforce the invariants (unique vertex ids, known endpoints
+and cusp vertices, positive weights) by raising ``ValueError``;
+:func:`validate` checks only connectivity and regularity.
+
 Vertex ids are opaque strings.  Matrix row order everywhere in the package
 is fixed by the lexicographic order of vertex ids, so identical inputs give
 identical outputs.
@@ -63,16 +67,21 @@ class EdgeIndexedGraph:
     ):
         """Pair k = (a, b, weight a->b, weight b->a) becomes inverse edges 2k and 2k+1."""
         self.vertices: tuple[str, ...] = tuple(vertices)
+        out: dict[str, list[int]] = {v: [] for v in self.vertices}
+        if len(out) != len(self.vertices):
+            raise ValueError("duplicate vertex ids")
         edges: list[OrientedEdge] = []
         for a, b, wa, wb in pairs:
+            if a not in out or b not in out:
+                raise ValueError(f"edge ({a!r}, {b!r}) references an unknown vertex")
             i = len(edges)
             edges.append(OrientedEdge(i, a, b, i + 1, Fraction(wa)))
             edges.append(OrientedEdge(i + 1, b, a, i, Fraction(wb)))
         self.edges: tuple[OrientedEdge, ...] = tuple(edges)
-        out: dict[str, list[int]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            if e.source in out:
-                out[e.source].append(e.id)
+            if e.weight <= 0:
+                raise ValueError(f"edge {e.id} has non-positive weight {e.weight}")
+            out[e.source].append(e.id)
         self._out = {v: tuple(ids) for v, ids in out.items()}
 
     def out_edges(self, vertex: str) -> tuple[int, ...]:
@@ -103,16 +112,13 @@ class GraphOfGroups:
     """Finite graph with group orders attached to vertices and edges.
 
     ``edge_order[i]`` is the order of the group on the i-th undirected pair.
-    The groups themselves are never needed, only their orders; the central
-    order c is user-supplied data and defaults to 1.
+    The groups themselves are never needed, only their orders.
     """
 
     vertices: tuple[str, ...]
     edge_pairs: tuple[tuple[str, str], ...]
     vertex_order: Mapping[str, int]
     edge_order: tuple[int, ...]
-    q: int
-    central_order: int = 1
 
 
 def weights_from_groups(g: GraphOfGroups) -> EdgeIndexedGraph:
@@ -164,6 +170,10 @@ class CuspidalGraph:
             raise ValueError("q must be a positive integer")
         if self.central_order < 1:
             raise ValueError("central_order must be a positive integer")
+        core = set(self.core.vertices)
+        for c in self.cusps:
+            if c.vertex not in core:
+                raise ValueError(f"cusp attached to unknown vertex {c.vertex!r}")
 
     def to_json(self) -> dict:
         return {
@@ -190,16 +200,13 @@ class CuspidalGraph:
         vertices = data["vertices"]
         if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
             raise GraphFormatError("vertices must be a list of strings")
-        if len(set(vertices)) != len(vertices):
-            raise GraphFormatError("duplicate vertex ids")
-        vset = set(vertices)
         pairs = []
         for entry in _list_field(data, "edges"):
             if not isinstance(entry, dict):
                 raise GraphFormatError("each edge must be an object")
             _require_keys(entry, {"a", "b", "wa", "wb"}, set(), "edge")
             a, b = entry["a"], entry["b"]
-            if not isinstance(a, str) or not isinstance(b, str) or a not in vset or b not in vset:
+            if not isinstance(a, str) or not isinstance(b, str):
                 raise GraphFormatError(f"edge ({a!r}, {b!r}) references an unknown vertex")
             if a == b:
                 raise GraphFormatError(f"self-loop at {a!r} is not supported")
@@ -210,15 +217,15 @@ class CuspidalGraph:
                 raise GraphFormatError("each cusp must be an object")
             _require_keys(entry, {"vertex", "alpha"}, {"ray_q"}, "cusp")
             v = entry["vertex"]
-            if not isinstance(v, str) or v not in vset:
+            if not isinstance(v, str):
                 raise GraphFormatError(f"cusp attached to unknown vertex {v!r}")
-            ray_q = _positive_int(entry.get("ray_q", q), "ray_q")
-            try:
-                cusps.append(Cusp(v, _positive_int(entry["alpha"], "alpha"), ray_q))
-            except ValueError as exc:
-                raise GraphFormatError(str(exc)) from exc
-        core = EdgeIndexedGraph(vertices, pairs)
-        return cls(core, tuple(cusps), q, central)
+            cusps.append((v, _positive_int(entry["alpha"], "alpha"),
+                          _positive_int(entry.get("ray_q", q), "ray_q")))
+        try:
+            core = EdgeIndexedGraph(vertices, pairs)
+            return cls(core, tuple(Cusp(*c) for c in cusps), q, central)
+        except ValueError as exc:
+            raise GraphFormatError(str(exc)) from exc
 
 
 def _int_weight(w: Fraction) -> int:
@@ -263,9 +270,10 @@ class ValidationReport:
 def validate(
     g: EdgeIndexedGraph | CuspidalGraph, expect_q: int | None = None
 ) -> ValidationReport:
-    """Check structural invariants; regularity failures are warnings only.
+    """Check connectivity; regularity failures are warnings only.
 
-    With ``expect_q`` given, every core vertex must have weighted out-degree
+    The constructors already enforce every other invariant.  With
+    ``expect_q`` given, every core vertex must have weighted out-degree
     (plus one alpha per attached cusp) equal to ``expect_q + 1``.  Families
     with deliberately small attachment weights are non-regular, so a
     regularity mismatch does not invalidate the graph.
@@ -278,16 +286,7 @@ def validate(
         graph = g
     errors: list[str] = []
     warnings: list[str] = []
-    vset = set(graph.vertices)
-    for e in graph.edges:
-        if e.source not in vset or e.target not in vset:
-            errors.append(f"edge {e.id} has endpoint outside the vertex set")
-        if e.weight <= 0:
-            errors.append(f"edge {e.id} has non-positive weight {e.weight}")
-    for c in cusps:
-        if c.vertex not in vset:
-            errors.append(f"cusp attached to unknown vertex {c.vertex!r}")
-    if not errors and graph.vertices:
+    if graph.vertices:
         seen = {graph.vertices[0]}
         stack = [graph.vertices[0]]
         while stack:
@@ -297,7 +296,7 @@ def validate(
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
-        if len(seen) != len(vset):
+        if len(seen) != len(graph.vertices):
             errors.append("graph is not connected")
     if expect_q is not None and not errors:
         target = Fraction(expect_q + 1)
@@ -353,11 +352,9 @@ def relabel(g: EdgeIndexedGraph | CuspidalGraph, mapping: Mapping[str, str]):
             g.q,
             g.central_order,
         )
-    new_names = [mapping[v] for v in g.vertices]
-    if len(set(new_names)) != len(new_names):
-        raise ValueError("relabeling map is not a bijection on vertex ids")
     return EdgeIndexedGraph(
-        new_names, [(mapping[a], mapping[b], wa, wb) for a, b, wa, wb in g.edge_pairs()]
+        [mapping[v] for v in g.vertices],
+        [(mapping[a], mapping[b], wa, wb) for a, b, wa, wb in g.edge_pairs()],
     )
 
 

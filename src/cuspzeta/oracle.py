@@ -17,8 +17,8 @@ A closed path of length m can penetrate a cusp ray at most floor(m/2)
 steps (it has to come back), so traces of the infinite operator are exact
 already on the depth floor(m/2) + 1 truncation; the extra level is a
 safety margin asserted by the depth-stability tests.  The search budgets
-``MAX_TRACE_ORDER``, ``MAX_CYCLE_LENGTH`` and ``MAX_VISITED_PATHS`` live
-here too; past them the oracles raise :class:`BudgetExceededError`.
+are constants, ``MAX_TRACE_ORDER``, ``MAX_CYCLE_LENGTH`` and
+``MAX_VISITED_PATHS``; past them the oracles raise :class:`BudgetExceededError`.
 """
 
 from __future__ import annotations
@@ -127,9 +127,7 @@ class CycleClass:
 
 
 def enumerate_primitive_cycles(
-    g: EdgeIndexedGraph | CuspidalGraph,
-    max_length: int,
-    max_visited: int = MAX_VISITED_PATHS,
+    g: EdgeIndexedGraph | CuspidalGraph, max_length: int
 ) -> list[CycleClass]:
     """All cycle classes of length <= max_length with nonzero weight.
 
@@ -160,9 +158,9 @@ def enumerate_primitive_cycles(
             path[depth] = tip
             depth += 1
             visited += 1
-            if visited > max_visited:
+            if visited > MAX_VISITED_PATHS:
                 raise BudgetExceededError(
-                    f"cycle enumeration exceeded {max_visited} visited paths"
+                    f"cycle enumeration exceeded {MAX_VISITED_PATHS} visited paths"
                 )
             last = closing[tip]
             if last is not None:

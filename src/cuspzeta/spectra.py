@@ -11,6 +11,10 @@ common square-free case.  Multiplicities come from the exact split alone:
 each root of a part of multiplicity m is reported once with multiplicity m,
 and no distance between float roots ever merges them.  A root at 0 is read
 off the exact constant term.
+
+Two constants fix the precision: Aberth stops when no root moves by more
+than ``SHIFT_TOL`` (relative), and ``MODULUS_TOL`` is the tolerance for
+clustering moduli and for classifying poles in the Ramanujan test.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from cuspzeta.exact import Poly, RatFunc, poly_gcd
+from cuspzeta.families import loop_family
 from cuspzeta.graphs import CuspidalGraph
-from cuspzeta.zeta import bass_ihara_zeta, counting_series
+from cuspzeta.zeta import MAX_SERIES_ORDER, bass_ihara_zeta, counting_series
 
 __all__ = [
     "PoleReport",
@@ -41,7 +46,8 @@ __all__ = [
 
 MAX_ITERATIONS = 400
 RESIDUAL_BOUND = 1e-8
-SWEEP_TOL = 1e-9
+SHIFT_TOL = 1e-12
+MODULUS_TOL = 1e-9
 
 
 class RootFindingError(RuntimeError):
@@ -81,7 +87,7 @@ def square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
     return parts
 
 
-def complex_roots(p: Poly, tol: float = 1e-12) -> list[tuple[complex, int]]:
+def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     """All complex roots of p with multiplicities, as (value, multiplicity).
 
     The exact square-free splitting supplies the multiplicities, so the
@@ -90,10 +96,6 @@ def complex_roots(p: Poly, tol: float = 1e-12) -> list[tuple[complex, int]]:
     (which would fake a root at 0), if the iteration cap is reached before
     convergence or if an approximation fails the scaled residual check.
     """
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no well-defined roots")
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be finite and positive")
     result: list[tuple[complex, int]] = []
     for part, mult in square_free_parts(p):
         coeffs = part.coeffs
@@ -105,12 +107,12 @@ def complex_roots(p: Poly, tol: float = 1e-12) -> list[tuple[complex, int]]:
         floats = [float(c) for c in coeffs]
         if floats[0] == 0.0:
             raise RootFindingError("a nonzero constant term underflows to 0.0")
-        result.extend((value, mult) for value in _aberth(floats, tol))
+        result.extend((value, mult) for value in _aberth(floats))
     result.sort(key=lambda pair: (abs(pair[0]), pair[0].real, pair[0].imag))
     return result
 
 
-def _aberth(coeffs: Sequence[float], tol: float) -> list[complex]:
+def _aberth(coeffs: Sequence[float]) -> list[complex]:
     """Simultaneous iteration on a square-free float polynomial.
 
     A root stops moving once its residual reaches the evaluation noise
@@ -144,7 +146,7 @@ def _aberth(coeffs: Sequence[float], tol: float) -> list[complex]:
             z[i] = zi - delta
             shift = max(shift, abs(delta) / max(1.0, abs(z[i])))
         moving = still_moving
-        if shift <= tol:
+        if shift <= SHIFT_TOL:
             converged = True
             break
     if not converged:
@@ -199,32 +201,25 @@ class PoleReport:
         }
 
 
-def pole_report(z: RatFunc, tol: float = 1e-9) -> PoleReport:
+def pole_report(z: RatFunc) -> PoleReport:
     """Locate the poles (denominator roots) and cluster their moduli.
 
-    ``tol`` is the relative tolerance for merging moduli into one cluster;
-    a zeta function without poles reports an infinite radius of convergence.
+    Moduli within ``MODULUS_TOL`` relative form one cluster; a zeta function
+    without poles reports an infinite radius of convergence.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be finite and positive")
     if z.den.degree < 1:
         return PoleReport((), (), math.inf, None)
     poles = tuple(complex_roots(z.den))
-    moduli = _cluster_moduli([abs(value) for value, _ in poles], tol)
-    radius = moduli[0]
-    gap = moduli[1] - moduli[0] if len(moduli) > 1 else None
-    return PoleReport(poles, tuple(moduli), radius, gap)
-
-
-def _cluster_moduli(values: Iterable[float], tol: float) -> list[float]:
-    ordered = sorted(values)
     clusters: list[list[float]] = []
-    for v in ordered:
-        if clusters and v - clusters[-1][-1] <= tol * max(v, clusters[-1][-1]):
+    for v in sorted(abs(value) for value, _ in poles):
+        if clusters and v - clusters[-1][-1] <= MODULUS_TOL * max(v, clusters[-1][-1]):
             clusters[-1].append(v)
         else:
             clusters.append([v])
-    return [sum(c) / len(c) for c in clusters]
+    moduli = [sum(c) / len(c) for c in clusters]
+    radius = moduli[0]
+    gap = moduli[1] - moduli[0] if len(moduli) > 1 else None
+    return PoleReport(poles, tuple(moduli), radius, gap)
 
 
 @dataclass(frozen=True)
@@ -237,27 +232,21 @@ class RamanujanVerdict:
     offending: tuple[complex, ...]
 
 
-def ramanujan_check(z: RatFunc, q: int, tol: float = 1e-9) -> RamanujanVerdict:
+def ramanujan_check(report: PoleReport, q: int) -> RamanujanVerdict:
     """Flag the graph Ramanujan iff every nontrivial pole has |u| = 1/sqrt(q).
 
-    Poles with |u| = 1 or |u| = 1/q (within tol) are the trivial ones; this
-    matches the factor structure (1 - u), (1 + u), (1 - qu) of the regular
-    families and is a convention of this package.
+    Poles with |u| = 1 or |u| = 1/q (within ``MODULUS_TOL``) are the trivial
+    ones; this matches the factor structure (1 - u), (1 + u), (1 - qu) of
+    the regular families and is a convention of this package.
     """
     if q < 2:
         raise ValueError("ramanujan check requires q >= 2")
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be finite and positive")
-    return _classify_poles(pole_report(z, tol), q, tol)
-
-
-def _classify_poles(report: PoleReport, q: int, tol: float) -> RamanujanVerdict:
     trivial, critical, offending = [], [], []
     for value, _mult in report.poles:
         m = abs(value)
-        if abs(m - 1.0) <= tol or abs(m - 1.0 / q) <= tol:
+        if abs(m - 1.0) <= MODULUS_TOL or abs(m - 1.0 / q) <= MODULUS_TOL:
             trivial.append(value)
-        elif abs(m - 1.0 / math.sqrt(q)) < tol:
+        elif abs(m - 1.0 / math.sqrt(q)) < MODULUS_TOL:
             critical.append(value)
         else:
             offending.append(value)
@@ -278,17 +267,14 @@ def pole_gap_sweep(q: int, n_values: Sequence[int]) -> list[SweepRow]:
     The radius stays pinned at 1/q while the second modulus decreases
     towards it, shrinking the pole-free annulus.
     """
-    from cuspzeta.families import loop_family
-
     if not n_values:
         raise ValueError("sweep needs a nonempty range of N values")
     rows = []
     for n in n_values:
         z = bass_ihara_zeta(loop_family(q, n)).bass_ihara
-        report = pole_report(z, SWEEP_TOL)
+        report = pole_report(z)
         second = report.moduli_clusters[1] if len(report.moduli_clusters) > 1 else None
-        verdict = _classify_poles(report, q, SWEEP_TOL)
-        rows.append(SweepRow(n, report.radius, second, verdict.is_ramanujan))
+        rows.append(SweepRow(n, report.radius, second, ramanujan_check(report, q).is_ramanujan))
     return rows
 
 
@@ -313,8 +299,8 @@ def growth_rate(
     ms = sorted(set(int(m) for m in m_range))
     if not ms or ms[0] < 1:
         raise ValueError("m range must contain positive integers")
-    if ms[-1] > 200:
-        raise ValueError("m range exceeds the series budget of 200")
+    if ms[-1] > MAX_SERIES_ORDER:
+        raise ValueError(f"m range exceeds the series budget of {MAX_SERIES_ORDER}")
     series = counting_series(bass_ihara_zeta(c), ms[-1])
     r_values = []
     fit_points = []

@@ -33,6 +33,7 @@ from cuspzeta.exact import (
     poly_det,
     ratfunc_pow,
     ratfunc_reduce,
+    rational_to_json,
 )
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
 
@@ -44,6 +45,8 @@ __all__ = [
     "bass_ihara_zeta",
     "counting_series",
 ]
+
+MAX_SERIES_ORDER = 200  # cap on series orders asked for from outside; coefficients widen with M
 
 
 @dataclass(frozen=True)
@@ -149,11 +152,8 @@ class CountingSeries:
 
     n_values: tuple[Fraction, ...]
     r_values: tuple[Fraction, ...]
-    order: int
 
     def to_json(self) -> dict:
-        from cuspzeta.exact import rational_to_json
-
         return {
             "N": [rational_to_json(x) for x in self.n_values],
             "R": [rational_to_json(x) for x in self.r_values],
@@ -172,4 +172,4 @@ def counting_series(result: ZetaResult, order: int) -> CountingSeries:
     series = log_derivative_series(result.bass_ihara, order)
     n_values = series[1:]
     r_values = tuple(result.central_order * x for x in n_values)
-    return CountingSeries(n_values, r_values, order)
+    return CountingSeries(n_values, r_values)

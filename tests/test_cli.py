@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from cuspzeta import cli
 from cuspzeta.families import loop_family, pgl2
 from cuspzeta.oracle import MAX_TRACE_ORDER
-from cuspzeta.zeta import CountingSeries, bass_ihara_zeta
+from cuspzeta.zeta import MAX_SERIES_ORDER, CountingSeries, bass_ihara_zeta
 
 
 def run_cli(capsys, *argv, expect=0):
@@ -85,16 +87,29 @@ def test_zeta_series_and_selberg_flags(capsys, tmp_path):
     assert data["selberg"] == expected.to_json()
 
 
-def test_zeta_rejects_series_zero_before_the_determinant(capsys, tmp_path, monkeypatch):
-    def no_determinant(graph):
-        raise AssertionError("the determinant ran before --series was checked")
+def no_determinant(graph):
+    raise AssertionError("the determinant ran before the order was checked")
 
+
+def test_zeta_rejects_series_zero_before_the_determinant(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "bass_ihara_zeta", no_determinant)
     path = write_graph(tmp_path, pgl2(3))
     assert cli.main(["zeta", path, "--series", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_zeta_series_past_the_budget_exits_1_before_the_determinant(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(cli, "bass_ihara_zeta", no_determinant)
+    path = write_graph(tmp_path, loop_family(3, 12))
+    series = str(MAX_SERIES_ORDER + 1)
+    assert cli.main(["zeta", path, "--series", series]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("FAIL budget")
 
 
 def test_zeta_deterministic(capsys, tmp_path):
@@ -234,23 +249,6 @@ def test_poles_star_clusters(capsys, tmp_path):
     assert all(len(p["value"]) == 2 for p in data["poles"])
 
 
-def test_poles_zero_tolerance_exit_2(capsys, tmp_path):
-    path = write_graph(tmp_path, pgl2(2))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["poles", path, "--tol", "0"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_poles_non_finite_tolerance_exit_2(capsys, tmp_path, tol):
-    path = write_graph(tmp_path, loop_family(3, 3))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["poles", path, "--tol", tol])
-    assert exc.value.code == 2
-    assert "finite and positive" in capsys.readouterr().err
-
-
 def test_poles_underflowed_coefficient_exit_1(capsys, tmp_path):
     # den = 1 + c2 u^2 + c4 u^4 with |c2|, |c4| near 10^400: the monic part's
     # constant term is near 10^-400, below the double range
@@ -324,7 +322,7 @@ def test_verify_reports_first_failing_m(capsys, tmp_path, monkeypatch):
         series = real(result, order)
         values = list(series.n_values)
         values[1] += 1
-        return CountingSeries(tuple(values), series.r_values, series.order)
+        return CountingSeries(tuple(values), series.r_values)
 
     monkeypatch.setattr(cli, "counting_series", corrupted)
     path = write_graph(tmp_path, pgl2(2))
@@ -380,3 +378,43 @@ def test_count_oracle_past_the_trace_budget_exits_1(capsys, tmp_path):
     assert run_cli(capsys, "count", path, "--m", m, "--oracle", expect=1).err.startswith(
         "FAIL budget"
     )
+
+
+def test_count_past_the_series_budget_exits_1_before_the_determinant(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(cli, "bass_ihara_zeta", no_determinant)
+    path = write_graph(tmp_path, loop_family(3, 12))
+    assert cli.main(["count", path, "--m", str(MAX_SERIES_ORDER + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("FAIL budget")
+
+
+# --- README ------------------------------------------------------------------
+
+
+def readme_command_lines() -> list[str]:
+    """The command lines of README's "Command-line usage" block, comments cut."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line usage", 1)[1].split("```", 2)[1]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    return [line for line in lines if line]
+
+
+def test_readme_command_lines_exit_0(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    graph = run_cli(capsys, "family", "loops", "--q", "3", "--N", "2").out
+    (tmp_path / "graph.json").write_text(graph)
+    lines = readme_command_lines()
+    assert len(lines) >= 8
+    for line in lines:
+        stdout = ""
+        for stage in line.split("|"):
+            program, *argv = shlex.split(stage)
+            assert program == "cuspzeta", line
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdout))
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code == 0, (line, captured.err)
+            stdout = captured.out

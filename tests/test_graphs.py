@@ -17,13 +17,12 @@ from cuspzeta.graphs import (
 )
 
 
-def two_vertex_gog(order_a, order_b, edge_order, q=3):
+def two_vertex_gog(order_a, order_b, edge_order):
     return GraphOfGroups(
         vertices=("x", "y"),
         edge_pairs=(("x", "y"),),
         vertex_order={"x": order_a, "y": order_b},
         edge_order=(edge_order,),
-        q=q,
     )
 
 
@@ -83,9 +82,40 @@ def test_validate_detects_disconnected_graph():
     assert any("connected" in e for e in report.errors)
 
 
+# --- invariants enforced at construction --------------------------------------
+
+
 def test_validate_nonpositive_weight():
-    bad = EdgeIndexedGraph(["x", "y"], [("x", "y", 0, 1)])
-    assert any("weight" in e for e in validate(bad).errors)
+    with pytest.raises(ValueError, match="non-positive weight 0"):
+        EdgeIndexedGraph(["x", "y"], [("x", "y", 0, 1)])
+    with pytest.raises(ValueError, match="non-positive weight -1"):
+        EdgeIndexedGraph(["x", "y"], [("x", "y", 2, -1)])
+
+
+def test_constructor_rejects_repeated_vertex_id():
+    with pytest.raises(ValueError, match="duplicate vertex ids"):
+        EdgeIndexedGraph(["x", "x"], [])
+
+
+def test_constructor_rejects_unknown_endpoint():
+    with pytest.raises(ValueError, match="unknown vertex"):
+        EdgeIndexedGraph(["x"], [("x", "y", 2, 2)])
+
+
+def test_constructor_rejects_cusp_at_unknown_vertex():
+    with pytest.raises(ValueError, match="cusp attached to unknown vertex 'z'"):
+        CuspidalGraph(EdgeIndexedGraph(["x"], []), (Cusp("z", 2, 3),), 3)
+
+
+def test_from_json_reports_constructor_errors_as_format_errors():
+    base = {"q": 3, "vertices": ["x", "y"], "edges": [{"a": "x", "b": "y", "wa": 1, "wb": 1}]}
+    for fields, message in [
+        ({"vertices": ["x", "y", "x"]}, "duplicate vertex ids"),
+        ({"edges": [{"a": "x", "b": "z", "wa": 1, "wb": 1}]}, "unknown vertex"),
+        ({"cusps": [{"vertex": "z", "alpha": 1}]}, "unknown vertex 'z'"),
+    ]:
+        with pytest.raises(GraphFormatError, match=message):
+            CuspidalGraph.from_json({**base, **fields})
 
 
 # --- truncate ----------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspzeta.exact import ONE, ratfunc_reduce, series_expand, Poly, poly_det
+from cuspzeta import oracle
 from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.graphs import Cusp, CuspidalGraph, EdgeIndexedGraph, truncate
 from cuspzeta.oracle import (
@@ -20,6 +21,13 @@ from cuspzeta.oracle import (
 )
 from cuspzeta.zeta import bass_ihara_zeta, build_effective
 from helpers import reference_cycle_classes, reference_euler_product
+
+
+def enumerate_within(g, max_length, budget):
+    """enumerate_primitive_cycles with MAX_VISITED_PATHS set to ``budget``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "MAX_VISITED_PATHS", budget)
+        return enumerate_primitive_cycles(g, max_length)
 
 
 def triangle() -> EdgeIndexedGraph:
@@ -136,7 +144,7 @@ def test_enumeration_rejects_large_bound():
 
 def test_enumeration_rejects_exhausted_budget():
     with pytest.raises(BudgetExceededError):
-        enumerate_primitive_cycles(complete_graph(5), 10, max_visited=50)
+        enumerate_within(complete_graph(5), 10, 50)
 
 
 @st.composite
@@ -163,11 +171,11 @@ def small_graphs(draw) -> EdgeIndexedGraph:
 @settings(max_examples=80, deadline=None)
 def test_enumeration_matches_tuple_stack_reference(g, max_length):
     expected, visited = reference_cycle_classes(g, max_length)
-    classes = enumerate_primitive_cycles(g, max_length, max_visited=visited)
+    classes = enumerate_within(g, max_length, visited)
     assert classes == expected
     assert [type(c.weight) for c in classes] == [F] * len(classes)
     with pytest.raises(BudgetExceededError):
-        enumerate_primitive_cycles(g, max_length, max_visited=visited - 1)
+        enumerate_within(g, max_length, visited - 1)
     series = euler_product_series(classes, max_length, enumerated_to=max_length)
     assert series == reference_euler_product(expected, max_length)
     assert all(type(c) is F for c in series)
@@ -178,9 +186,9 @@ def test_enumeration_matches_tuple_stack_reference(g, max_length):
 )
 def test_budget_boundary_is_the_reference_visited_count(g, bound):
     expected, visited = reference_cycle_classes(g, bound)
-    assert enumerate_primitive_cycles(g, bound, max_visited=visited) == expected
+    assert enumerate_within(g, bound, visited) == expected
     with pytest.raises(BudgetExceededError, match=f"exceeded {visited - 1} visited"):
-        enumerate_primitive_cycles(g, bound, max_visited=visited - 1)
+        enumerate_within(g, bound, visited - 1)
 
 
 def test_enumeration_leaves_no_reference_cycles():
