@@ -131,7 +131,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         return _fail_usage("--m must be >= 1")
     if args.m > MAX_SERIES_ORDER:
         raise BudgetExceededError(f"series order {args.m} exceeds the cap {MAX_SERIES_ORDER}")
-    # The oracle goes first, so an order past its budget fails before any work.
+    # The trace oracle runs before the determinant, so a cap below the series cap fails first.
     traces = trace_powers(graph, args.m) if args.oracle else None
     series = counting_series(bass_ihara_zeta(graph), args.m)
     payload = series.to_json()

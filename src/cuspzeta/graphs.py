@@ -120,6 +120,15 @@ class GraphOfGroups:
     vertex_order: Mapping[str, int]
     edge_order: tuple[int, ...]
 
+    def __post_init__(self):
+        if len(self.edge_order) != len(self.edge_pairs):
+            raise ValueError("edge_order needs one group order per edge pair")
+        missing = {v for pair in self.edge_pairs for v in pair} - set(self.vertex_order)
+        if missing:
+            raise ValueError(f"no vertex group order for {sorted(missing)}")
+        if any(n < 1 for n in (*self.vertex_order.values(), *self.edge_order)):
+            raise ValueError("group orders must be >= 1")
+
 
 def weights_from_groups(g: GraphOfGroups) -> EdgeIndexedGraph:
     """Weight each oriented edge by |G_source| / |G_edge| (always an integer)."""

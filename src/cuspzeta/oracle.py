@@ -5,11 +5,15 @@ Traces of transfer-operator powers are computed by exact sparse matrix
 multiplication.  Cycle classes come from one depth-first search per start
 edge over the weighted successor graph, restricted to edges not below the
 start, on a single mutable path with a running weight product (a plain int
-when every transition weight is integral).  A closed walk is recorded only
-if it is its class's lexicographically minimal rotation, so each class is
-built once, when its walk closes, and the search emits the classes already
-sorted.  Only a walk that revisits its start needs the rotation comparison;
-a walk whose minimum occurs once is minimal and primitive as it stands.
+when every transition weight is integral).  It generates graph-constrained
+necklaces (Fredricksen-Kessler-Maiorana; Cattell, Ruskey, Sawada, Serra and
+Miers, J. Algorithms 2000): with p the period of the longest Lyndon prefix
+of the path a_0..a_{n-1}, the next edge must be >= a_{n-p}, and one above
+it sets p = n + 1.  A closing walk is a necklace (its class's minimal
+rotation) iff p | n, and a Lyndon word (primitive) iff p == n, so each
+class is built once, with primitive length p, in sorted order.  A child is
+pushed only if a backward breadth-first search from the start shows that
+it can still close within the length bound.
 
 Both oracles take a finite graph as it is, or a cuspidal graph, which they
 truncate themselves; this module is the only home of that truncation rule.
@@ -23,9 +27,8 @@ are constants, ``MAX_TRACE_ORDER``, ``MAX_CYCLE_LENGTH`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph, truncate
 
@@ -82,8 +85,6 @@ def trace_powers(g: EdgeIndexedGraph | CuspidalGraph, up_to: int) -> list[Fracti
         raise BudgetExceededError(f"trace order {up_to} exceeds the cap {MAX_TRACE_ORDER}")
     rows = _successor_rows(_finite(g, up_to))
     n = len(rows)
-    if n == 0:
-        return [Fraction(0)] * up_to
     integral = all(w.denominator == 1 for row in rows for _, w in row)
     cast = int if integral else Fraction
     zero = cast(0)
@@ -107,8 +108,7 @@ def trace_powers(g: EdgeIndexedGraph | CuspidalGraph, up_to: int) -> list[Fracti
     return [Fraction(t) for t in traces]
 
 
-@dataclass(frozen=True)
-class CycleClass:
+class CycleClass(NamedTuple):
     """A rotation class of closed paths with nonzero weight.
 
     ``weight`` is the cyclic product of the transition weights, including
@@ -124,6 +124,17 @@ class CycleClass:
     @property
     def is_primitive(self) -> bool:
         return self.primitive_length == self.length
+
+
+def _steps_to_close(predecessors: list[list[int]], start: int, bound: int) -> list[int]:
+    """Fewest steps from each edge >= start to one that closes at ``start``; ``bound`` if none."""
+    left = [bound] * len(predecessors)
+    frontier = {t for t in predecessors[start] if t >= start}
+    for steps in range(bound):
+        for t in frontier:
+            left[t] = steps
+        frontier = {s for t in frontier for s in predecessors[t] if s >= start and left[s] == bound}
+    return left
 
 
 def enumerate_primitive_cycles(
@@ -147,14 +158,21 @@ def enumerate_primitive_cycles(
     weight_of = [{j: cast(w) for j, w in row} for row in rows]
     # Descending successors: the stack then pops siblings in ascending order.
     descending = [sorted(row.items(), reverse=True) for row in weight_of]
+    predecessors: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(weight_of):
+        for j in row:
+            predecessors[j].append(i)
+    shared: dict[int | Fraction, Fraction] = {}  # one Fraction per distinct class weight
     classes: list[CycleClass] = []
     path = [0] * max_length
     visited = 0
     for start in range(n):
         closing = [row.get(start) for row in weight_of]
-        stack = [(start, 0, cast(1))]
+        left = _steps_to_close(predecessors, start, max_length)
+        # (tip, depth before tip, period of the longest Lyndon prefix, weight)
+        stack = [(start, 0, 1, cast(1))]
         while stack:
-            tip, depth, weight = stack.pop()
+            tip, depth, period, weight = stack.pop()
             path[depth] = tip
             depth += 1
             visited += 1
@@ -163,37 +181,19 @@ def enumerate_primitive_cycles(
                     f"cycle enumeration exceeded {MAX_VISITED_PATHS} visited paths"
                 )
             last = closing[tip]
-            if last is not None:
-                _close(classes, path[:depth], start, weight * last)
+            if last is not None and depth % period == 0:
+                last *= weight  # nonzero, so a cached Fraction is truthy
+                frac = shared.get(last) or shared.setdefault(last, Fraction(last))
+                classes.append(CycleClass(depth, frac, period, period))
             if depth < max_length:
+                anchor = path[depth - period]
                 for nxt, w in descending[tip]:
-                    if nxt < start:
+                    if nxt < anchor:
                         break
-                    stack.append((nxt, depth, weight * w))
+                    if depth + left[nxt] < max_length:
+                        child_period = period if nxt == anchor else depth + 1
+                        stack.append((nxt, depth, child_period, weight * w))
     return classes
-
-
-def _close(
-    classes: list[CycleClass], cycle: list[int], start: int, weight: int | Fraction
-) -> None:
-    """Append the class of ``cycle`` if the walk is its minimal rotation.
-
-    ``start`` leads and is the minimum, so only rotations to another
-    occurrence of it can be smaller, and the first one equal to the walk
-    gives the primitive period.
-    """
-    length = period = len(cycle)
-    if cycle.count(start) > 1:
-        doubled = cycle + cycle
-        for i in range(1, length):
-            if cycle[i] == start:
-                rotation = doubled[i : i + length]
-                if rotation < cycle:
-                    return
-                if rotation == cycle:
-                    period = i
-                    break
-    classes.append(CycleClass(length, Fraction(weight), period, period))
 
 
 def euler_product_series(
@@ -215,11 +215,11 @@ def euler_product_series(
     integral = all(cls.weight.denominator == 1 for cls in classes)
     out = [0] * (order + 1)
     out[0] = 1
-    for cls in classes:
-        if not cls.is_primitive or cls.length > order:
+    for length, weight, primitive_length, _ in classes:
+        if primitive_length != length or length > order:
             continue
-        w = cls.weight.numerator if integral else cls.weight
+        w = weight.numerator if integral else weight
         # Multiply by the geometric series of one primitive class in place.
-        for m in range(cls.length, order + 1):
-            out[m] += w * out[m - cls.length]
+        for m in range(length, order + 1):
+            out[m] += w * out[m - length]
     return tuple(map(Fraction, out))

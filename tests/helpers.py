@@ -93,12 +93,21 @@ def random_min_degree_two_graph(rng: random.Random, max_vertices: int = 10) -> E
     return EdgeIndexedGraph(names, pairs)
 
 
-def reference_cycle_classes(g: EdgeIndexedGraph, max_length: int) -> tuple[list[CycleClass], int]:
-    """Cycle classes by a plain tuple-stack search, and the number of paths it visits.
+def reference_cycle_classes(
+    g: EdgeIndexedGraph, max_length: int, pruned: bool = True
+) -> tuple[list[CycleClass], int]:
+    """Cycle classes by a plain tuple-stack search, and a count of visited paths.
 
-    Every path is a fresh tuple; every closed walk goes into a set as its
-    minimal rotation, and class weights are Fraction products taken after
-    sorting.  Same search tree as the engine's oracle, none of its shortcuts.
+    The search walks every path whose edges are not below its start; every
+    path is a fresh tuple, every closed walk goes into a set as its minimal
+    rotation, and class weights are Fraction products taken after sorting.
+    None of the engine's shortcuts decide which classes come out.
+
+    ``visited`` is the number of paths in the engine's pruned search tree,
+    counted by plain predicates: a start edge, or a prenecklace (every
+    suffix >= the prefix of the same length) that a forward search shows
+    can still close at its start within ``max_length``.  With
+    ``pruned=False`` it counts every path of the unpruned search.
     """
     order = g.canonical_edge_order()
     pos = {eid: i for i, eid in enumerate(order)}
@@ -111,13 +120,27 @@ def reference_cycle_classes(g: EdgeIndexedGraph, max_length: int) -> tuple[list[
             if w:
                 row[pos[sid]] = w
         weight_of.append(row)
+
+    def can_close(path: tuple[int, ...]) -> bool:
+        start, frontier = path[0], {path[-1]}
+        for _ in range(max_length - len(path) + 1):
+            if any(start in weight_of[t] for t in frontier):
+                return True
+            frontier = {s for t in frontier for s in weight_of[t] if s >= start}
+        return False
+
+    def in_pruned_tree(path: tuple[int, ...]) -> bool:
+        n = len(path)
+        return n == 1 or (all(path[i:] >= path[: n - i] for i in range(1, n))
+                          and can_close(path))
+
     canonical = set()
     visited = 0
     for start in range(len(order)):
         stack = [(start,)]
         while stack:
             path = stack.pop()
-            visited += 1
+            visited += not pruned or in_pruned_tree(path)
             for nxt in weight_of[path[-1]]:
                 if nxt < start:
                     continue

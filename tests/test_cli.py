@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspzeta import cli
+from cuspzeta import cli, oracle
 from cuspzeta.families import loop_family, pgl2
-from cuspzeta.oracle import MAX_TRACE_ORDER
 from cuspzeta.zeta import MAX_SERIES_ORDER, CountingSeries, bass_ihara_zeta
 
 
@@ -372,12 +371,13 @@ def test_core_vertex_named_like_a_ray_vertex(capsys, tmp_path):
     assert report["ok"] is True
 
 
-def test_count_oracle_past_the_trace_budget_exits_1(capsys, tmp_path):
+def test_count_oracle_past_the_trace_budget_exits_1(capsys, tmp_path, monkeypatch):
+    # The series cap equals the trace cap, so lower the trace cap to reach it.
+    monkeypatch.setattr(oracle, "MAX_TRACE_ORDER", 10)
+    monkeypatch.setattr(cli, "bass_ihara_zeta", no_determinant)
     path = write_graph(tmp_path, loop_family(3, 12))
-    m = str(MAX_TRACE_ORDER + 1)
-    assert run_cli(capsys, "count", path, "--m", m, "--oracle", expect=1).err.startswith(
-        "FAIL budget"
-    )
+    err = run_cli(capsys, "count", path, "--m", "12", "--oracle", expect=1).err
+    assert err.startswith("FAIL budget: trace order 12 exceeds the cap 10")
 
 
 def test_count_past_the_series_budget_exits_1_before_the_determinant(

@@ -52,6 +52,27 @@ def test_weights_require_divisibility():
         weights_from_groups(two_vertex_gog(5, 3, 2))
 
 
+def test_graph_of_groups_rejects_endpoint_without_vertex_order():
+    with pytest.raises(ValueError, match=r"no vertex group order for \['z'\]"):
+        GraphOfGroups(("x", "z"), (("x", "z"),), {"x": 2}, (1,))
+
+
+def test_graph_of_groups_rejects_edge_group_of_order_zero():
+    with pytest.raises(ValueError, match="group orders must be >= 1"):
+        two_vertex_gog(4, 4, 0)
+
+
+@pytest.mark.parametrize("order_a, edge_order", [(0, 1), (-2, 1), (4, -1)])
+def test_graph_of_groups_rejects_group_order_below_one(order_a, edge_order):
+    with pytest.raises(ValueError, match="group orders must be >= 1"):
+        two_vertex_gog(order_a, 2, edge_order)
+
+
+def test_graph_of_groups_rejects_edge_order_shorter_than_edge_pairs():
+    with pytest.raises(ValueError, match="one group order per edge pair"):
+        GraphOfGroups(("x", "y"), (("x", "y"), ("y", "x")), {"x": 2, "y": 2}, (1,))
+
+
 def test_weights_output_validates():
     g = weights_from_groups(two_vertex_gog(6, 2, 2))
     assert validate(g).ok

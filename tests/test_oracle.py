@@ -191,6 +191,28 @@ def test_budget_boundary_is_the_reference_visited_count(g, bound):
         enumerate_within(g, bound, visited - 1)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [truncate(pgl2(2), 6), truncate(star(3, (2, 1)), 6), truncate(loop_family(3, 2), 6)],
+    ids=["pgl2", "star", "loops"],
+)
+def test_pruned_search_visits_under_half_the_unpruned_paths(g):
+    expected, visited = reference_cycle_classes(g, 10)
+    _, unpruned = reference_cycle_classes(g, 10, pruned=False)
+    assert 2 * visited < unpruned
+    assert enumerate_within(g, 10, visited) == expected
+    with pytest.raises(BudgetExceededError):
+        enumerate_within(g, 10, visited - 1)
+
+
+def test_cycle_classes_are_hashable_and_equal_to_the_reference():
+    g = truncate(chain(3, 2), 4)
+    classes = enumerate_primitive_cycles(g, 8)
+    expected, _ = reference_cycle_classes(g, 8)
+    assert classes and classes == expected
+    assert Counter(classes) == Counter(expected)
+
+
 def test_enumeration_leaves_no_reference_cycles():
     g = truncate(pgl2(2), 5)
     gc.collect()
