@@ -1,10 +1,13 @@
 """Numerical pole analysis of exactly computed zeta functions.
 
 Roots are located by Aberth-Ehrlich simultaneous iteration in double
-precision, started from a circle at the Cauchy root bound; exact rational
-coefficients are converted to floats once.  The polynomial is first split
-into square-free parts by Yun's algorithm, so the iteration only ever sees
-simple roots (a multiple root would cap double precision at eps**(1/m)
+precision as in Bini, "Numerical computation of polynomial zeros by means of
+Aberth's method", Numer. Algorithms 13 (1996): the iteration starts from the
+circles of the Newton polygon of p, and a root stops once |p(z)| is within
+rounding noise of sum |c_k| |z|**k, the size of the terms of p(z).  Exact
+rational coefficients are converted to floats once.  The polynomial is first
+split into square-free parts by Yun's algorithm, so the iteration only ever
+sees simple roots (a multiple root would cap double precision at eps**(1/m)
 accuracy, far coarser than the deliberately tiny root gaps of the loop
 family).  The split costs one certified :func:`poly_gcd` of p and p' in the
 common square-free case.  Multiplicities come from the exact split alone:
@@ -124,8 +127,7 @@ def _aberth(coeffs: Sequence[float]) -> list[complex]:
     deriv = [i * c for i, c in enumerate(monic)][1:]
     sizes = [abs(c) for c in monic]
     degree = len(monic) - 1
-    bound = 1.0 + max(sizes[:-1])
-    z = [bound * cmath.exp(2j * math.pi * (k / degree) + 0.4j) for k in range(degree)]
+    z = _newton_polygon_starts(sizes)
     noise = 8.0 * degree * 2.3e-16
     moving = list(range(degree))
     converged = False
@@ -160,9 +162,30 @@ def _aberth(coeffs: Sequence[float]) -> list[complex]:
     return z
 
 
+def _newton_polygon_starts(sizes: Sequence[float]) -> list[complex]:
+    """Bini's starting points, for a nonzero constant term.  Each segment of the
+    upper convex hull of the points (k, log|c_k|), from k_i to k_j, puts starts
+    k_i..k_j - 1 on the circle of radius (|c_{k_i}| / |c_{k_j}|)**(1 / (k_j - k_i));
+    start k sits at the angle 2 pi k / n + 0.4."""
+    hull: list[tuple[int, float]] = []
+    for k, log_size in ((k, math.log(c)) for k, c in enumerate(sizes) if c):
+        while len(hull) > 1:
+            (k0, l0), (k1, l1) = hull[-2], hull[-1]
+            if (k1 - k0) * (log_size - l0) < (l1 - l0) * (k - k0):
+                break
+            hull.pop()
+        hull.append((k, log_size))
+    degree = len(sizes) - 1
+    return [
+        math.exp((l0 - l1) / (k1 - k0)) * cmath.exp(2j * math.pi * (k / degree) + 0.4j)
+        for (k0, l0), (k1, l1) in zip(hull, hull[1:])
+        for k in range(k0, k1)
+    ]
+
+
 def _evaluation_scale(sizes: Sequence[float], z: complex) -> float:
-    """sum |c_k| max(1, |z|)**k by Horner's rule: the size of the terms of p(z)."""
-    r = max(1.0, abs(z))
+    """sum |c_k| |z|**k by Horner's rule: the size of the terms of p(z)."""
+    r = abs(z)
     acc = 0.0
     for c in reversed(sizes):
         acc = acc * r + c

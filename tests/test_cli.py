@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspzeta import cli, oracle
+from cuspzeta.exact import Poly
 from cuspzeta.families import loop_family, pgl2
+from cuspzeta.graphs import CuspidalGraph
 from cuspzeta.zeta import MAX_SERIES_ORDER, CountingSeries, bass_ihara_zeta
 
 
@@ -262,6 +264,70 @@ def test_poles_underflowed_coefficient_exit_1(capsys, tmp_path):
     err = run_cli(capsys, "poles", str(path), expect=1).err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# A 12-vertex, 1-cusp graph of the `dense` benchmark shape (seed 203).  Aberth
+# started on one circle at the Cauchy bound failed its residual check here.
+DENSE_SEED_203 = {
+    "q": 3,
+    "central_order": 1,
+    "vertices": [
+        "v00", "v01", "v02", "v03", "v04", "v05",
+        "v06", "v07", "v08", "v09", "v10", "v11",
+    ],
+    "edges": [
+        {"a": "v00", "b": "v01", "wa": 1, "wb": 1},
+        {"a": "v00", "b": "v11", "wa": 1, "wb": 3},
+        {"a": "v01", "b": "v02", "wa": 2, "wb": 2},
+        {"a": "v02", "b": "v03", "wa": 3, "wb": 1},
+        {"a": "v03", "b": "v04", "wa": 2, "wb": 2},
+        {"a": "v04", "b": "v05", "wa": 2, "wb": 2},
+        {"a": "v05", "b": "v06", "wa": 3, "wb": 3},
+        {"a": "v06", "b": "v07", "wa": 1, "wb": 3},
+        {"a": "v07", "b": "v08", "wa": 3, "wb": 1},
+        {"a": "v08", "b": "v09", "wa": 2, "wb": 3},
+        {"a": "v09", "b": "v10", "wa": 3, "wb": 1},
+        {"a": "v10", "b": "v11", "wa": 1, "wb": 3},
+        {"a": "v00", "b": "v05", "wa": 2, "wb": 1},
+        {"a": "v00", "b": "v06", "wa": 1, "wb": 2},
+        {"a": "v00", "b": "v09", "wa": 3, "wb": 2},
+        {"a": "v01", "b": "v05", "wa": 3, "wb": 1},
+        {"a": "v01", "b": "v07", "wa": 2, "wb": 3},
+        {"a": "v01", "b": "v09", "wa": 2, "wb": 2},
+        {"a": "v02", "b": "v04", "wa": 3, "wb": 1},
+        {"a": "v02", "b": "v06", "wa": 2, "wb": 3},
+        {"a": "v02", "b": "v07", "wa": 1, "wb": 1},
+        {"a": "v03", "b": "v08", "wa": 3, "wb": 2},
+        {"a": "v03", "b": "v10", "wa": 3, "wb": 3},
+        {"a": "v03", "b": "v11", "wa": 1, "wb": 2},
+        {"a": "v04", "b": "v09", "wa": 2, "wb": 1},
+        {"a": "v04", "b": "v10", "wa": 1, "wb": 1},
+        {"a": "v05", "b": "v08", "wa": 3, "wb": 2},
+        {"a": "v06", "b": "v10", "wa": 3, "wb": 3},
+        {"a": "v07", "b": "v11", "wa": 2, "wb": 1},
+        {"a": "v08", "b": "v11", "wa": 1, "wb": 2},
+    ],
+    "cusps": [{"vertex": "v05", "alpha": 1, "ray_q": 3}],
+}
+
+
+def test_poles_on_dense_seed_203_graph(capsys, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(DENSE_SEED_203))
+    data = json.loads(run_cli(capsys, "poles", str(path)).out)
+    den = bass_ihara_zeta(CuspidalGraph.from_json(DENSE_SEED_203)).bass_ihara.den
+    assert den.degree == 62
+    assert sum(p["multiplicity"] for p in data["poles"]) == den.degree
+    for root in (1, -1):
+        exact_mult, rest = 0, den
+        while True:
+            quotient, rem = divmod(rest, Poly([-root, 1]))
+            if not rem.is_zero():
+                break
+            exact_mult, rest = exact_mult + 1, quotient
+        found = [p["multiplicity"] for p in data["poles"]
+                 if abs(complex(*p["value"]) - root) <= 1e-9]
+        assert found == [exact_mult], root
 
 
 # --- sweep -------------------------------------------------------------------

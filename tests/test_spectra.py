@@ -287,8 +287,10 @@ def test_loop_family_poles_up_to_benchmark_edge(q, last):
 
 
 # loop_family(4, 10) has its exact pole at 1/4 and a second real pole just
-# past -1/4, at modulus about 0.2500000715; pole_report misplaces the pair,
-# reporting R = 0.2499999969 and a second modulus of 0.25000000000000205.
+# past -1/4, at modulus about 0.2500000715.  Both lie inside the unit disk, so
+# Aberth separates them only if its stopping scale shrinks with |z|: with
+# sum |c_k| max(1, |z|)**k it stopped at R = 0.2499999969 and a second modulus
+# of 0.25000000000000205.
 SECOND_POLE_BRACKET = (F(25000007, 10**8), F(2500001, 10**7))
 
 
@@ -300,11 +302,44 @@ def test_loop_4_10_second_pole_is_just_past_minus_a_quarter():
     assert deflated(-inner) * deflated(-outer) < 0
 
 
-@pytest.mark.xfail(strict=False, reason="pole_report misplaces the second pole near -1/4")
 def test_loop_4_10_pole_report_finds_the_second_pole():
     second = pole_report(zeta_of(loop_family(4, 10))).moduli_clusters[1]
     inner, outer = SECOND_POLE_BRACKET
     assert float(inner) < second < float(outer)
+
+
+@pytest.mark.parametrize("q, n", [(3, 16), (4, 12), (5, 9)])
+def test_loop_poles_past_the_old_edge(q, n):
+    # the second pole of loop_family(q, N) is u = -1/q - delta * (1 + o(1))
+    z = zeta_of(loop_family(q, n))
+    delta = F(2 * (q - 1), (q + 1) * q ** (n + 2))
+    inner, outer = F(1, q) + delta * F(999, 1000), F(1, q) + delta * F(1001, 1000)
+    deflated, rem = divmod(z.den, Poly([1, -q]))
+    assert rem.is_zero()
+    assert deflated(-inner) * deflated(-outer) < 0
+    report = pole_report(z)
+    assert abs(report.radius * q - 1) <= 1e-12
+    assert float(inner) < report.moduli_clusters[1] < float(outer)
+
+
+def test_widely_spread_roots_are_relatively_accurate():
+    exact_roots = [F(1, 10**k) for k in range(1, 7)]
+    p = ONE
+    for r in exact_roots:
+        p = p * Poly([-r, 1])
+    roots = complex_roots(p)
+    assert [m for _, m in roots] == [1] * 6
+    for (z, _), r in zip(roots, sorted(exact_roots)):
+        assert abs(z - float(r)) <= 1e-12 * float(r)
+
+
+def test_newton_polygon_starts_one_per_circle():
+    p = Poly([-F(1, 10**6), 1]) * Poly([-1, 1]) * Poly([-(10**6), 1])
+    starts = spectra._newton_polygon_starts([abs(float(c)) for c in p.coeffs])
+    moduli = sorted(abs(z) for z in starts)
+    assert len(moduli) == 3
+    for modulus, true in zip(moduli, (1e-6, 1.0, 1e6)):
+        assert true / 2 <= modulus <= 2 * true
 
 
 def test_sweep_requires_values():
