@@ -38,6 +38,7 @@ from cuspzeta.zeta import (
 
 USAGE_ERROR = 2
 FAILURE = 1
+MAX_LOOP_N = 128  # largest N that `family loops` and `sweep` build; covers loop_family(3, 96)
 
 
 def _fail_usage(message: str) -> int:
@@ -102,6 +103,8 @@ def cmd_family(args: argparse.Namespace) -> int:
         else:
             if args.n is None:
                 return _fail_usage("family loops requires --N")
+            if args.n > MAX_LOOP_N:
+                raise BudgetExceededError(f"loop family N {args.n} exceeds the cap {MAX_LOOP_N}")
             graph = loop_family(args.q, args.n)
     except ValueError as exc:
         return _fail_usage(str(exc))
@@ -153,6 +156,8 @@ def cmd_poles(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.family != "loops":
         return _fail_usage(f"unknown sweep family {args.family!r}")
+    if args.n_range and args.n_range[-1] > MAX_LOOP_N:
+        raise BudgetExceededError(f"loop family N {args.n_range[-1]} exceeds the cap {MAX_LOOP_N}")
     try:
         rows = pole_gap_sweep(args.q, list(args.n_range))
     except ValueError as exc:

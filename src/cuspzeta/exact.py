@@ -9,7 +9,9 @@ the empty tuple).  A :class:`RatFunc` is a reduced rational function
 ``num/den`` with ``gcd(num, den) = 1``; whenever ``den(0) != 0`` both parts
 are scaled so that ``den(0) = 1``, which makes equality of rational
 functions a plain structural comparison.  A truncated Taylor expansion is
-a plain tuple of its coefficients, of length order + 1.
+a plain tuple of its coefficients, of length order + 1, found by a
+division-free recurrence (Newton's identities for u P'/P) that, like the
+determinant's packing, runs in ``int`` arithmetic on integral coefficients.
 
 Determinants of polynomial matrices use Bareiss fraction-free elimination
 over integer polynomials (rows are cleared of denominators first), and
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd, prod
+from math import gcd as _int_gcd, lcm, prod
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -81,7 +83,7 @@ class Poly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -235,7 +237,6 @@ class Poly:
 
 ZERO = Poly()
 ONE = Poly([1])
-U = Poly([0, 1])
 
 
 def _as_poly(value: Poly | Scalar) -> Poly:
@@ -270,12 +271,12 @@ def _zprimitive(p: list[int]) -> list[int]:
     return [c // g for c in p]
 
 
-def _to_int_poly(p: Poly) -> tuple[list[int], int]:
-    """Clear denominators: returns (integer coefficients, common multiplier)."""
-    mult = 1
-    for c in p.coeffs:
-        mult = mult * c.denominator // _int_gcd(mult, c.denominator)
-    return [c.numerator * (mult // c.denominator) for c in p.coeffs], mult
+def _to_int_polys(polys: list[Poly]) -> tuple[list[list[int]], int]:
+    """Clear denominators: (integer coefficient lists, their common multiplier)."""
+    mult = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    if mult == 1:
+        return [[c.numerator for c in p.coeffs] for p in polys], 1
+    return [[c.numerator * (mult // c.denominator) for c in p.coeffs] for p in polys], mult
 
 
 def _zprem(f: list[int], g: list[int]) -> list[int]:
@@ -339,8 +340,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return a.monic()
     if a.degree == 0 or b.degree == 0:
         return ONE
-    f, _ = _to_int_poly(a)
-    g, _ = _to_int_poly(b)
+    (f, g), _ = _to_int_polys([a, b])
     f, g = _zprimitive(f), _zprimitive(g)
     if _coprime_mod_prime(f, g):
         return ONE
@@ -396,10 +396,10 @@ def ratfunc_reduce(num: Poly, den: Poly) -> RatFunc:
     g = poly_gcd(num, den)
     if g.degree > 0:
         num, den = num / g, den / g
-    scale = den(Fraction(0))
-    if scale == 0:
-        scale = den.leading()
-    return RatFunc(num / scale, den / scale)
+    scale = den[0] or den.leading()
+    if scale != 1:
+        num, den = num / scale, den / scale
+    return RatFunc(num, den)
 
 
 def ratfunc_pow(f: RatFunc, c: int) -> RatFunc:
@@ -413,43 +413,58 @@ def ratfunc_pow(f: RatFunc, c: int) -> RatFunc:
     return RatFunc(f.num**c, f.den**c)
 
 
-def _series_div(num: Poly, den: Poly, order: int) -> tuple[Fraction, ...]:
-    d0 = den(Fraction(0))
-    if d0 == 0:
-        raise ZeroDivisionError("series expansion at a pole of the function")
-    out = [Fraction(0)] * (order + 1)
-    dcs = den.coeffs
+def _scalars(p: Poly, scale: Fraction | int = 1) -> list[Scalar]:
+    """Coefficients of p / scale, each an ``int`` when it is integral."""
+    cs = p.coeffs if scale == 1 else (p / scale).coeffs
+    return [c.numerator if c.denominator == 1 else c for c in cs]
+
+
+def _recurrence(rhs: list[Scalar], den: list[Scalar], order: int) -> list[Scalar]:
+    """out_m = rhs_m - sum_{k=1}^{min(m, deg den)} den_k out_(m-k): rhs/den when den_0 = 1."""
+    terms = [(k, d) for k, d in enumerate(den) if k and d]
+    out: list[Scalar] = []
     for m in range(order + 1):
-        acc = num[m]
-        for i in range(1, min(m, len(dcs) - 1) + 1):
-            if dcs[i]:
-                acc -= dcs[i] * out[m - i]
-        out[m] = acc / d0
-    return tuple(out)
+        acc = rhs[m] if m < len(rhs) else 0
+        for k, d in terms:
+            if k > m:
+                break
+            acc -= d * out[m - k]
+        out.append(acc)
+    return out
 
 
 def series_expand(f: RatFunc, order: int) -> tuple[Fraction, ...]:
     """Taylor coefficients of f at 0 through ``order``.
 
-    Uses the linear recurrence induced by the denominator, so the cost is
-    O(order * deg den) exact operations.
+    num and den are divided once by den(0), so that d_0 = 1 and the recurrence
+    out_m = n_m - sum_{k=1}^{min(m, deg den)} d_k out_(m-k) needs no division;
+    the cost is O(order * deg den) exact operations.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    return _series_div(f.num, f.den, order)
+    d0 = f.den[0]
+    if d0 == 0:
+        raise ZeroDivisionError("series expansion at a pole of the function")
+    series = _recurrence(_scalars(f.num, d0), _scalars(f.den, d0), order)
+    return tuple(map(Fraction, series))
 
 
 def log_derivative_series(z: RatFunc, order: int) -> tuple[Fraction, ...]:
     """Coefficients of u*Z'(u)/Z(u) through ``order``; requires Z(0) = 1.
 
     The m-th coefficient equals m times the u**m coefficient of log Z, which
-    is the geodesic-counting sequence when Z is a graph zeta function.
+    is the geodesic-counting sequence when Z is a graph zeta function.  The
+    coefficients L_m of u P'/P, P = 1 + c_1 u + ..., obey Newton's identities
+    L_m = m c_m - sum_{k=1}^{min(m-1, deg P)} c_k L_(m-k), which is
+    :func:`series_expand`'s recurrence for u P' / P; N_m = L_m(num) - L_m(den).
     """
-    if z.num(Fraction(0)) != 1 or z.den(Fraction(0)) != 1:
+    if z.num[0] != 1 or z.den[0] != 1:
         raise ValueError("logarithmic derivative requires Z(0) = 1")
-    num = U * (z.num.derivative() * z.den - z.den.derivative() * z.num)
-    den = z.num * z.den
-    return _series_div(num, den, order)
+    sums = []
+    for p in (z.num, z.den):
+        cs = _scalars(p)
+        sums.append(_recurrence([k * c for k, c in enumerate(cs)], cs, order))
+    return tuple(Fraction(a - b) for a, b in zip(*sums))
 
 
 class PolyMatrix:
@@ -457,12 +472,11 @@ class PolyMatrix:
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, rows: Iterable[Iterable[Poly | Scalar]]):
-        rs = tuple(tuple(_as_poly(e) for e in row) for row in rows)
+    def __init__(self, rows: Iterable[Iterable[Poly]]):
+        rs = tuple(tuple(row) for row in rows)
         n = len(rs)
-        for row in rs:
-            if len(row) != n:
-                raise ValueError("polynomial matrix must be square")
+        if any(len(row) != n for row in rs):
+            raise ValueError("polynomial matrix must be square")
         self.n = n
         self.rows = rs
 
@@ -529,12 +543,10 @@ def poly_det(matrix: PolyMatrix) -> Poly:
     int_rows: list[dict[int, list[int]]] = []
     row_sq, col_sq = [], [0] * n  # sums of squared 1-norms of the entries
     for row in matrix.rows:
-        mult = 1
-        for p in row:
-            for c in p.coeffs:
-                mult = mult * c.denominator // _int_gcd(mult, c.denominator)
+        cols = [j for j, p in enumerate(row) if p._coeffs]
+        ints, mult = _to_int_polys([row[j] for j in cols])
         scale *= mult
-        int_row = {j: [int(c * mult) for c in p.coeffs] for j, p in enumerate(row) if p}
+        int_row = dict(zip(cols, ints))
         row_sq.append(0)
         for j, p in int_row.items():
             square = sum(map(abs, p)) ** 2
@@ -591,4 +603,4 @@ def poly_det(matrix: PolyMatrix) -> Poly:
             digit -= 1 << width
             det += 1
         coeffs.append(digit)
-    return Poly(coeffs) / scale
+    return Poly(coeffs) if scale == 1 else Poly(coeffs) / scale

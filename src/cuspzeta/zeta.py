@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from cuspzeta.exact import (
     ONE,
@@ -63,10 +64,6 @@ class EffectiveMatrix:
     entries: PolyMatrix
 
 
-def _minus_u(weight: Fraction | int) -> Poly:
-    return Poly([0, -weight])
-
-
 def build_effective(c: CuspidalGraph) -> EffectiveMatrix:
     """Assemble I - uT on core edges plus one (o, i) pair per cusp.
 
@@ -76,34 +73,31 @@ def build_effective(c: CuspidalGraph) -> EffectiveMatrix:
     takes each move out of its head with weight w, or w - 1 on the move
     that reverses it.  Only the o rows differ: [1 - ray_q u^2, -(ray_q - 1) u].
     """
+    entry = cache(Poly)  # one Poly per distinct entry; Poly is immutable, so cells share it
     core = c.core
     order = core.canonical_edge_order()
     pos = {eid: r for r, eid in enumerate(order)}
     labels: list[tuple] = [("core", eid) for eid in order]
     heads = [(r, core.edges[eid].target) for r, eid in enumerate(order)]
-    # moves[v]: (column, entry for weight w, entry for w - 1, row it reverses)
+    # moves[v]: (column, -w, -(w - 1), row it reverses), the u-coefficients of its entries
     moves: dict[str, list[tuple]] = {}
     for e in core.edges:
-        moves.setdefault(e.source, []).append(
-            (pos[e.id], _minus_u(e.weight), _minus_u(e.weight - 1), pos[e.inverse])
-        )
+        moves.setdefault(e.source, []).append((pos[e.id], -e.weight, 1 - e.weight, pos[e.inverse]))
     n = len(order) + 2 * len(c.cusps)
     rows = [[ZERO] * n for _ in range(n)]
     for idx, cusp in enumerate(c.cusps):
         o = len(labels)
         labels += [("cusp", idx, "o"), ("cusp", idx, "i")]
-        rows[o][o] = Poly([1, 0, -cusp.ray_q])
-        rows[o][o + 1] = _minus_u(cusp.ray_q - 1)
+        rows[o][o] = entry((1, 0, -cusp.ray_q))
+        rows[o][o + 1] = entry((0, 1 - cusp.ray_q))
         heads.append((o + 1, cusp.vertex))
-        moves.setdefault(cusp.vertex, []).append(
-            (o, _minus_u(cusp.alpha), _minus_u(cusp.alpha - 1), o + 1)
-        )
+        moves.setdefault(cusp.vertex, []).append((o, -cusp.alpha, 1 - cusp.alpha, o + 1))
 
     for r, v in heads:
         row = rows[r]
         for col, step, back, rev in moves.get(v, ()):
-            row[col] = back if rev == r else step
-        row[r] = row[r] + ONE
+            row[col] = entry((1 if col == r else 0, back if rev == r else step))
+        row[r] = row[r] or ONE
     return EffectiveMatrix(tuple(labels), PolyMatrix(rows))
 
 

@@ -170,6 +170,33 @@ def reference_euler_product(classes: list[CycleClass], order: int) -> tuple[F, .
     return tuple(out)
 
 
+def reference_series_expand(f: RatFunc, order: int) -> tuple[F, ...]:
+    """Series of num/den through u^order by long division in ascending powers.
+
+    Each step divides the running remainder's lowest coefficient by den(0)
+    and subtracts that multiple of den, all in Fractions.
+    """
+    d0 = f.den[0]
+    if d0 == 0:
+        raise ZeroDivisionError("series expansion at a pole of the function")
+    rem = list(f.num.coeffs) + [F(0)] * (order + 1)
+    out = []
+    for m in range(order + 1):
+        c = rem[m] / d0
+        out.append(c)
+        for i, d in enumerate(f.den.coeffs):
+            if m + i < len(rem):
+                rem[m + i] -= c * d
+    return tuple(out)
+
+
+def reference_log_derivative_series(z: RatFunc, order: int) -> tuple[F, ...]:
+    """Series of u Z'/Z as U (num' den - den' num) / (num den), by long division."""
+    u = Poly([0, 1])
+    num = u * (z.num.derivative() * z.den - z.den.derivative() * z.num)
+    return reference_series_expand(RatFunc(num, z.num * z.den), order)
+
+
 def _ztrim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()

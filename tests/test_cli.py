@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspzeta import cli, oracle
+from cuspzeta import cli, oracle, spectra
 from cuspzeta.exact import Poly
 from cuspzeta.families import loop_family, pgl2
 from cuspzeta.graphs import CuspidalGraph
@@ -54,6 +54,25 @@ def test_family_loops_output(capsys):
     data = json.loads(out)
     assert len(data["vertices"]) == 5
     assert len(data["cusps"]) == 1
+
+
+def no_graph(q, n):
+    raise AssertionError("a loop graph was built before N was checked")
+
+
+@pytest.mark.parametrize("n", [cli.MAX_LOOP_N + 1, 100_000_000])
+def test_family_loops_past_the_budget_exits_1_before_the_graph(capsys, monkeypatch, n):
+    monkeypatch.setattr(cli, "loop_family", no_graph)
+    assert cli.main(["family", "loops", "--q", "3", "--N", str(n)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"FAIL budget: loop family N {n} exceeds the cap")
+
+
+def test_family_loops_at_the_budget_builds_the_graph(capsys):
+    assert cli.MAX_LOOP_N >= 96  # loop_family(3, 96) stays reachable
+    out = run_cli(capsys, "family", "loops", "--q", "3", "--N", str(cli.MAX_LOOP_N)).out
+    assert len(json.loads(out)["vertices"]) == 2 * cli.MAX_LOOP_N + 1
 
 
 def test_family_invalid_parameters_exit_2(capsys):
@@ -350,6 +369,23 @@ def test_sweep_invalid_parameters_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("n_range", [f"1..{cli.MAX_LOOP_N + 1}", "1..100000",
+                                     str(cli.MAX_LOOP_N + 1)])
+def test_sweep_past_the_budget_exits_1_before_any_graph(capsys, monkeypatch, n_range):
+    monkeypatch.setattr(spectra, "loop_family", no_graph)
+    assert cli.main(["sweep", "loops", "--q", "3", "--N", n_range]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("FAIL budget: loop family N")
+
+
+def test_sweep_at_the_budget_passes_the_check(capsys, monkeypatch):
+    # pole_gap_sweep is replaced, so only the budget check sees N = MAX_LOOP_N
+    monkeypatch.setattr(cli, "pole_gap_sweep", lambda q, ns: [])
+    out = run_cli(capsys, "sweep", "loops", "--q", "3", "--N", f"1..{cli.MAX_LOOP_N}").out
+    assert out == "N,R,second_modulus,ramanujan\n"
 
 
 def test_sweep_rejects_unknown_family(capsys):

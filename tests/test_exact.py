@@ -1,10 +1,11 @@
 """Tests for exact polynomial and rational-function arithmetic.
 
 Expected values for the nontrivial cases are produced by independent
-oracles implemented here first: a cofactor-expansion determinant and
-series expansion by explicit long division.
+oracles: a cofactor-expansion determinant here, and in ``helpers`` the
+previous sparse Bareiss and series by explicit long division.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +26,8 @@ from cuspzeta.exact import (
     rational_to_json,
     series_expand,
 )
-from helpers import reference_poly_det
+from cuspzeta.zeta import MAX_SERIES_ORDER
+from helpers import reference_log_derivative_series, reference_poly_det, reference_series_expand
 
 # --- independent oracles -----------------------------------------------------
 
@@ -45,19 +47,6 @@ def cofactor_det(rows: list[list[Poly]]) -> Poly:
         term = rows[0][j] * cofactor_det(minor)
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
-
-
-def long_division_series(num: Poly, den: Poly, order: int) -> list[F]:
-    """Series of num/den by explicit long division in ascending powers."""
-    assert den(F(0)) != 0
-    rem = list(num.coeffs) + [F(0)] * (order + 1)
-    out = []
-    for m in range(order + 1):
-        c = rem[m] / den(F(0))
-        out.append(c)
-        for i, d in enumerate(den.coeffs):
-            rem[m + i] -= c * d
-    return out
 
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -360,6 +349,37 @@ def test_det_meets_hadamard_bound(order, flip):
     assert reference_poly_det(PolyMatrix(rows)) == expected
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_det_mixed_integer_and_fractional_rows(seed):
+    # integer rows pack their numerators as they are, rows with a denominator
+    # are scaled by their lcm first; one Poly object fills many cells of both
+    rng = random.Random(seed)
+    n = 9
+    shared = Poly([2, -3, 1]) if seed % 2 else Poly([-1, 0, 5])
+    rows = []
+    for i in range(n):
+        fractional = i % 3 == 1
+        row = []
+        for _ in range(n):
+            pick = rng.randrange(4)
+            if pick == 0:
+                row.append(ZERO)
+            elif pick == 1:
+                row.append(shared)
+            elif fractional:
+                row.append(Poly([F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7]))
+                                 for _ in range(rng.randint(1, 3))]))
+            else:
+                row.append(Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 3))]))
+        rows.append(rng.sample(row, n))
+    denominators = [any(c.denominator > 1 for p in row for c in p.coeffs) for row in rows]
+    assert any(denominators) and not all(denominators)
+    assert sum(p is shared for row in rows for p in row) >= n
+    det = poly_det(PolyMatrix(rows))
+    assert not det.is_zero()
+    assert det == reference_poly_det(PolyMatrix(rows))
+
+
 def test_det_needs_square_matrix():
     with pytest.raises(ValueError):
         PolyMatrix([[ONE, ZERO]])
@@ -375,9 +395,9 @@ def test_series_geometric():
 
 def test_series_even_rational_function():
     f = ratfunc_reduce(Poly([1, 0, -2]), Poly([1, 0, -4]))
-    expected = long_division_series(f.num, f.den, 6)
-    assert expected == [1, 0, 2, 0, 8, 0, 32]
-    assert list(series_expand(f, 6)) == expected
+    expected = reference_series_expand(f, 6)
+    assert expected == (1, 0, 2, 0, 8, 0, 32)
+    assert series_expand(f, 6) == expected
 
 
 def test_series_constant_one():
@@ -387,6 +407,39 @@ def test_series_constant_one():
 def test_series_rejects_pole_at_zero():
     with pytest.raises(ZeroDivisionError):
         series_expand(RatFunc(ONE, Poly([0, 1])), 3)
+
+
+# Integer coefficients take the int path of the series loops, fractions the
+# Fraction path; both must give the long-division series exactly, as Fractions.
+mixed_coeffs = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-(2**70), 2**70),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+mixed_polys = st.lists(mixed_coeffs, max_size=6).map(Poly)
+series_orders = st.one_of(st.integers(0, 12), st.integers(0, MAX_SERIES_ORDER),
+                          st.just(MAX_SERIES_ORDER))
+
+
+@given(num=mixed_polys, tail=mixed_polys, d0=mixed_coeffs.filter(lambda c: c not in (0, 1)),
+       order=series_orders)
+@settings(max_examples=60, deadline=None)
+def test_series_expand_matches_long_division(num, tail, d0, order):
+    # den(0) is neither 0 nor 1: the function is not normalised first
+    f = RatFunc(num, Poly([d0]) + Poly([0, 1]) * tail)
+    series = series_expand(f, order)
+    assert series == reference_series_expand(f, order)
+    assert len(series) == order + 1 and all(type(c) is F for c in series)
+
+
+@given(p=mixed_polys, q=mixed_polys, order=series_orders)
+@settings(max_examples=60, deadline=None)
+def test_log_derivative_matches_the_quotient_route(p, q, order):
+    u = Poly([0, 1])
+    z = RatFunc(ONE + u * p, ONE + u * q)
+    series = log_derivative_series(z, order)
+    assert series == reference_log_derivative_series(z, order)
+    assert len(series) == order + 1 and all(type(c) is F for c in series)
 
 
 @given(p=polys, q=polys, r=polys, s=polys)
