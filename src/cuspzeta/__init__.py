@@ -7,7 +7,6 @@ from cuspzeta.exact import (
     log_derivative_series,
     poly_det,
     poly_gcd,
-    ratfunc_pow,
     ratfunc_reduce,
     series_expand,
 )

@@ -39,6 +39,7 @@ from cuspzeta.zeta import (
 USAGE_ERROR = 2
 FAILURE = 1
 MAX_LOOP_N = 128  # largest N that `family loops` and `sweep` build; covers loop_family(3, 96)
+MAX_SWEEP_N_SUM = 1176  # largest sum of N over a sweep's range, that of 1..48 (a few seconds)
 
 
 def _fail_usage(message: str) -> int:
@@ -156,10 +157,14 @@ def cmd_poles(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.family != "loops":
         return _fail_usage(f"unknown sweep family {args.family!r}")
-    if args.n_range and args.n_range[-1] > MAX_LOOP_N:
-        raise BudgetExceededError(f"loop family N {args.n_range[-1]} exceeds the cap {MAX_LOOP_N}")
+    ns = args.n_range
+    if ns and ns[-1] > MAX_LOOP_N:
+        raise BudgetExceededError(f"loop family N {ns[-1]} exceeds the cap {MAX_LOOP_N}")
+    total = len(ns) * (ns[0] + ns[-1]) // 2 if ns else 0  # sum of the range in closed form
+    if total > MAX_SWEEP_N_SUM:
+        raise BudgetExceededError(f"loop family N sum {total} exceeds the cap {MAX_SWEEP_N_SUM}")
     try:
-        rows = pole_gap_sweep(args.q, list(args.n_range))
+        rows = pole_gap_sweep(args.q, ns)
     except ValueError as exc:
         return _fail_usage(str(exc))
     print("N,R,second_modulus,ramanujan")

@@ -59,7 +59,6 @@ __all__ = [
     "poly_gcd",
     "poly_det",
     "ratfunc_reduce",
-    "ratfunc_pow",
     "series_expand",
     "log_derivative_series",
     "rational_to_json",
@@ -136,9 +135,6 @@ class Poly:
     def __sub__(self, other: Poly | Scalar) -> Poly:
         return self + (-_as_poly(other))
 
-    def __rsub__(self, other: Poly | Scalar) -> Poly:
-        return _as_poly(other) + (-self)
-
     def __mul__(self, other: Poly | Scalar) -> Poly:
         if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self._coeffs])
@@ -183,12 +179,6 @@ class Poly:
                 for j, c in enumerate(other._coeffs):
                     rem[k + j] -= q * c
         return Poly(quot), Poly(rem[:dv] if dv > 0 else [])
-
-    def __floordiv__(self, other: Poly | Scalar) -> Poly:
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: Poly | Scalar) -> Poly:
-        return divmod(self, other)[1]
 
     def __truediv__(self, other: Poly | Scalar) -> Poly:
         """Exact division; raises if the division leaves a remainder."""
@@ -368,9 +358,6 @@ class RatFunc:
     num: Poly
     den: Poly
 
-    def is_one(self) -> bool:
-        return self.num == ONE and self.den == ONE
-
     def __mul__(self, other: RatFunc) -> RatFunc:
         if not isinstance(other, RatFunc):
             return NotImplemented
@@ -400,17 +387,6 @@ def ratfunc_reduce(num: Poly, den: Poly) -> RatFunc:
     if scale != 1:
         num, den = num / scale, den / scale
     return RatFunc(num, den)
-
-
-def ratfunc_pow(f: RatFunc, c: int) -> RatFunc:
-    """Exact c-th power of a reduced rational function, c >= 1.
-
-    Powers preserve reducedness (gcd(num, den) = 1 implies the same for the
-    powers), so no gcd is recomputed.
-    """
-    if c < 1:
-        raise ValueError("exponent must be a positive integer")
-    return RatFunc(f.num**c, f.den**c)
 
 
 def _scalars(p: Poly, scale: Fraction | int = 1) -> list[Scalar]:
@@ -479,14 +455,6 @@ class PolyMatrix:
             raise ValueError("polynomial matrix must be square")
         self.n = n
         self.rows = rs
-
-    def __getitem__(self, ij: tuple[int, int]) -> Poly:
-        i, j = ij
-        return self.rows[i][j]
-
-    @classmethod
-    def identity(cls, n: int) -> PolyMatrix:
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
 
 def poly_det(matrix: PolyMatrix) -> Poly:

@@ -66,7 +66,10 @@ def loop_family(q: int, n: int) -> CuspidalGraph:
     are 1 up to and including the aN-bN edge and q afterwards, with inverse
     weights q and 1 respectively; the aN-bN edge itself carries (1, 1).
     Every vertex then has weighted out-degree q+1 once the cusp (weight
-    q-1 at c) is counted.
+    q-1 at c) is counted.  det(I - uT) = (1 - u^2)(1 - qu) E(u) O(u), with
+    E = (1 + u) sum_{k<N} q^k u^2k + q^N u^2N, O = 1 + (q-1) sum_{k<=N} q^k u^(2k+1)
+    - q^N u^(2N+1).  O(-1/q) = 2 q^(-N-1) and O'(-1/q) -> q(q+1)/(q-1), so the
+    second pole is -1/q - delta (1 + o(1)), delta = 2(q-1) / ((q+1) q^(N+2)).
     """
     if q < 2:
         raise ValueError("loop_family requires q >= 2")

@@ -56,11 +56,15 @@ def _finite(g: EdgeIndexedGraph | CuspidalGraph, m: int) -> EdgeIndexedGraph:
     return truncate(g, m // 2 + 1) if g.cusps else g.core
 
 
-def _successor_rows(g: EdgeIndexedGraph) -> list[list[tuple[int, Fraction]]]:
-    """Sparse rows of T in canonical edge order; zero-weight moves are absent."""
+def _successor_rows(g: EdgeIndexedGraph) -> list[list[tuple[int, int | Fraction]]]:
+    """Sparse rows of T in canonical edge order; zero-weight moves are absent.
+
+    An integral weight is its ``int`` numerator, so integer-weight graphs (all
+    the builtin families) run on plain Python ints.
+    """
     order = g.canonical_edge_order()
     pos = {eid: i for i, eid in enumerate(order)}
-    rows: list[list[tuple[int, Fraction]]] = []
+    rows: list[list[tuple[int, int | Fraction]]] = []
     for eid in order:
         e = g.edges[eid]
         row = []
@@ -68,39 +72,31 @@ def _successor_rows(g: EdgeIndexedGraph) -> list[list[tuple[int, Fraction]]]:
             succ = g.edges[sid]
             w = succ.weight - 1 if sid == e.inverse else succ.weight
             if w:
-                row.append((pos[sid], w))
+                row.append((pos[sid], w.numerator if w.denominator == 1 else w))
         rows.append(row)
     return rows
 
 
 def trace_powers(g: EdgeIndexedGraph | CuspidalGraph, up_to: int) -> list[Fraction]:
-    """Exact traces of T^m for m = 1..up_to, on one shared truncation.
-
-    Integer-weight graphs (all the builtin families) run on plain Python
-    ints; fractional weights fall back to exact Fraction arithmetic.
-    """
+    """Exact traces of T^m for m = 1..up_to, on one shared truncation."""
     if up_to < 1:
         raise ValueError("trace order must be >= 1")
     if up_to > MAX_TRACE_ORDER:
         raise BudgetExceededError(f"trace order {up_to} exceeds the cap {MAX_TRACE_ORDER}")
     rows = _successor_rows(_finite(g, up_to))
     n = len(rows)
-    integral = all(w.denominator == 1 for row in rows for _, w in row)
-    cast = int if integral else Fraction
-    zero = cast(0)
-    srows = [[(j, cast(w)) for j, w in row] for row in rows]
-    dense = [[zero] * n for _ in range(n)]
-    for i, row in enumerate(srows):
+    dense = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
         for j, w in row:
             dense[i][j] += w
     traces = [sum(dense[i][i] for i in range(n))]
     for _ in range(up_to - 1):
         nxt = []
         for mrow in dense:
-            acc = [zero] * n
+            acc = [0] * n
             for k, coeff in enumerate(mrow):
                 if coeff:
-                    for j, w in srows[k]:
+                    for j, w in rows[k]:
                         acc[j] += coeff * w
             nxt.append(acc)
         dense = nxt
@@ -112,18 +108,13 @@ class CycleClass(NamedTuple):
     """A rotation class of closed paths with nonzero weight.
 
     ``weight`` is the cyclic product of the transition weights, including
-    the wrap-around step.  ``multiplicity`` counts the distinct closed
-    paths in the class, which equals the primitive length.
+    the wrap-around step.  The class holds ``primitive_length`` distinct
+    closed paths, and it is primitive when that equals ``length``.
     """
 
     length: int
     weight: Fraction
     primitive_length: int
-    multiplicity: int
-
-    @property
-    def is_primitive(self) -> bool:
-        return self.primitive_length == self.length
 
 
 def _steps_to_close(predecessors: list[list[int]], start: int, bound: int) -> list[int]:
@@ -154,8 +145,7 @@ def enumerate_primitive_cycles(
         )
     rows = _successor_rows(_finite(g, max_length))
     n = len(rows)
-    cast = int if all(w.denominator == 1 for row in rows for _, w in row) else Fraction
-    weight_of = [{j: cast(w) for j, w in row} for row in rows]
+    weight_of = [dict(row) for row in rows]
     # Descending successors: the stack then pops siblings in ascending order.
     descending = [sorted(row.items(), reverse=True) for row in weight_of]
     predecessors: list[list[int]] = [[] for _ in range(n)]
@@ -170,7 +160,7 @@ def enumerate_primitive_cycles(
         closing = [row.get(start) for row in weight_of]
         left = _steps_to_close(predecessors, start, max_length)
         # (tip, depth before tip, period of the longest Lyndon prefix, weight)
-        stack = [(start, 0, 1, cast(1))]
+        stack = [(start, 0, 1, 1)]
         while stack:
             tip, depth, period, weight = stack.pop()
             path[depth] = tip
@@ -184,7 +174,7 @@ def enumerate_primitive_cycles(
             if last is not None and depth % period == 0:
                 last *= weight  # nonzero, so a cached Fraction is truthy
                 frac = shared.get(last) or shared.setdefault(last, Fraction(last))
-                classes.append(CycleClass(depth, frac, period, period))
+                classes.append(CycleClass(depth, frac, period))
             if depth < max_length:
                 anchor = path[depth - period]
                 for nxt, w in descending[tip]:
@@ -215,7 +205,7 @@ def euler_product_series(
     integral = all(cls.weight.denominator == 1 for cls in classes)
     out = [0] * (order + 1)
     out[0] = 1
-    for length, weight, primitive_length, _ in classes:
+    for length, weight, primitive_length in classes:
         if primitive_length != length or length > order:
             continue
         w = weight.numerator if integral else weight

@@ -26,6 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import linear_regression
 from typing import Sequence
 
 from cuspzeta.exact import Poly, RatFunc, poly_gcd
@@ -335,13 +336,8 @@ def growth_rate(
         r = float(abs(diff)) ** (1.0 / m)
         r_values.append(r)
         fit_points.append((1.0 / m, math.log(r)))
-    if not fit_points:
-        return GrowthEstimate(tuple(ms), tuple(r_values), 0.0)
-    if len(fit_points) == 1:
-        return GrowthEstimate(tuple(ms), tuple(r_values), math.exp(fit_points[0][1]))
-    mean_x = sum(x for x, _ in fit_points) / len(fit_points)
-    mean_y = sum(y for _, y in fit_points) / len(fit_points)
-    var = sum((x - mean_x) ** 2 for x, _ in fit_points)
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in fit_points) / var
-    intercept = mean_y - slope * mean_x
+    if len(fit_points) < 2:
+        limit = math.exp(fit_points[0][1]) if fit_points else 0.0
+        return GrowthEstimate(tuple(ms), tuple(r_values), limit)
+    intercept = linear_regression(*zip(*fit_points)).intercept
     return GrowthEstimate(tuple(ms), tuple(r_values), math.exp(intercept))

@@ -32,7 +32,6 @@ from cuspzeta.exact import (
     ZERO,
     log_derivative_series,
     poly_det,
-    ratfunc_pow,
     ratfunc_reduce,
     rational_to_json,
 )
@@ -54,13 +53,12 @@ MAX_SERIES_ORDER = 200  # cap on series orders asked for from outside; coefficie
 class EffectiveMatrix:
     """Finite matrix whose determinant carries det(I - uT) of a cuspidal graph.
 
-    Rows are labelled by core oriented edges ``("core", id)`` in canonical
-    edge order, then per cusp the outward and inward attachment edges
-    ``("cusp", idx, "o")`` and ``("cusp", idx, "i")``; each outward row is
-    the closed form of its eliminated ray.
+    Rows (and columns) are the core oriented edges in
+    ``canonical_edge_order()``, then for cusp ``idx`` the outward attachment
+    edge at ``n_core + 2*idx`` and the inward one at ``n_core + 2*idx + 1``;
+    each outward row is the closed form of its eliminated ray.
     """
 
-    labels: tuple[tuple, ...]
     entries: PolyMatrix
 
 
@@ -77,7 +75,6 @@ def build_effective(c: CuspidalGraph) -> EffectiveMatrix:
     core = c.core
     order = core.canonical_edge_order()
     pos = {eid: r for r, eid in enumerate(order)}
-    labels: list[tuple] = [("core", eid) for eid in order]
     heads = [(r, core.edges[eid].target) for r, eid in enumerate(order)]
     # moves[v]: (column, -w, -(w - 1), row it reverses), the u-coefficients of its entries
     moves: dict[str, list[tuple]] = {}
@@ -86,8 +83,7 @@ def build_effective(c: CuspidalGraph) -> EffectiveMatrix:
     n = len(order) + 2 * len(c.cusps)
     rows = [[ZERO] * n for _ in range(n)]
     for idx, cusp in enumerate(c.cusps):
-        o = len(labels)
-        labels += [("cusp", idx, "o"), ("cusp", idx, "i")]
+        o = len(order) + 2 * idx
         rows[o][o] = entry((1, 0, -cusp.ray_q))
         rows[o][o + 1] = entry((0, 1 - cusp.ray_q))
         heads.append((o + 1, cusp.vertex))
@@ -98,7 +94,7 @@ def build_effective(c: CuspidalGraph) -> EffectiveMatrix:
         for col, step, back, rev in moves.get(v, ()):
             row[col] = entry((1 if col == r else 0, back if rev == r else step))
         row[r] = row[r] or ONE
-    return EffectiveMatrix(tuple(labels), PolyMatrix(rows))
+    return EffectiveMatrix(PolyMatrix(rows))
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,10 @@ class ZetaResult:
     cusp_count: int
 
     def selberg_expanded(self) -> RatFunc:
-        return ratfunc_pow(self.bass_ihara, self.central_order)
+        """``bass_ihara`` to the power ``central_order``; powers of a reduced
+        num/den stay coprime, so no gcd is taken."""
+        f = self.bass_ihara
+        return RatFunc(f.num**self.central_order, f.den**self.central_order)
 
     def to_json(self) -> dict:
         return {

@@ -156,7 +156,7 @@ def reference_cycle_classes(
             weight *= weight_of[cycle[i]][cycle[(i + 1) % length]]
         period = next(p for p in range(1, length + 1)
                       if length % p == 0 and cycle == cycle[p:] + cycle[:p])
-        classes.append(CycleClass(length, weight, period, period))
+        classes.append(CycleClass(length, weight, period))
     return classes, visited
 
 
@@ -164,7 +164,7 @@ def reference_euler_product(classes: list[CycleClass], order: int) -> tuple[F, .
     """prod over primitive classes of 1/(1 - w u^l) through u^order, in Fractions."""
     out = [F(1)] + [F(0)] * order
     for cls in classes:
-        if cls.is_primitive and cls.length <= order:
+        if cls.primitive_length == cls.length <= order:
             for m in range(cls.length, order + 1):
                 out[m] += cls.weight * out[m - cls.length]
     return tuple(out)

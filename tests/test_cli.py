@@ -362,8 +362,10 @@ def test_sweep_csv_shape(capsys):
     assert all(line.split(",")[3] == "false" for line in lines[1:])
 
 
+# the last range has 10^12 values: it must be walked lazily, never made a list
 @pytest.mark.parametrize("argv", [["--q", "1", "--N", "1..2"], ["--q", "3", "--N", "0..2"],
-                                  ["--q", "3", "--N", "3..1"]])
+                                  ["--q", "3", "--N", "3..1"],
+                                  ["--q", "3", "--N=-1000000000000..3"]])
 def test_sweep_invalid_parameters_exit_2(capsys, argv):
     assert cli.main(["sweep", "loops", *argv]) == 2
     captured = capsys.readouterr()
@@ -371,8 +373,9 @@ def test_sweep_invalid_parameters_exit_2(capsys, argv):
     assert captured.err.startswith("error:")
 
 
+# the last two pass the check on the largest N but sum past cli.MAX_SWEEP_N_SUM
 @pytest.mark.parametrize("n_range", [f"1..{cli.MAX_LOOP_N + 1}", "1..100000",
-                                     str(cli.MAX_LOOP_N + 1)])
+                                     str(cli.MAX_LOOP_N + 1), "1..49", "30..60"])
 def test_sweep_past_the_budget_exits_1_before_any_graph(capsys, monkeypatch, n_range):
     monkeypatch.setattr(spectra, "loop_family", no_graph)
     assert cli.main(["sweep", "loops", "--q", "3", "--N", n_range]) == 1
@@ -382,10 +385,13 @@ def test_sweep_past_the_budget_exits_1_before_any_graph(capsys, monkeypatch, n_r
 
 
 def test_sweep_at_the_budget_passes_the_check(capsys, monkeypatch):
-    # pole_gap_sweep is replaced, so only the budget check sees N = MAX_LOOP_N
+    # pole_gap_sweep is replaced, so only the budget checks see N = MAX_LOOP_N alone
+    # and 1..48, whose sum is MAX_SWEEP_N_SUM
+    assert sum(range(1, 49)) == cli.MAX_SWEEP_N_SUM
     monkeypatch.setattr(cli, "pole_gap_sweep", lambda q, ns: [])
-    out = run_cli(capsys, "sweep", "loops", "--q", "3", "--N", f"1..{cli.MAX_LOOP_N}").out
-    assert out == "N,R,second_modulus,ramanujan\n"
+    for n_range in (str(cli.MAX_LOOP_N), "1..48"):
+        out = run_cli(capsys, "sweep", "loops", "--q", "3", "--N", n_range).out
+        assert out == "N,R,second_modulus,ramanujan\n"
 
 
 def test_sweep_rejects_unknown_family(capsys):
@@ -496,10 +502,15 @@ def test_count_past_the_series_budget_exits_1_before_the_determinant(
 # --- README ------------------------------------------------------------------
 
 
+def readme_block(heading: str) -> str:
+    """The first fenced block after ``heading`` in README.md, language tag included."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(heading, 1)[1].split("```", 2)[1]
+
+
 def readme_command_lines() -> list[str]:
     """The command lines of README's "Command-line usage" block, comments cut."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Command-line usage", 1)[1].split("```", 2)[1]
+    block = readme_block("## Command-line usage")
     lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
     return [line for line in lines if line]
 
@@ -520,3 +531,10 @@ def test_readme_command_lines_exit_0(capsys, tmp_path, monkeypatch):
             captured = capsys.readouterr()
             assert code == 0, (line, captured.err)
             stdout = captured.out
+
+
+def test_readme_library_usage_runs(capsys):
+    # a name pruned from the package must not leave this block stale
+    code = readme_block("## Library usage").removeprefix("python\n")
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 4

@@ -21,7 +21,6 @@ from cuspzeta.exact import (
     log_derivative_series,
     poly_det,
     poly_gcd,
-    ratfunc_pow,
     ratfunc_reduce,
     rational_to_json,
     series_expand,
@@ -114,10 +113,10 @@ def test_gcd_both_zero_rejected():
 @settings(max_examples=40)
 def test_gcd_divides_both(a, b, c):
     g = poly_gcd(a * c, b * c)
-    assert ((a * c) % g).is_zero()
-    assert ((b * c) % g).is_zero()
+    assert divmod(a * c, g)[1].is_zero()
+    assert divmod(b * c, g)[1].is_zero()
     # the planted common factor must divide the gcd
-    assert (g % c).is_zero()
+    assert divmod(g, c)[1].is_zero()
 
 
 # --- rational functions ------------------------------------------------------
@@ -155,28 +154,6 @@ def test_reduce_idempotent_and_canonical(a, b):
         assert poly_gcd(f.num, f.den) == ONE
 
 
-def test_pow_square():
-    f = ratfunc_reduce(ONE, Poly([1, -1]))
-    assert ratfunc_pow(f, 2) == RatFunc(ONE, Poly([1, -2, 1]))
-
-
-def test_pow_identity():
-    f = ratfunc_reduce(Poly([1, 0, -2]), Poly([1, 0, -4]))
-    assert ratfunc_pow(f, 1) == f
-
-
-def test_pow_keeps_reduced_form():
-    f = ratfunc_reduce(Poly([1, 0, -2]), Poly([1, 0, -4]))
-    squared = ratfunc_pow(f, 2)
-    assert squared.num == Poly([1, 0, -2]) ** 2
-    assert squared.den == Poly([1, 0, -4]) ** 2
-
-
-def test_pow_rejects_nonpositive_exponent():
-    with pytest.raises(ValueError):
-        ratfunc_pow(RatFunc(ONE, ONE), 0)
-
-
 # --- determinants ------------------------------------------------------------
 
 
@@ -186,7 +163,7 @@ def test_det_2x2():
 
 
 def test_det_identity_7():
-    assert poly_det(PolyMatrix.identity(7)) == ONE
+    assert poly_det(PolyMatrix([[ONE if i == j else ZERO for j in range(7)] for i in range(7)])) == ONE
 
 
 def test_det_random_5x5_matches_cofactor(rng):

@@ -104,8 +104,7 @@ def test_triangle_primitive_classes():
     for cls in classes:
         assert cls.length == 3
         assert cls.weight == 1
-        assert cls.is_primitive
-        assert cls.multiplicity == 3
+        assert cls.primitive_length == 3  # primitive: 3 distinct closed paths
 
 
 def test_path_graph_has_no_weighted_cycles():
@@ -114,7 +113,7 @@ def test_path_graph_has_no_weighted_cycles():
 
 def test_enumeration_includes_powers():
     classes = enumerate_primitive_cycles(triangle(), 6)
-    powers = [c for c in classes if not c.is_primitive]
+    powers = [c for c in classes if c.primitive_length < c.length]
     assert len(powers) == 2
     assert all(c.length == 6 and c.primitive_length == 3 for c in powers)
 

@@ -308,16 +308,35 @@ def test_loop_4_10_pole_report_finds_the_second_pole():
     assert float(inner) < second < float(outer)
 
 
-@pytest.mark.parametrize("q, n", [(3, 16), (4, 12), (5, 9)])
-def test_loop_poles_past_the_old_edge(q, n):
-    # the second pole of loop_family(q, N) is u = -1/q - delta * (1 + o(1))
-    z = zeta_of(loop_family(q, n))
+def second_pole_bracket(q: int, n: int) -> tuple[F, F]:
+    """Moduli within 0.1 % of delta around 1/q + delta, delta = 2(q-1)/((q+1) q^(N+2)).
+
+    loop_family's docstring derives this gap law for the second pole,
+    u = -1/q - delta * (1 + o(1)).
+    """
     delta = F(2 * (q - 1), (q + 1) * q ** (n + 2))
-    inner, outer = F(1, q) + delta * F(999, 1000), F(1, q) + delta * F(1001, 1000)
-    deflated, rem = divmod(z.den, Poly([1, -q]))
+    return F(1, q) + delta * F(999, 1000), F(1, q) + delta * F(1001, 1000)
+
+
+OLD_EDGE_CASES = [(3, 16), (4, 12), (5, 9)]
+
+
+@pytest.mark.parametrize(
+    "q, n", sorted({(q, n) for q in range(3, 8) for n in (8, 12, 24, 48)} | set(OLD_EDGE_CASES))
+)
+def test_loop_second_pole_follows_the_gap_law(q, n):
+    # exact: den / (1 - qu) changes sign across the bracket, with no float
+    den = zeta_of(loop_family(q, n)).den
+    deflated, rem = divmod(den, Poly([1, -q]))
     assert rem.is_zero()
+    inner, outer = second_pole_bracket(q, n)
     assert deflated(-inner) * deflated(-outer) < 0
-    report = pole_report(z)
+
+
+@pytest.mark.parametrize("q, n", OLD_EDGE_CASES)
+def test_loop_poles_past_the_old_edge(q, n):
+    report = pole_report(zeta_of(loop_family(q, n)))
+    inner, outer = second_pole_bracket(q, n)
     assert abs(report.radius * q - 1) <= 1e-12
     assert float(inner) < report.moduli_clusters[1] < float(outer)
 

@@ -32,6 +32,12 @@ def transfer(g: EdgeIndexedGraph):
     return build_effective(CuspidalGraph(g, (), 1))
 
 
+def cusp_rows(c: CuspidalGraph, idx: int) -> tuple[int, int]:
+    """Rows of cusp ``idx``'s outward and inward edges, after the core edge rows."""
+    o = len(c.core.edges) + 2 * idx
+    return o, o + 1
+
+
 def three_term(g: EdgeIndexedGraph) -> RatFunc:
     """(1 - u^2)^chi / det(I - uA + u^2 Q) with chi = |V| - |E|, from the vertex side."""
     from helpers import vertex_side_determinant
@@ -71,13 +77,13 @@ def test_transfer_triangle_is_permutation_like():
 def test_transfer_backtrack_weight_on_weighted_path():
     g = EdgeIndexedGraph(["x", "y"], [("x", "y", 4, 3)])
     t = transfer(g)
-    pos = {eid: i for i, (_, eid) in enumerate(t.labels)}
+    pos = {eid: i for i, eid in enumerate(g.canonical_edge_order())}
     outward = next(e.id for e in g.edges if e.source == "x")
     inward = g.edges[outward].inverse
     # the inward edge can only backtrack, with weight 4 - 1
-    assert t.entries[pos[inward], pos[outward]] == Poly([0, -3])
+    assert t.entries.rows[pos[inward]][pos[outward]] == Poly([0, -3])
     # the outward edge can only backtrack, with weight 3 - 1
-    assert t.entries[pos[outward], pos[inward]] == Poly([0, -2])
+    assert t.entries.rows[pos[outward]][pos[inward]] == Poly([0, -2])
 
 
 def test_transfer_edge_into_leaf_with_unit_inverse_has_unit_row():
@@ -86,7 +92,7 @@ def test_transfer_edge_into_leaf_with_unit_inverse_has_unit_row():
     )
     t = transfer(g)
     into_leaf = next(e.id for e in g.edges if e.target == "z")
-    i = t.labels.index(("core", into_leaf))
+    i = g.canonical_edge_order().index(into_leaf)
     row = t.entries.rows[i]
     assert row[i] == ONE
     assert all(p.is_zero() for j, p in enumerate(row) if j != i)
@@ -111,39 +117,37 @@ def test_transfer_matches_oracle_successor_rows(rng):
 
 def test_effective_chain_matrix_entries():
     q, k = 3, 4
-    eff = build_effective(chain(q, k))
-    assert eff.labels == (("cusp", 0, "o"), ("cusp", 0, "i"))
-    assert eff.entries[0, 0] == Poly([1, 0, -q])
-    assert eff.entries[0, 1] == Poly([0, -(q - 1)])
-    assert eff.entries[1, 0] == Poly([0, -(k - 1)])
-    assert eff.entries[1, 1] == ONE
+    c = chain(q, k)
+    eff = build_effective(c)
+    assert cusp_rows(c, 0) == (0, 1)
+    assert eff.entries.rows == ((Poly([1, 0, -q]), Poly([0, -(q - 1)])),
+                                (Poly([0, -(k - 1)]), ONE))
     assert poly_det(eff.entries) == Poly([1, 0, -(q * k - k + 1)])
 
 
 def test_effective_star_couples_cusps_through_hub():
     q, a1, a2 = 3, 2, 2
-    eff = build_effective(star(q, (a1, a2)))
+    c = star(q, (a1, a2))
+    eff = build_effective(c)
     assert eff.entries.n == 4
-    pos = {label: i for i, label in enumerate(eff.labels)}
-    i1, o2 = pos[("cusp", 0, "i")], pos[("cusp", 1, "o")]
-    assert eff.entries[i1, o2] == Poly([0, -a2])
+    i1, o2 = cusp_rows(c, 0)[1], cusp_rows(c, 1)[0]
+    assert eff.entries.rows[i1][o2] == Poly([0, -a2])
     k = a1 + a2
     assert poly_det(eff.entries) == Poly([1, 0, -1]) * Poly([1, 0, -(k * q - k + 1)])
 
 
 def test_effective_unit_alpha_has_no_backtrack_entry():
-    eff = build_effective(chain(3, 1))
-    pos = {label: i for i, label in enumerate(eff.labels)}
-    o, i = pos[("cusp", 0, "o")], pos[("cusp", 0, "i")]
-    assert eff.entries[i, o].is_zero()
+    c = chain(3, 1)
+    o, i = cusp_rows(c, 0)
+    assert build_effective(c).entries.rows[i][o].is_zero()
 
 
 def test_effective_includes_core_rows():
     c = loop_family(3, 1)
     eff = build_effective(c)
     assert eff.entries.n == len(c.core.edges) + 2
-    o = eff.labels.index(("cusp", 0, "o"))
-    assert eff.entries[o, o] == Poly([1, 0, -3])
+    o, _ = cusp_rows(c, 0)
+    assert eff.entries.rows[o][o] == Poly([1, 0, -3])
 
 
 # --- bass_ihara_zeta ---------------------------------------------------------
@@ -204,6 +208,12 @@ def test_selberg_expansion_squares_the_base():
     expanded = result.selberg_expanded()
     assert expanded.num == result.bass_ihara.num ** 2
     assert expanded.den == result.bass_ihara.den ** 2
+
+
+def test_central_order_zero_is_rejected():
+    # selberg_expanded raises the base to central_order, so it must be >= 1
+    with pytest.raises(ValueError, match="central_order"):
+        CuspidalGraph(pgl2(3).core, (), 3, central_order=0)
 
 
 # --- three-term determinant formula ------------------------------------------
