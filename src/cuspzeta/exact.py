@@ -19,7 +19,9 @@ polynomial gcds use the subresultant pseudo-remainder sequence; both avoid
 the coefficient blow-up of naive rational elimination.  Before that
 sequence, :func:`poly_gcd` tries a certificate: a unit gcd modulo the prime
 2**61 - 1 proves the gcd over Q is 1, which is the common case (reduced
-zeta functions, square-free denominators).
+zeta functions, square-free denominators).  Yun's square-free split
+(:func:`square_free_parts`) runs on the same primitive integer coefficient
+lists, so its derivatives, exact divisions and gcds are int operations.
 
 The elimination keeps rows sparse and skips every row whose pivot-column
 entry is zero, since Bareiss would only rescale it by P_k / P_{k-1} (P_k
@@ -57,6 +59,7 @@ __all__ = [
     "RatFunc",
     "PolyMatrix",
     "poly_gcd",
+    "square_free_parts",
     "poly_det",
     "ratfunc_reduce",
     "series_expand",
@@ -247,18 +250,43 @@ def _ztrim(p: list[int]) -> list[int]:
     return p
 
 
-def _zcontent(p: list[int]) -> int:
-    g = 0
-    for c in p:
-        g = _int_gcd(g, abs(c))
-    return g
-
-
 def _zprimitive(p: list[int]) -> list[int]:
-    g = _zcontent(p)
-    if g <= 1:
-        return list(p)
-    return [c // g for c in p]
+    """p over its content, with a positive leading coefficient (``[]`` stays ``[]``)."""
+    g = _int_gcd(*p)
+    if p and p[-1] < 0:
+        g = -g
+    return p if g == 1 else [c // g for c in p]
+
+
+def _zderivative(p: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _zsub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _ztrim(out)
+
+
+def _zquo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials when b divides a in Z[u]; else ValueError.
+
+    A primitive b that divides a over Q divides it in Z[u] (Gauss's lemma).
+    """
+    if b == [1]:
+        return a
+    rem = list(a)
+    db, lead = len(b) - 1, b[-1]
+    quot = [0] * (len(a) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        q = quot[k] = rem[k + db] // lead
+        if q:
+            for j, c in enumerate(b):
+                rem[k + j] -= q * c
+    if any(rem):
+        raise ValueError("inexact polynomial division")
+    return quot
 
 
 def _to_int_polys(polys: list[Poly]) -> tuple[list[list[int]], int]:
@@ -319,21 +347,17 @@ def _coprime_mod_prime(f: list[int], g: list[int]) -> bool:
     return False
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor: a certificate modulo a prime, else the
+def _zgcd(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd, with a positive leading coefficient, of integer
+    polynomials not both zero: a certificate modulo a prime, else the
     subresultant remainder sequence."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd of two zero polynomials is undefined")
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    if a.degree == 0 or b.degree == 0:
-        return ONE
-    (f, g), _ = _to_int_polys([a, b])
+    if not f or not g:
+        return _zprimitive(f or g)
+    if len(f) == 1 or len(g) == 1:
+        return [1]
     f, g = _zprimitive(f), _zprimitive(g)
     if _coprime_mod_prime(f, g):
-        return ONE
+        return [1]
     if len(f) < len(g):
         f, g = g, f
     gg, h = 1, 1
@@ -343,12 +367,57 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         if not rem:
             break
         if len(rem) == 1:
-            return ONE
+            return [1]
         divisor = gg * h**d
         f, g = g, [c // divisor for c in rem]
         gg = f[-1]
         h = h if d == 0 else (gg**d if d == 1 else gg**d // h ** (d - 1))
-    return Poly(_zprimitive(g)).monic()
+    return _zprimitive(g)
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor: a certificate modulo a prime, else the
+    subresultant remainder sequence."""
+    if a.is_zero() and b.is_zero():
+        raise ValueError("gcd of two zero polynomials is undefined")
+    (f, g), _ = _to_int_polys([a, b])
+    h = _zgcd(f, g)
+    return ONE if len(h) == 1 else Poly(h).monic()
+
+
+def square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun decomposition p = c * prod part_m**m with pairwise coprime,
+    square-free parts; only parts of positive degree are returned.
+
+    Each part is a primitive integer polynomial with a positive leading
+    coefficient.  Every step runs on integer coefficient lists: p is made
+    primitive, every divisor is a primitive gcd that divides over Q, so by
+    Gauss's lemma each division is exact in Z[u].  Yun's subtraction
+    z - w' needs w and z scaled alike, which holds because both are always
+    divided by the same polynomial.
+    """
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no square-free decomposition")
+    if p.degree < 1:
+        return []
+    (f,), _ = _to_int_polys([p])
+    f = _zprimitive(f)
+    df = _zderivative(f)
+    g = _zgcd(f, df)
+    if len(g) == 1:
+        return [(Poly(f), 1)]
+    w = _zquo(f, g)
+    z = _zsub(_zquo(df, g), _zderivative(w))
+    parts = []
+    m = 1
+    while len(w) > 1:
+        h = _zgcd(w, z)
+        if len(h) > 1:
+            parts.append((Poly(h), m))
+            w, z = _zquo(w, h), _zquo(z, h)
+        z = _zsub(z, _zderivative(w))
+        m += 1
+    return parts
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,38 @@
 """Brute-force cross-checks: exact trace powers, cycle enumeration, Euler products.
 
 Everything here is deliberately independent of the determinant engine.
-Traces of transfer-operator powers are computed by exact sparse matrix
-multiplication.  Cycle classes come from one depth-first search per start
-edge over the weighted successor graph, restricted to edges not below the
-start, on a single mutable path with a running weight product (a plain int
-when every transition weight is integral).  It generates graph-constrained
-necklaces (Fredricksen-Kessler-Maiorana; Cattell, Ruskey, Sawada, Serra and
-Miers, J. Algorithms 2000): with p the period of the longest Lyndon prefix
-of the path a_0..a_{n-1}, the next edge must be >= a_{n-p}, and one above
-it sets p = n + 1.  A closing walk is a necklace (its class's minimal
-rotation) iff p | n, and a Lyndon word (primitive) iff p == n, so each
-class is built once, with primitive length p, in sorted order.  A child is
-pushed only if a backward breadth-first search from the start shows that
-it can still close within the length bound.
+
+Traces of transfer-operator powers are exact sparse matrix products on
+packed integer rows.  With s the lcm of the weight denominators, sT is an
+integer matrix, and row i of (sT)^m is stored as one integer
+sum_j e_ij 2^(W j), each entry in a balanced slot of W bits.  Row i of
+(sT)^(m+1) is sum_k (sT)_ik times row k of (sT)^m, one big-integer
+multiply-add per nonzero of T; packing is linear over Z, so this packs the
+exact product.  The induced norm ||A||_inf (largest absolute row sum) is
+submultiplicative and ||sT||_inf is 0 or at least 1, so every entry of
+(sT)^m, m <= up_to, obeys |e_ij| <= ||(sT)^m||_inf <= ||sT||_inf^up_to,
+which W makes < 2^(W-1); the negative w - 1 backtrack moves of weights
+below 1 are included.  Each row is then read uniquely: adding
+half = 2^(W-1) to slots 0..i makes their digits e + half, in [1, 2^W), so
+no borrow crosses them, and slot i, shifted down and masked, is
+e_ii + half.  tr(T^m) = tr((sT)^m) / s^m.
+
+Cycle classes come from one depth-first search per start edge over the
+weighted successor graph, restricted to edges not below the start, on a
+single mutable path with a running weight product (a plain int when every
+transition weight is integral).  It generates graph-constrained necklaces
+(Fredricksen-Kessler-Maiorana; Cattell, Ruskey, Sawada, Serra and Miers,
+J. Algorithms 2000): with p the period of the longest Lyndon prefix of the
+path a_0..a_{n-1}, the next edge must be >= a_{n-p}, and one above it sets
+p = n + 1.  A closing walk is a necklace (its class's minimal rotation) iff
+p | n, and a Lyndon word (primitive) iff p == n, so each class is found
+once, with primitive length p.  A child is pushed only if a backward
+breadth-first search from the start shows that it can still close within
+the length bound.  The search counts classes per (length, weight,
+primitive length) key and returns that multiset, a ``Counter`` of
+:class:`CycleClass` keys, since the Euler product needs nothing else: c
+primitive classes of one key contribute
+(1 - w u^l)^(-c) = sum_j C(c + j - 1, j) w^j u^(lj), one multiplication.
 
 Both oracles take a finite graph as it is, or a cuspidal graph, which they
 truncate themselves; this module is the only home of that truncation rule.
@@ -27,8 +46,11 @@ are constants, ``MAX_TRACE_ORDER``, ``MAX_CYCLE_LENGTH`` and
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from itertools import accumulate
+from math import comb, lcm
+from typing import Mapping, NamedTuple
 
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph, truncate
 
@@ -78,38 +100,40 @@ def _successor_rows(g: EdgeIndexedGraph) -> list[list[tuple[int, int | Fraction]
 
 
 def trace_powers(g: EdgeIndexedGraph | CuspidalGraph, up_to: int) -> list[Fraction]:
-    """Exact traces of T^m for m = 1..up_to, on one shared truncation."""
+    """Exact traces of T^m for m = 1..up_to, on one shared truncation.
+
+    Each row of (sT)^m, s the lcm of the weight denominators, is one packed
+    integer, and (sT)^(m+1) = (sT)(sT)^m is nnz(T) multiply-adds of them.
+    """
     if up_to < 1:
         raise ValueError("trace order must be >= 1")
     if up_to > MAX_TRACE_ORDER:
         raise BudgetExceededError(f"trace order {up_to} exceeds the cap {MAX_TRACE_ORDER}")
     rows = _successor_rows(_finite(g, up_to))
-    n = len(rows)
-    dense = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, w in row:
-            dense[i][j] += w
-    traces = [sum(dense[i][i] for i in range(n))]
-    for _ in range(up_to - 1):
-        nxt = []
-        for mrow in dense:
-            acc = [0] * n
-            for k, coeff in enumerate(mrow):
-                if coeff:
-                    for j, w in rows[k]:
-                        acc[j] += coeff * w
-            nxt.append(acc)
-        dense = nxt
-        traces.append(sum(dense[i][i] for i in range(n)))
-    return [Fraction(t) for t in traces]
+    scale = lcm(*(w.denominator for row in rows for _, w in row))
+    scaled = [[(j, int(w * scale)) for j, w in row] for row in rows]
+    norm = max((sum(abs(w) for _, w in row) for row in scaled), default=0)
+    width = (norm**up_to).bit_length() + 1
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    # offsets[i] puts half in slots 0..i, so slots 0..i of row + offsets[i]
+    # hold e + half in [1, 2^width) with no borrow between them.
+    offsets = list(accumulate(half << (width * i) for i in range(len(rows))))
+    power = [1 << (width * i) for i in range(len(rows))]  # the identity
+    traces = []
+    for m in range(1, up_to + 1):
+        power = [sum(w * power[k] for k, w in row) for row in scaled]
+        trace = sum((((row + offset) >> (width * i)) & mask) - half
+                    for i, (row, offset) in enumerate(zip(power, offsets)))
+        traces.append(Fraction(trace, scale**m))
+    return traces
 
 
 class CycleClass(NamedTuple):
-    """A rotation class of closed paths with nonzero weight.
+    """The key of a rotation class of closed paths with nonzero weight.
 
     ``weight`` is the cyclic product of the transition weights, including
-    the wrap-around step.  The class holds ``primitive_length`` distinct
-    closed paths, and it is primitive when that equals ``length``.
+    the wrap-around step.  Each class of the key holds ``primitive_length``
+    distinct closed paths, and it is primitive when that equals ``length``.
     """
 
     length: int
@@ -130,12 +154,15 @@ def _steps_to_close(predecessors: list[list[int]], start: int, bound: int) -> li
 
 def enumerate_primitive_cycles(
     g: EdgeIndexedGraph | CuspidalGraph, max_length: int
-) -> list[CycleClass]:
-    """All cycle classes of length <= max_length with nonzero weight.
+) -> Counter[CycleClass]:
+    """The multiset of cycle classes of length <= max_length with nonzero weight.
 
-    Classes are canonicalized by their minimal rotation; powers of shorter
-    cycles are included and flagged through ``primitive_length``.  Hard caps
-    raise :class:`BudgetExceededError` instead of silently truncating.
+    Each key is a (length, weight, primitive_length) triple and its count is
+    the number of classes that share it, which is all
+    :func:`euler_product_series` needs for one factor per key.  Classes are
+    canonicalized by their minimal rotation; powers of shorter cycles are
+    included and flagged through ``primitive_length``.  Hard caps raise
+    :class:`BudgetExceededError` instead of silently truncating.
     """
     if max_length < 1:
         raise ValueError("cycle length bound must be >= 1")
@@ -152,8 +179,7 @@ def enumerate_primitive_cycles(
     for i, row in enumerate(weight_of):
         for j in row:
             predecessors[j].append(i)
-    shared: dict[int | Fraction, Fraction] = {}  # one Fraction per distinct class weight
-    classes: list[CycleClass] = []
+    counts: dict[tuple[int, int | Fraction, int], int] = {}
     path = [0] * max_length
     visited = 0
     for start in range(n):
@@ -172,9 +198,8 @@ def enumerate_primitive_cycles(
                 )
             last = closing[tip]
             if last is not None and depth % period == 0:
-                last *= weight  # nonzero, so a cached Fraction is truthy
-                frac = shared.get(last) or shared.setdefault(last, Fraction(last))
-                classes.append(CycleClass(depth, frac, period))
+                key = depth, last * weight, period
+                counts[key] = counts.get(key, 0) + 1
             if depth < max_length:
                 anchor = path[depth - period]
                 for nxt, w in descending[tip]:
@@ -183,18 +208,23 @@ def enumerate_primitive_cycles(
                     if depth + left[nxt] < max_length:
                         child_period = period if nxt == anchor else depth + 1
                         stack.append((nxt, depth, child_period, weight * w))
-    return classes
+    return Counter({CycleClass(length, Fraction(weight), primitive_length): count
+                    for (length, weight, primitive_length), count in counts.items()})
 
 
 def euler_product_series(
-    classes: Sequence[CycleClass],
+    classes: Mapping[CycleClass, int],
     order: int,
     enumerated_to: int | None = None,
 ) -> tuple[Fraction, ...]:
     """Coefficients through u^order of prod over primitive classes of 1/(1 - w u^l).
 
-    ``enumerated_to`` documents the completeness bound of ``classes``; when
-    given, requesting a higher order is an error rather than a wrong answer.
+    ``classes`` maps each class key to its count c, as
+    :func:`enumerate_primitive_cycles` returns it, so a primitive key
+    contributes (1 - w u^l)^(-c) = sum_j C(c + j - 1, j) w^j u^(lj) in one
+    multiplication.  ``enumerated_to`` documents the completeness bound of
+    ``classes``; when given, requesting a higher order is an error rather
+    than a wrong answer.
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
@@ -205,11 +235,12 @@ def euler_product_series(
     integral = all(cls.weight.denominator == 1 for cls in classes)
     out = [0] * (order + 1)
     out[0] = 1
-    for length, weight, primitive_length in classes:
+    for (length, weight, primitive_length), count in classes.items():
         if primitive_length != length or length > order:
             continue
         w = weight.numerator if integral else weight
-        # Multiply by the geometric series of one primitive class in place.
-        for m in range(length, order + 1):
-            out[m] += w * out[m - length]
+        factor = [comb(count + j - 1, j) * w**j for j in range(order // length + 1)]
+        # Descending m reads only coefficients this factor has not updated yet.
+        for m in range(order, length - 1, -1):
+            out[m] += sum(factor[j] * out[m - j * length] for j in range(1, m // length + 1))
     return tuple(map(Fraction, out))

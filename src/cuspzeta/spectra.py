@@ -4,16 +4,17 @@ Roots are located by Aberth-Ehrlich simultaneous iteration in double
 precision as in Bini, "Numerical computation of polynomial zeros by means of
 Aberth's method", Numer. Algorithms 13 (1996): the iteration starts from the
 circles of the Newton polygon of p, and a root stops once |p(z)| is within
-rounding noise of sum |c_k| |z|**k, the size of the terms of p(z).  Exact
-rational coefficients are converted to floats once.  The polynomial is first
-split into square-free parts by Yun's algorithm, so the iteration only ever
-sees simple roots (a multiple root would cap double precision at eps**(1/m)
-accuracy, far coarser than the deliberately tiny root gaps of the loop
-family).  The split costs one certified :func:`poly_gcd` of p and p' in the
-common square-free case.  Multiplicities come from the exact split alone:
-each root of a part of multiplicity m is reported once with multiplicity m,
-and no distance between float roots ever merges them.  A root at 0 is read
-off the exact constant term.
+rounding noise of sum |c_k| |z|**k, the size of the terms of p(z).  The
+polynomial is first split into square-free parts by Yun's algorithm
+(:func:`square_free_parts`, which runs in integers in :mod:`cuspzeta.exact`),
+so the iteration only ever sees simple roots (a multiple root would cap
+double precision at eps**(1/m) accuracy, far coarser than the deliberately
+tiny root gaps of the loop family).  The split costs one certified gcd of p
+and p' in the common square-free case.  Each part's integer coefficients are
+converted to floats once, as c / lead.  Multiplicities come from the exact
+split alone: each root of a part of multiplicity m is reported once with
+multiplicity m, and no distance between float roots ever merges them.  A
+root at 0 is read off the exact constant term.
 
 Two constants fix the precision: Aberth stops when no root moves by more
 than ``SHIFT_TOL`` (relative), and ``MODULUS_TOL`` is the tolerance for
@@ -29,7 +30,9 @@ from fractions import Fraction
 from statistics import linear_regression
 from typing import Sequence
 
-from cuspzeta.exact import Poly, RatFunc, poly_gcd
+# poly_gcd is unused here, but perfbench's tracer test rebinds it in this
+# namespace; it can go with that rebinding machinery.
+from cuspzeta.exact import Poly, RatFunc, poly_gcd, square_free_parts  # noqa: F401
 from cuspzeta.families import loop_family
 from cuspzeta.graphs import CuspidalGraph
 from cuspzeta.zeta import MAX_SERIES_ORDER, bass_ihara_zeta, counting_series
@@ -65,32 +68,6 @@ def _horner(coeffs: Sequence[float], z: complex) -> complex:
     return acc
 
 
-def square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun decomposition p = const * prod part_m**m with pairwise coprime,
-    square-free parts; only parts of positive degree are returned."""
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no square-free decomposition")
-    if p.degree < 1:
-        return []
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
-    if g.degree == 0:
-        return [(p.monic(), 1)]
-    w = p / g
-    z = dp / g - w.derivative()
-    parts = []
-    m = 1
-    while w.degree > 0:
-        f = poly_gcd(w, z)
-        if f.degree > 0:
-            parts.append((f, m))
-            w = w / f
-            z = z / f
-        z = z - w.derivative()
-        m += 1
-    return parts
-
-
 def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     """All complex roots of p with multiplicities, as (value, multiplicity).
 
@@ -102,13 +79,14 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     """
     result: list[tuple[complex, int]] = []
     for part, mult in square_free_parts(p):
-        coeffs = part.coeffs
+        coeffs = [c.numerator for c in part.coeffs]
         if coeffs[0] == 0:  # u divides a square-free part at most once
             result.append((0j, mult))
             coeffs = coeffs[1:]
         if len(coeffs) < 2:
             continue
-        floats = [float(c) for c in coeffs]
+        # int / int rounds correctly: each float is the nearest double to c / lead
+        floats = [c / coeffs[-1] for c in coeffs]
         if floats[0] == 0.0:
             raise RootFindingError("a nonzero constant term underflows to 0.0")
         result.extend((value, mult) for value in _aberth(floats))

@@ -11,6 +11,7 @@ from cuspzeta.exact import (
     PolyMatrix,
     RatFunc,
     poly_det,
+    poly_gcd,
     ratfunc_reduce,
 )
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
@@ -93,6 +94,49 @@ def random_min_degree_two_graph(rng: random.Random, max_vertices: int = 10) -> E
     return EdgeIndexedGraph(names, pairs)
 
 
+def transfer_rows(g: EdgeIndexedGraph) -> list[dict[int, F]]:
+    """Sparse rows of T in canonical edge order as {column: weight}, zero moves left out."""
+    order = g.canonical_edge_order()
+    pos = {eid: i for i, eid in enumerate(order)}
+    rows = []
+    for eid in order:
+        e = g.edges[eid]
+        row = {}
+        for sid in g.out_edges(e.target):
+            w = g.edges[sid].weight - (1 if sid == e.inverse else 0)
+            if w:
+                row[pos[sid]] = w
+        rows.append(row)
+    return rows
+
+
+def reference_trace_powers(g: EdgeIndexedGraph, up_to: int) -> list[F]:
+    """Traces of T^m for m = 1..up_to by dense-row products in Fractions.
+
+    The oracle's previous loop, kept as the reference for its packed rows:
+    row i of T^(m+1) is the sum over k of T^m_ik times row k of T.
+    """
+    rows = transfer_rows(g)
+    n = len(rows)
+    dense = [[F(0)] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, w in row.items():
+            dense[i][j] += w
+    traces = [sum(dense[i][i] for i in range(n))]
+    for _ in range(up_to - 1):
+        nxt = []
+        for mrow in dense:
+            acc = [F(0)] * n
+            for k, coeff in enumerate(mrow):
+                if coeff:
+                    for j, w in rows[k].items():
+                        acc[j] += coeff * w
+            nxt.append(acc)
+        dense = nxt
+        traces.append(sum(dense[i][i] for i in range(n)))
+    return [F(t) for t in traces]
+
+
 def reference_cycle_classes(
     g: EdgeIndexedGraph, max_length: int, pruned: bool = True
 ) -> tuple[list[CycleClass], int]:
@@ -109,17 +153,7 @@ def reference_cycle_classes(
     can still close at its start within ``max_length``.  With
     ``pruned=False`` it counts every path of the unpruned search.
     """
-    order = g.canonical_edge_order()
-    pos = {eid: i for i, eid in enumerate(order)}
-    weight_of = []
-    for eid in order:
-        e = g.edges[eid]
-        row = {}
-        for sid in g.out_edges(e.target):
-            w = g.edges[sid].weight - (1 if sid == e.inverse else 0)
-            if w:
-                row[pos[sid]] = w
-        weight_of.append(row)
+    weight_of = transfer_rows(g)
 
     def can_close(path: tuple[int, ...]) -> bool:
         start, frontier = path[0], {path[-1]}
@@ -136,7 +170,7 @@ def reference_cycle_classes(
 
     canonical = set()
     visited = 0
-    for start in range(len(order)):
+    for start in range(len(weight_of)):
         stack = [(start,)]
         while stack:
             path = stack.pop()
@@ -168,6 +202,33 @@ def reference_euler_product(classes: list[CycleClass], order: int) -> tuple[F, .
             for m in range(cls.length, order + 1):
                 out[m] += cls.weight * out[m - cls.length]
     return tuple(out)
+
+
+def reference_square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun decomposition in Fraction arithmetic, with monic parts.
+
+    The split's previous form, kept as the reference for the integer one:
+    every derivative, division and gcd runs on :class:`Poly`.
+    """
+    if p.degree < 1:
+        return []
+    dp = p.derivative()
+    g = poly_gcd(p, dp)
+    if g.degree == 0:
+        return [(p.monic(), 1)]
+    w = p / g
+    z = dp / g - w.derivative()
+    parts = []
+    m = 1
+    while w.degree > 0:
+        f = poly_gcd(w, z)
+        if f.degree > 0:
+            parts.append((f, m))
+            w = w / f
+            z = z / f
+        z = z - w.derivative()
+        m += 1
+    return parts
 
 
 def reference_series_expand(f: RatFunc, order: int) -> tuple[F, ...]:

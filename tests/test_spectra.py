@@ -21,6 +21,7 @@ from cuspzeta.spectra import (
     square_free_parts,
 )
 from cuspzeta.zeta import bass_ihara_zeta, counting_series
+from helpers import reference_square_free_parts
 
 
 def zeta_of(c) -> RatFunc:
@@ -100,12 +101,17 @@ factors = st.lists(small_rationals, min_size=1, max_size=4).map(
 )
 
 
+def monic_parts(p: Poly) -> list[tuple[Poly, int]]:
+    """square_free_parts with each primitive integer part made monic."""
+    return [(part.monic(), m) for part, m in square_free_parts(p)]
+
+
 def assert_square_free_decomposition(p: Poly, parts: list[tuple[Poly, int]]) -> None:
     recon = ONE
     for part, m in parts:
         assert part.degree > 0 and m > 0
         assert poly_gcd(part, part.derivative()) == ONE
-        recon = recon * part**m
+        recon = recon * part.monic() ** m
     for i, (a, _) in enumerate(parts):
         for b, _ in parts[i + 1 :]:
             assert poly_gcd(a, b) == ONE
@@ -125,7 +131,30 @@ def test_square_free_input_is_one_part(roots, scale):
     p = Poly([scale])
     for r in roots:
         p = p * Poly([-r, 1])
-    assert square_free_parts(p) == [(p.monic(), 1)]
+    assert monic_parts(p) == [(p.monic(), 1)]
+
+
+int_factors = st.tuples(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=3), st.integers(-6, 6).filter(bool)
+).map(lambda t: Poly(t[0] + [t[1]]))
+
+
+@given(
+    factors=st.lists(st.tuples(int_factors, st.integers(1, 4)), min_size=1, max_size=3),
+    u_power=st.integers(0, 4),
+    scale=st.integers(-30, 30).filter(bool),
+)
+@settings(max_examples=100, deadline=None)
+def test_integer_yun_matches_fraction_yun(factors, u_power, scale):
+    p = Poly([scale]) * Poly([0, 1]) ** u_power
+    for f, k in factors:
+        p = p * f**k
+    parts = square_free_parts(p)
+    for part, _ in parts:
+        assert all(c.denominator == 1 for c in part.coeffs)
+        coeffs = [c.numerator for c in part.coeffs]
+        assert coeffs[-1] > 0 and math.gcd(*coeffs) == 1
+    assert [(part.monic(), m) for part, m in parts] == reference_square_free_parts(p)
 
 
 def count_exact_gcds(monkeypatch) -> list:
@@ -145,7 +174,7 @@ def test_loop_denominators_are_certified_without_exact_gcd(monkeypatch):
     dens = [zeta_of(loop_family(3, n)).den for n in (1, 4, 8)]
     calls = count_exact_gcds(monkeypatch)
     for den in dens:
-        assert square_free_parts(den) == [(den.monic(), 1)]
+        assert monic_parts(den) == [(den.monic(), 1)]
     assert calls == []
 
 
@@ -162,7 +191,7 @@ def test_leading_coefficient_divisible_by_prime_takes_exact_path(monkeypatch):
     p = Poly([-1, CERTIFICATE_PRIME]) ** 2 * Poly([1, 1])
     parts = square_free_parts(p)
     assert calls
-    assert sorted((m, part) for part, m in parts) == [
+    assert sorted((m, part.monic()) for part, m in parts) == [
         (1, Poly([1, 1])),
         (2, Poly([F(-1, CERTIFICATE_PRIME), 1])),
     ]
