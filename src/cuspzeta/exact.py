@@ -28,10 +28,13 @@ entry is zero, since Bareiss would only rescale it by P_k / P_{k-1} (P_k
 the pivot of step k).  A skipped row remembers the step its values belong
 to; the factors it missed telescope to one quotient of two pivots, which
 is folded into the row's next update, or applied when the row becomes the
-pivot row or the last row.  An up-to-date entry is then the same minor of
-the matrix as in dense Bareiss, so every division stays exact and the
-determinant is unchanged; on the banded edge-side matrices of the loop
-family most rows sit out most steps, and the work drops accordingly.
+pivot row or the last row.  Step k pivots on the row whose column-k entry,
+brought up to date, is shortest.  Bareiss is exact for any order of nonzero
+pivots: an up-to-date entry is a minor of the row-permuted matrix
+(Sylvester's identity), so every division stays exact and the determinant
+is unchanged, while short pivots keep every later minor short.  On the
+banded edge-side matrices of the loop family most rows sit out most steps,
+and the work drops accordingly.
 
 Inside the elimination each integer polynomial entry is one integer, its
 value at u = 2^B (Kronecker substitution), so every product and exact
@@ -550,8 +553,8 @@ def poly_det(matrix: PolyMatrix) -> Poly:
     2^(B-1) > H, decided on the exact integer H^2.  A minor is then the sum
     of balanced base-2^B digits (its coefficients), so it is zero exactly
     when its packed value is; since evaluation at 2^B is a ring
-    homomorphism, the pivots and row swaps are those over Z[u], every
-    division is exact in the integers and its quotient is the packed minor.
+    homomorphism, every division is exact in the integers and its quotient
+    is the packed minor.
     The determinant is read back as balanced base-2^B digits by masks and
     shifts, never through a decimal string.
 
@@ -565,10 +568,13 @@ def poly_det(matrix: PolyMatrix) -> Poly:
         a_ij <- (P_k a_ij - a_ik a_kj) / P_{s-1}
 
     on the stored values; a row that becomes the pivot row, or the last
-    row, is brought up to date by P_{k-1} / P_{s-1} alone.  Zero tests do not
-    care about the missing nonzero factor, so the pivots and row swaps are
-    those of dense Bareiss.  Every entry of an up-to-date row is the same
-    minor of the scaled matrix as in dense Bareiss, and a stale row times
+    row, is brought up to date by P_{k-1} / P_{s-1} alone.  The candidates
+    of step k are rows k..n-1 that are nonzero in column k, and the pivot row
+    is the one whose entry is shortest once brought up to date.  Every row
+    owes the same P_{k-1}, so the key is the entry's bit length less that of
+    P_{s-1}; ties go to the lowest row.  Bareiss is exact for any order of
+    nonzero pivots (Sylvester's identity): every entry of an up-to-date row
+    is a minor of the row-permuted scaled matrix, and a stale row times
     P_{k-1} / P_{s-1} is that minor too, so each division is exact and the
     determinant is identical.  The update touches only columns where the
     row or the pivot row is nonzero.
@@ -605,7 +611,8 @@ def poly_det(matrix: PolyMatrix) -> Poly:
     step = [0] * n  # the step whose values each row holds
     sign = 1
     for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if k in rows[r]), None)
+        pivot_row = min((r for r in range(k, n) if k in rows[r]), default=None,
+                        key=lambda r: rows[r][k].bit_length() - divisors[step[r]].bit_length())
         if pivot_row is None:
             return ZERO
         if pivot_row != k:

@@ -14,7 +14,7 @@ from cuspzeta.exact import (
     poly_gcd,
     ratfunc_reduce,
 )
-from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
+from cuspzeta.graphs import Cusp, CuspidalGraph, EdgeIndexedGraph
 from cuspzeta.oracle import CycleClass
 
 
@@ -92,6 +92,32 @@ def random_min_degree_two_graph(rng: random.Random, max_vertices: int = 10) -> E
             taken.add((j, i))
             pairs.append((names[i], names[j], 1, 1))
     return EdgeIndexedGraph(names, pairs)
+
+
+def random_dense_cuspidal_graph(rng: random.Random, n: int, cusps: int) -> CuspidalGraph:
+    """An n-cycle plus a random 3-regular chord set, weighted, with cusps.
+
+    The shape of the benchmark's dense graphs (n even, 1.5n chords).  Each
+    oriented weight is drawn from 1..3 and one chord's weight a -> b is a
+    half-integer, so rows get cleared of a denominator; each cusp has alpha
+    1..3 and ray_q 2..5 on a distinct vertex.
+    """
+    cycle = {(i, (i + 1) % n) for i in range(n)} | {((i + 1) % n, i) for i in range(n)}
+    while True:  # pairing model, redrawn until simple and clear of the cycle
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        chords = list(zip(stubs[::2], stubs[1::2]))
+        keys = {(min(a, b), max(a, b)) for a, b in chords}
+        if len(keys) == len(chords) and all(a != b and (a, b) not in cycle for a, b in chords):
+            break
+    names = [f"v{i:02d}" for i in range(n)]
+    pairs = [(names[a], names[b], rng.randint(1, 3), rng.randint(1, 3))
+             for a, b in [(i, (i + 1) % n) for i in range(n)] + chords]
+    a, b, _, wb = pairs[n]
+    pairs[n] = (a, b, F(rng.choice([1, 3, 5]), 2), wb)
+    cusp_list = tuple(Cusp(names[v], rng.randint(1, 3), rng.randint(2, 5))
+                      for v in sorted(rng.sample(range(n), cusps)))
+    return CuspidalGraph(EdgeIndexedGraph(names, pairs), cusp_list, 3)
 
 
 def transfer_rows(g: EdgeIndexedGraph) -> list[dict[int, F]]:
@@ -323,10 +349,13 @@ def _rescale(row: dict[int, list[int]], up: list[int], down: list[int]) -> dict[
 def reference_poly_det(matrix: PolyMatrix) -> Poly:
     """Exact determinant by sparse Bareiss elimination on Z[u] coefficient lists.
 
-    The engine's previous determinant, kept as the reference for the
-    integer-packed one: the same pivots, skipped rows and telescoped
-    rescale, but every product and exact division is a schoolbook loop over
-    polynomial coefficients.
+    An earlier form of the engine's determinant, kept as the reference for
+    the integer-packed one: the same skipped rows and telescoped rescale,
+    but every product and exact division is a schoolbook loop over
+    polynomial coefficients, and step k pivots on the first row that is
+    nonzero in column k, where the engine takes the shortest entry.  So
+    agreement also checks that the determinant does not depend on the
+    pivot order.
 
     Each row is first multiplied by the lcm of its coefficient denominators
     so the elimination runs over integer polynomials; the final determinant
@@ -345,11 +374,11 @@ def reference_poly_det(matrix: PolyMatrix) -> Poly:
     on the stored values; a row that becomes the pivot row, or the last
     row, is brought up to date by P_{k-1} / P_{s-1} alone.  Zero tests do not
     care about the missing nonzero factor, so the pivots and row swaps are
-    those of dense Bareiss.  Every entry of an up-to-date row is the same
-    minor of the scaled matrix as in dense Bareiss, and a stale row times
-    P_{k-1} / P_{s-1} is that minor too, so each division is exact and the
-    determinant is identical.  The update touches only columns where the
-    row or the pivot row is nonzero.
+    those of dense Bareiss with first-nonzero pivots.  Every entry of an
+    up-to-date row is the same minor of the scaled matrix as in dense
+    Bareiss, and a stale row times P_{k-1} / P_{s-1} is that minor too, so
+    each division is exact and the determinant is identical.  The update
+    touches only columns where the row or the pivot row is nonzero.
     """
     n = matrix.n
     if n == 0:

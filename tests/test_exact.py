@@ -215,15 +215,35 @@ def test_det_sparse_matches_cofactor(rows):
 
 def test_det_row_swap_carries_the_skipped_step():
     # column 1 is nonzero only in the last row, which skipped step 0; after
-    # the swap it must be rescaled by the step-0 pivot 1 + u before use
+    # the swap it must be rescaled by the step-0 pivot 1 + u before use.
+    # Rows 1 and 2 carry u times row 0, so their column-0 entries are longer
+    # than 1 + u and the shortest-entry rule takes row 0 as the step-0 pivot.
     u = Poly([0, 1])
     rows = [
         [ONE + u, ZERO, ONE, Poly([2])],
-        [Poly([3]), ZERO, ONE + u, ZERO],
-        [u, ZERO, ZERO, ONE],
+        [Poly([3, 1, 1]), ZERO, Poly([1, 2]), Poly([0, 2])],
+        [Poly([0, 2, 1]), ZERO, u, Poly([1, 2])],
         [ZERO, ONE - u, ZERO, ZERO],
     ]
     assert poly_det(PolyMatrix(rows)) == cofactor_det(rows) == Poly([-2, 2, -1, 1])
+
+
+def test_det_shortest_pivot_is_a_stale_row_below_an_up_to_date_one():
+    # Step 0 pivots on 1 + u; rows 1 and 3 are updated and row 2 skips it.
+    # Step 1 pivots on row 1's (1 + u)(1 - u), shorter than row 2's u^2 times
+    # the factor 1 + u it still owes; row 3 is zero in column 1 and skips
+    # the step.  At step 2 the up-to-date row 2 holds u^3 + u^4 - u^5 in
+    # column 2 and the stale row 3 holds u, which is u - u^2 once up to date:
+    # the shortest-entry rule swaps row 3 in and brings it up to date by the
+    # telescoped factor P_1 / P_0 = 1 - u.
+    u = Poly([0, 1])
+    rows = [
+        [ONE + u, ZERO, ONE, ZERO],
+        [u * u, ONE - u, ZERO, u],
+        [ZERO, u * u, u * u * u, ONE],
+        [u * u, ZERO, u, ONE],
+    ]
+    assert poly_det(PolyMatrix(rows)) == cofactor_det(rows) == Poly([0, -1, 1, 1, 2, -1])
 
 
 def test_det_row_skipped_for_several_steps():

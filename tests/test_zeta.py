@@ -1,5 +1,6 @@
 """Tests for the zeta engine: transfer matrices, cusp elimination, counting."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -276,6 +277,16 @@ def test_weighted_vertex_side_matches_engine_on_fixture_families(name):
     from helpers import weighted_vertex_side_zeta
 
     graph = FAMILY_GRAPHS[name]
+    assert weighted_vertex_side_zeta(graph) == bass_ihara_zeta(graph).bass_ihara
+
+
+@pytest.mark.parametrize("n, cusps, seed", [(10, 2, 1), (10, 1, 2), (12, 1, 3), (12, 2, 4)])
+def test_weighted_vertex_side_matches_engine_on_dense_graphs(n, cusps, seed):
+    # 52- to 64-row edge-side matrices with heavy fill-in, where the
+    # shortest-entry pivot rule departs furthest from the first nonzero one
+    from helpers import random_dense_cuspidal_graph, weighted_vertex_side_zeta
+
+    graph = random_dense_cuspidal_graph(random.Random(seed), n, cusps)
     assert weighted_vertex_side_zeta(graph) == bass_ihara_zeta(graph).bass_ihara
 
 
