@@ -1,8 +1,11 @@
 """Shared test oracles and generators, independent of the engine under test."""
 
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 from cuspzeta.exact import (
     ONE,
@@ -14,8 +17,11 @@ from cuspzeta.exact import (
     poly_gcd,
     ratfunc_reduce,
 )
-from cuspzeta.graphs import Cusp, CuspidalGraph, EdgeIndexedGraph
+from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
 from cuspzeta.oracle import CycleClass
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import random_graph  # noqa: E402
 
 
 def vertex_side_determinant(g: EdgeIndexedGraph) -> Poly:
@@ -95,29 +101,19 @@ def random_min_degree_two_graph(rng: random.Random, max_vertices: int = 10) -> E
 
 
 def random_dense_cuspidal_graph(rng: random.Random, n: int, cusps: int) -> CuspidalGraph:
-    """An n-cycle plus a random 3-regular chord set, weighted, with cusps.
+    """perfbench's dense graph, with one chord's weight a -> b made a half-integer.
 
-    The shape of the benchmark's dense graphs (n even, 1.5n chords).  Each
-    oriented weight is drawn from 1..3 and one chord's weight a -> b is a
-    half-integer, so rows get cleared of a denominator; each cusp has alpha
-    1..3 and ray_q 2..5 on a distinct vertex.
+    The shape and draws are ``workloads.random_graph(rng, n, 3, cusps)``: an
+    n-cycle plus a random 3-regular chord set, weights a shuffled balanced mix
+    of 1..3, each cusp with alpha 1..3 and ray_q 2..5 on a distinct vertex.
+    Graph JSON carries integer weights only, so the fractional weight, which
+    makes rows get cleared of a denominator, is set here.
     """
-    cycle = {(i, (i + 1) % n) for i in range(n)} | {((i + 1) % n, i) for i in range(n)}
-    while True:  # pairing model, redrawn until simple and clear of the cycle
-        stubs = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(stubs)
-        chords = list(zip(stubs[::2], stubs[1::2]))
-        keys = {(min(a, b), max(a, b)) for a, b in chords}
-        if len(keys) == len(chords) and all(a != b and (a, b) not in cycle for a, b in chords):
-            break
-    names = [f"v{i:02d}" for i in range(n)]
-    pairs = [(names[a], names[b], rng.randint(1, 3), rng.randint(1, 3))
-             for a, b in [(i, (i + 1) % n) for i in range(n)] + chords]
+    graph = CuspidalGraph.from_json(random_graph(rng, n, 3, cusps))
+    pairs = graph.core.edge_pairs()
     a, b, _, wb = pairs[n]
     pairs[n] = (a, b, F(rng.choice([1, 3, 5]), 2), wb)
-    cusp_list = tuple(Cusp(names[v], rng.randint(1, 3), rng.randint(2, 5))
-                      for v in sorted(rng.sample(range(n), cusps)))
-    return CuspidalGraph(EdgeIndexedGraph(names, pairs), cusp_list, 3)
+    return replace(graph, core=EdgeIndexedGraph(graph.core.vertices, pairs))
 
 
 def transfer_rows(g: EdgeIndexedGraph) -> list[dict[int, F]]:
