@@ -40,12 +40,10 @@ from cuspzeta.oracle import (
     trace_powers,
 )
 from cuspzeta.spectra import (
-    GrowthEstimate,
     PoleReport,
     RamanujanVerdict,
     RootFindingError,
     complex_roots,
-    growth_rate,
     pole_gap_sweep,
     pole_report,
     ramanujan_check,

@@ -194,7 +194,7 @@ def _verify_checks(
     euler_order = min(max_m, 10)
     z = result.bass_ihara
     classes = enumerate_primitive_cycles(graph, euler_order)
-    product = euler_product_series(classes, euler_order, enumerated_to=euler_order)
+    product = euler_product_series(classes, euler_order)
     expansion = series_expand(z, euler_order)
     checks.append(
         _check(

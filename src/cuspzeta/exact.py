@@ -17,11 +17,12 @@ Determinants of polynomial matrices use Bareiss fraction-free elimination
 over integer polynomials (rows are cleared of denominators first), and
 polynomial gcds use the subresultant pseudo-remainder sequence; both avoid
 the coefficient blow-up of naive rational elimination.  Before that
-sequence, :func:`poly_gcd` tries a certificate: a unit gcd modulo the prime
+sequence, every gcd tries a certificate: a unit gcd modulo the prime
 2**61 - 1 proves the gcd over Q is 1, which is the common case (reduced
 zeta functions, square-free denominators).  Yun's square-free split
-(:func:`square_free_parts`) runs on the same primitive integer coefficient
-lists, so its derivatives, exact divisions and gcds are int operations.
+(:func:`square_free_parts`) and :func:`ratfunc_reduce` run on the same
+primitive integer coefficient lists, so their derivatives, exact divisions
+and gcds are int operations; only the final scaling makes Fractions.
 
 The elimination keeps rows sparse and skips every row whose pivot-column
 entry is zero, since Bareiss would only rescale it by P_k / P_{k-1} (P_k
@@ -113,11 +114,6 @@ class Poly:
             return self._coeffs[i]
         return Fraction(0)
 
-    def leading(self) -> Fraction:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
             return self._coeffs == other._coeffs
@@ -169,48 +165,6 @@ class Poly:
             base = base * base
             n >>= 1
         return result
-
-    def __divmod__(self, other: Poly | Scalar) -> tuple[Poly, Poly]:
-        other = _as_poly(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self._coeffs)
-        dd, dv = len(rem) - 1, other.degree
-        lead = other.leading()
-        quot = [Fraction(0)] * max(dd - dv + 1, 0)
-        for k in range(dd - dv, -1, -1):
-            q = rem[dv + k] / lead
-            quot[k] = q
-            if q:
-                for j, c in enumerate(other._coeffs):
-                    rem[k + j] -= q * c
-        return Poly(quot), Poly(rem[:dv] if dv > 0 else [])
-
-    def __truediv__(self, other: Poly | Scalar) -> Poly:
-        """Exact division; raises if the division leaves a remainder."""
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return Poly([c / other for c in self._coeffs])
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
-    def __call__(self, x):
-        """Evaluate by Horner's rule; exact when ``x`` is int or Fraction."""
-        acc = x * 0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> Poly:
-        return Poly([i * c for i, c in enumerate(self._coeffs)][1:])
-
-    def monic(self) -> Poly:
-        if self.is_zero():
-            raise ValueError("zero polynomial cannot be made monic")
-        return self / self.leading()
 
     def to_json(self) -> list[int | str]:
         return [rational_to_json(c) for c in self._coeffs]
@@ -385,7 +339,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         raise ValueError("gcd of two zero polynomials is undefined")
     (f, g), _ = _to_int_polys([a, b])
     h = _zgcd(f, g)
-    return ONE if len(h) == 1 else Poly(h).monic()
+    return Poly(Fraction(c, h[-1]) for c in h)
 
 
 def square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
@@ -430,11 +384,6 @@ class RatFunc:
     num: Poly
     den: Poly
 
-    def __mul__(self, other: RatFunc) -> RatFunc:
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return ratfunc_reduce(self.num * other.num, self.den * other.den)
-
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
@@ -447,23 +396,23 @@ def ratfunc_reduce(num: Poly, den: Poly) -> RatFunc:
 
     When the denominator vanishes at 0 (never the case for zeta functions),
     the denominator is made monic instead, so reduction stays canonical.
+    num and den are cleared of denominators together, divided exactly by
+    their primitive integer gcd, and scaled back into Fractions once.
     """
     if den.is_zero():
         raise ZeroDivisionError("rational function with zero denominator")
     if num.is_zero():
         return RatFunc(ZERO, ONE)
-    g = poly_gcd(num, den)
-    if g.degree > 0:
-        num, den = num / g, den / g
-    scale = den[0] or den.leading()
-    if scale != 1:
-        num, den = num / scale, den / scale
-    return RatFunc(num, den)
+    (f, g), _ = _to_int_polys([num, den])
+    h = _zgcd(f, g)
+    f, g = _zquo(f, h), _zquo(g, h)
+    scale = g[0] or g[-1]
+    return RatFunc(Poly(Fraction(c, scale) for c in f), Poly(Fraction(c, scale) for c in g))
 
 
 def _scalars(p: Poly, scale: Fraction | int = 1) -> list[Scalar]:
     """Coefficients of p / scale, each an ``int`` when it is integral."""
-    cs = p.coeffs if scale == 1 else (p / scale).coeffs
+    cs = p.coeffs if scale == 1 else [c / scale for c in p.coeffs]
     return [c.numerator if c.denominator == 1 else c for c in cs]
 
 
@@ -647,4 +596,4 @@ def poly_det(matrix: PolyMatrix) -> Poly:
             digit -= 1 << width
             det += 1
         coeffs.append(digit)
-    return Poly(coeffs) if scale == 1 else Poly(coeffs) / scale
+    return Poly(coeffs) if scale == 1 else Poly(Fraction(c, scale) for c in coeffs)

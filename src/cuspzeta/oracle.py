@@ -213,25 +213,18 @@ def enumerate_primitive_cycles(
 
 
 def euler_product_series(
-    classes: Mapping[CycleClass, int],
-    order: int,
-    enumerated_to: int | None = None,
+    classes: Mapping[CycleClass, int], order: int
 ) -> tuple[Fraction, ...]:
     """Coefficients through u^order of prod over primitive classes of 1/(1 - w u^l).
 
     ``classes`` maps each class key to its count c, as
     :func:`enumerate_primitive_cycles` returns it, so a primitive key
     contributes (1 - w u^l)^(-c) = sum_j C(c + j - 1, j) w^j u^(lj) in one
-    multiplication.  ``enumerated_to`` documents the completeness bound of
-    ``classes``; when given, requesting a higher order is an error rather
-    than a wrong answer.
+    multiplication.  The result is exact only when ``classes`` holds every
+    class of length <= order.
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    if enumerated_to is not None and enumerated_to < order:
-        raise ValueError(
-            f"class list complete through length {enumerated_to} cannot support order {order}"
-        )
     integral = all(cls.weight.denominator == 1 for cls in classes)
     out = [0] * (order + 1)
     out[0] = 1

@@ -16,9 +16,11 @@ split alone: each root of a part of multiplicity m is reported once with
 multiplicity m, and no distance between float roots ever merges them.  A
 root at 0 is read off the exact constant term.
 
-Two constants fix the precision: Aberth stops when no root moves by more
-than ``SHIFT_TOL`` (relative), and ``MODULUS_TOL`` is the tolerance for
-clustering moduli and for classifying poles in the Ramanujan test.
+Four constants fix the precision: Aberth gives up after ``MAX_ITERATIONS``
+sweeps and stops when no root moves by more than ``SHIFT_TOL`` (relative);
+a polished root fails unless |p(z)| is within ``RESIDUAL_BOUND`` of
+sum |c_k| |z|**k; and ``MODULUS_TOL`` is the tolerance for clustering
+moduli and for classifying poles in the Ramanujan test.
 """
 
 from __future__ import annotations
@@ -26,21 +28,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from statistics import linear_regression
 from typing import Sequence
 
-# poly_gcd is unused here, but perfbench's tracer test rebinds it in this
-# namespace; it can go with that rebinding machinery.
+# No src/ path calls poly_gcd any more; the name stays here for the public API
+# and because perfbench's tracer test rebinds it in this namespace.
 from cuspzeta.exact import Poly, RatFunc, poly_gcd, square_free_parts  # noqa: F401
 from cuspzeta.families import loop_family
-from cuspzeta.graphs import CuspidalGraph
-from cuspzeta.zeta import MAX_SERIES_ORDER, bass_ihara_zeta, counting_series
+from cuspzeta.zeta import bass_ihara_zeta
 
 __all__ = [
     "PoleReport",
     "RamanujanVerdict",
-    "GrowthEstimate",
     "SweepRow",
     "RootFindingError",
     "complex_roots",
@@ -48,7 +46,6 @@ __all__ = [
     "pole_report",
     "ramanujan_check",
     "pole_gap_sweep",
-    "growth_rate",
 ]
 
 MAX_ITERATIONS = 400
@@ -278,44 +275,3 @@ def pole_gap_sweep(q: int, n_values: Sequence[int]) -> list[SweepRow]:
         second = report.moduli_clusters[1] if len(report.moduli_clusters) > 1 else None
         rows.append(SweepRow(n, report.radius, second, ramanujan_check(report, q).is_ramanujan))
     return rows
-
-
-@dataclass(frozen=True)
-class GrowthEstimate:
-    """Per-m growth rates of |N_m - q^m| with an extrapolated limit."""
-
-    m_values: tuple[int, ...]
-    r_values: tuple[float, ...]
-    limit: float
-
-
-def growth_rate(
-    c: CuspidalGraph, q: int, m_range: Sequence[int]
-) -> GrowthEstimate:
-    """Estimate lim |N_m - q^m|**(1/m) from exact counting data.
-
-    The error term decays like rho**m for rho the reciprocal of the second
-    pole modulus, so log r_m is affine in 1/m; a least-squares fit in 1/m
-    extrapolates the limit (Richardson-style).
-    """
-    ms = sorted(set(int(m) for m in m_range))
-    if not ms or ms[0] < 1:
-        raise ValueError("m range must contain positive integers")
-    if ms[-1] > MAX_SERIES_ORDER:
-        raise ValueError(f"m range exceeds the series budget of {MAX_SERIES_ORDER}")
-    series = counting_series(bass_ihara_zeta(c), ms[-1])
-    r_values = []
-    fit_points = []
-    for m in ms:
-        diff = series.n_values[m - 1] - Fraction(q) ** m
-        if diff == 0:
-            r_values.append(0.0)
-            continue
-        r = float(abs(diff)) ** (1.0 / m)
-        r_values.append(r)
-        fit_points.append((1.0 / m, math.log(r)))
-    if len(fit_points) < 2:
-        limit = math.exp(fit_points[0][1]) if fit_points else 0.0
-        return GrowthEstimate(tuple(ms), tuple(r_values), limit)
-    intercept = linear_regression(*zip(*fit_points)).intercept
-    return GrowthEstimate(tuple(ms), tuple(r_values), math.exp(intercept))

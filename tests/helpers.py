@@ -226,6 +226,73 @@ def reference_euler_product(classes: list[CycleClass], order: int) -> tuple[F, .
     return tuple(out)
 
 
+def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Long division over Q: (q, r) with a = q b + r and deg r < deg b."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    rem = list(a.coeffs)
+    db, lead = b.degree, b.coeffs[-1]
+    quot = [F(0)] * max(len(rem) - db, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        q = quot[k] = rem[db + k] / lead
+        if q:
+            for j, c in enumerate(b.coeffs):
+                rem[k + j] -= q * c
+    return Poly(quot), Poly(rem[:db])
+
+
+def poly_quotient(a: Poly, b: Poly) -> Poly:
+    """a / b when b divides a over Q; a ValueError otherwise."""
+    q, r = poly_divmod(a, b)
+    if r:
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def poly_monic(p: Poly) -> Poly:
+    return p * (1 / p.coeffs[-1])
+
+
+def poly_derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def poly_eval(p: Poly, x):
+    """p(x) by Horner's rule; exact when x is an int or a Fraction."""
+    acc = x * 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def ratfunc_mul(f: RatFunc, g: RatFunc) -> RatFunc:
+    return ratfunc_reduce(f.num * g.num, f.den * g.den)
+
+
+def reference_poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm over Q, with Fraction long division."""
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return poly_monic(a)
+
+
+def reference_ratfunc_reduce(num: Poly, den: Poly) -> RatFunc:
+    """num/den in lowest terms with den(0) = 1, or a monic den when den(0) = 0.
+
+    The reduction's previous Fraction route, kept as the reference for the
+    integer one: divide both by their monic gcd over Q, then by den(0) or by
+    den's leading coefficient.  The gcd here is Euclid's, not the engine's.
+    """
+    if den.is_zero():
+        raise ZeroDivisionError("rational function with zero denominator")
+    if num.is_zero():
+        return RatFunc(ZERO, ONE)
+    g = reference_poly_gcd(num, den)
+    num, den = poly_quotient(num, g), poly_quotient(den, g)
+    scale = den[0] or den.coeffs[-1]
+    return RatFunc(num * (1 / scale), den * (1 / scale))
+
+
 def reference_square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
     """Yun decomposition in Fraction arithmetic, with monic parts.
 
@@ -234,21 +301,21 @@ def reference_square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
     """
     if p.degree < 1:
         return []
-    dp = p.derivative()
+    dp = poly_derivative(p)
     g = poly_gcd(p, dp)
     if g.degree == 0:
-        return [(p.monic(), 1)]
-    w = p / g
-    z = dp / g - w.derivative()
+        return [(poly_monic(p), 1)]
+    w = poly_quotient(p, g)
+    z = poly_quotient(dp, g) - poly_derivative(w)
     parts = []
     m = 1
     while w.degree > 0:
         f = poly_gcd(w, z)
         if f.degree > 0:
             parts.append((f, m))
-            w = w / f
-            z = z / f
-        z = z - w.derivative()
+            w = poly_quotient(w, f)
+            z = poly_quotient(z, f)
+        z = z - poly_derivative(w)
         m += 1
     return parts
 
@@ -276,7 +343,7 @@ def reference_series_expand(f: RatFunc, order: int) -> tuple[F, ...]:
 def reference_log_derivative_series(z: RatFunc, order: int) -> tuple[F, ...]:
     """Series of u Z'/Z as U (num' den - den' num) / (num den), by long division."""
     u = Poly([0, 1])
-    num = u * (z.num.derivative() * z.den - z.den.derivative() * z.num)
+    num = u * (poly_derivative(z.num) * z.den - poly_derivative(z.den) * z.num)
     return reference_series_expand(RatFunc(num, z.num * z.den), order)
 
 
@@ -427,4 +494,4 @@ def reference_poly_det(matrix: PolyMatrix) -> Poly:
     det = last.get(n - 1, [])
     if sign < 0:
         det = [-c for c in det]
-    return Poly(det) / scale
+    return Poly(F(c, scale) for c in det)

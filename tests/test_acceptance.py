@@ -12,7 +12,7 @@ import random
 from fractions import Fraction as F
 from itertools import product
 
-from helpers import random_min_degree_two_graph, vertex_side_determinant
+from helpers import poly_eval, random_min_degree_two_graph, vertex_side_determinant
 
 from cuspzeta.exact import (
     ONE, Poly, PolyMatrix, RatFunc, poly_det, ratfunc_reduce, series_expand,
@@ -24,7 +24,7 @@ from cuspzeta.oracle import (
     euler_product_series,
     trace_powers,
 )
-from cuspzeta.spectra import growth_rate, pole_report
+from cuspzeta.spectra import pole_report
 from cuspzeta.zeta import bass_ihara_zeta, build_effective, counting_series
 
 
@@ -180,7 +180,7 @@ def test_criterion_7_euler_product():
     for graph in (pgl2(2), star(3, (2, 2)), loop_family(3, 1)):
         finite = truncate(graph, order // 2 + 1)
         classes = enumerate_primitive_cycles(finite, order)
-        product_series = euler_product_series(classes, order, enumerated_to=order)
+        product_series = euler_product_series(classes, order)
         expansion = series_expand(bass_ihara_zeta(graph).bass_ihara, order)
         assert product_series == expansion
 
@@ -190,7 +190,7 @@ def test_criterion_8_pole_free_convergence():
     seconds = {}
     for n in range(1, 9):
         z = bass_ihara_zeta(loop_family(3, n)).bass_ihara
-        assert z.den(F(1, 3)) == 0, n  # exact pole at 1/q
+        assert poly_eval(z.den, F(1, 3)) == 0, n  # exact pole at 1/q
         report = pole_report(z)
         assert abs(report.radius - 1 / 3) <= 1e-9, n
         seconds[n] = report.moduli_clusters[1]
@@ -203,11 +203,12 @@ def test_criterion_8_pole_free_convergence():
 
 @criterion(9, "error-term growth matches the second pole")
 def test_criterion_9_growth_rate():
-    c = loop_family(3, 3)
-    report = pole_report(bass_ihara_zeta(c).bass_ihara)
-    estimate = growth_rate(c, 3, range(20, 61))
-    second = report.moduli_clusters[1]
-    assert abs(estimate.limit * second - 1.0) <= 0.05
+    # |N_m - q^m|^(1/m) tends to 1 / (second pole modulus), read off the
+    # exact counting data at m = 60 with no fit
+    result = bass_ihara_zeta(loop_family(3, 3))
+    error = abs(counting_series(result, 60).n_values[59] - 3**60)
+    second = pole_report(result.bass_ihara).moduli_clusters[1]
+    assert abs(float(error) ** (1 / 60) * second - 1.0) <= 1e-9
 
 
 @criterion(10, "property suites")
@@ -235,7 +236,7 @@ def test_criterion_10_property_suites():
     # normalization and integrality on every integer-weight instance
     for name, graph in instances.items():
         z = bass_ihara_zeta(graph).bass_ihara
-        assert z.num(F(0)) == 1 and z.den(F(0)) == 1, name
+        assert z.num[0] == 1 and z.den[0] == 1, name
         for x in counting_series(bass_ihara_zeta(graph), 12).n_values:
             assert x.denominator == 1 and x >= 0, name
 

@@ -16,6 +16,7 @@ from cuspzeta.exact import Poly
 from cuspzeta.families import loop_family, pgl2
 from cuspzeta.graphs import CuspidalGraph
 from cuspzeta.zeta import MAX_SERIES_ORDER, CountingSeries, bass_ihara_zeta
+from helpers import poly_divmod
 
 
 def run_cli(capsys, *argv, expect=0):
@@ -340,7 +341,7 @@ def test_poles_on_dense_seed_203_graph(capsys, tmp_path):
     for root in (1, -1):
         exact_mult, rest = 0, den
         while True:
-            quotient, rem = divmod(rest, Poly([-root, 1]))
+            quotient, rem = poly_divmod(rest, Poly([-root, 1]))
             if not rem.is_zero():
                 break
             exact_mult, rest = exact_mult + 1, quotient

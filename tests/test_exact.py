@@ -2,7 +2,9 @@
 
 Expected values for the nontrivial cases are produced by independent
 oracles: a cofactor-expansion determinant here, and in ``helpers`` the
-previous sparse Bareiss and series by explicit long division.
+previous sparse Bareiss, series by explicit long division, Euclid's gcd and
+the Fraction route of reduction.  ``Poly`` has no division; the long
+division those oracles use lives in ``helpers`` and is checked first.
 """
 
 import random
@@ -26,7 +28,18 @@ from cuspzeta.exact import (
     series_expand,
 )
 from cuspzeta.zeta import MAX_SERIES_ORDER
-from helpers import reference_log_derivative_series, reference_poly_det, reference_series_expand
+from helpers import (
+    poly_derivative,
+    poly_divmod,
+    poly_eval,
+    poly_monic,
+    ratfunc_mul,
+    reference_log_derivative_series,
+    reference_poly_det,
+    reference_poly_gcd,
+    reference_ratfunc_reduce,
+    reference_series_expand,
+)
 
 # --- independent oracles -----------------------------------------------------
 
@@ -61,7 +74,7 @@ def test_poly_product_difference_of_squares():
 
 
 def test_poly_divrem_factorization():
-    q, r = divmod(Poly([1, 0, -4]), Poly([1, -2]))
+    q, r = poly_divmod(Poly([1, 0, -4]), Poly([1, -2]))
     assert q == Poly([1, 2])
     assert r.is_zero()
 
@@ -72,20 +85,20 @@ def test_poly_addition_cancellation():
 
 def test_poly_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        divmod(Poly([1, 2]), ZERO)
+        poly_divmod(Poly([1, 2]), ZERO)
 
 
 @given(a=polys, b=nonzero_polys)
 def test_divrem_reconstruction(a, b):
-    q, r = divmod(a, b)
+    q, r = poly_divmod(a, b)
     assert q * b + r == a
     assert r.is_zero() or r.degree < b.degree
 
 
 def test_poly_eval_and_derivative():
     p = Poly([1, -2, 3])
-    assert p(F(1, 2)) == F(3, 4)
-    assert p.derivative() == Poly([-2, 6])
+    assert poly_eval(p, F(1, 2)) == F(3, 4)
+    assert poly_derivative(p) == Poly([-2, 6])
 
 
 # --- gcd ---------------------------------------------------------------------
@@ -113,10 +126,22 @@ def test_gcd_both_zero_rejected():
 @settings(max_examples=40)
 def test_gcd_divides_both(a, b, c):
     g = poly_gcd(a * c, b * c)
-    assert divmod(a * c, g)[1].is_zero()
-    assert divmod(b * c, g)[1].is_zero()
+    assert poly_divmod(a * c, g)[1].is_zero()
+    assert poly_divmod(b * c, g)[1].is_zero()
     # the planted common factor must divide the gcd
-    assert divmod(g, c)[1].is_zero()
+    assert poly_divmod(g, c)[1].is_zero()
+
+
+@given(a=polys, b=nonzero_polys, c=nonzero_polys,
+       lead=small_rationals.filter(lambda x: x not in (0, 1)))
+@settings(max_examples=60, deadline=None)
+def test_gcd_is_euclids_monic_gcd(a, b, c, lead):
+    # c times a fractional constant plants a common factor with a leading
+    # coefficient other than 1, which poly_gcd must scale away
+    c = c * lead
+    g = poly_gcd(a * c, b * c)
+    assert g == reference_poly_gcd(a * c, b * c)
+    assert g.coeffs[-1] == 1 and poly_divmod(g, poly_monic(c))[1].is_zero()
 
 
 # --- rational functions ------------------------------------------------------
@@ -142,14 +167,26 @@ def test_reduce_zero_denominator():
         ratfunc_reduce(ONE, ZERO)
 
 
+@given(num=polys, den=nonzero_polys, common=nonzero_polys, u_power=st.integers(0, 2))
+@settings(max_examples=100, deadline=None)
+def test_reduce_matches_the_fraction_route(num, den, common, u_power):
+    # planted common factors, fractional coefficients, num = 0 (empty lists)
+    # and den(0) = 0 (the monic branch, through u_power) all occur
+    den = den * Poly([0, 1]) ** u_power
+    num, den = num * common, den * common
+    f = ratfunc_reduce(num, den)
+    assert f == reference_ratfunc_reduce(num, den)
+    assert all(type(c) is F for c in f.num.coeffs + f.den.coeffs)
+
+
 @given(a=nonzero_polys, b=nonzero_polys)
 @settings(max_examples=40)
 def test_reduce_idempotent_and_canonical(a, b):
     f = ratfunc_reduce(a, b)
     again = ratfunc_reduce(f.num, f.den)
     assert again == f
-    if f.den(F(0)) != 0:
-        assert f.den(F(0)) == 1
+    if f.den[0] != 0:
+        assert f.den[0] == 1
     if not f.num.is_zero():
         assert poly_gcd(f.num, f.den) == ONE
 
@@ -447,7 +484,7 @@ def test_series_multiplicativity(p, q, r, s):
     order = 8
     a, b = series_expand(f, order), series_expand(g, order)
     product = tuple(sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(order + 1))
-    assert series_expand(f * g, order) == product
+    assert series_expand(ratfunc_mul(f, g), order) == product
 
 
 # --- logarithmic derivative --------------------------------------------------
@@ -484,7 +521,7 @@ def test_log_derivative_additivity(p, q, r, s):
     f = ratfunc_reduce(ONE + Poly([0, 1]) * p, ONE + Poly([0, 1]) * q)
     g = ratfunc_reduce(ONE + Poly([0, 1]) * r, ONE + Poly([0, 1]) * s)
     order = 8
-    lhs = log_derivative_series(f * g, order)
+    lhs = log_derivative_series(ratfunc_mul(f, g), order)
     rhs = tuple(map(sum, zip(log_derivative_series(f, order), log_derivative_series(g, order))))
     assert lhs == rhs
 

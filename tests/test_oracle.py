@@ -176,7 +176,7 @@ def test_enumeration_matches_tuple_stack_reference(g, max_length):
     assert [type(c.weight) for c in classes] == [F] * len(classes)
     with pytest.raises(BudgetExceededError):
         enumerate_within(g, max_length, visited - 1)
-    series = euler_product_series(classes, max_length, enumerated_to=max_length)
+    series = euler_product_series(classes, max_length)
     assert series == reference_euler_product(expected, max_length)
     assert all(type(c) is F for c in series)
 
@@ -253,7 +253,7 @@ def test_enumeration_leaves_no_reference_cycles():
 
 def test_triangle_euler_product():
     classes = enumerate_primitive_cycles(triangle(), 8)
-    product = euler_product_series(classes, 8, enumerated_to=8)
+    product = euler_product_series(classes, 8)
     expected = series_expand(ratfunc_reduce(ONE, Poly([1, 0, 0, -1]) ** 2), 8)
     assert product == expected
 
@@ -267,7 +267,7 @@ def test_pgl2_euler_product_matches_series():
     bound = 8
     finite = truncate(pgl2(2), bound // 2 + 1)
     classes = enumerate_primitive_cycles(finite, bound)
-    product = euler_product_series(classes, bound, enumerated_to=bound)
+    product = euler_product_series(classes, bound)
     z = bass_ihara_zeta(pgl2(2)).bass_ihara
     assert product == series_expand(z, bound)
 
@@ -286,20 +286,14 @@ def test_euler_product_of_repeated_keys_matches_expanded_reference(g):
     bound = 8
     classes = enumerate_primitive_cycles(g, bound)
     assert any(count >= 2 for c, count in classes.items() if c.primitive_length == c.length)
-    product = euler_product_series(classes, bound, enumerated_to=bound)
+    product = euler_product_series(classes, bound)
     assert product == reference_euler_product(list(classes.elements()), bound)
-
-
-def test_euler_product_rejects_incomplete_classes():
-    classes = enumerate_primitive_cycles(triangle(), 6)
-    with pytest.raises(ValueError, match="complete"):
-        euler_product_series(classes, 10, enumerated_to=6)
 
 
 def test_euler_product_of_finite_graph_matches_edge_determinant():
     g = complete_graph(4)
     bound = 8
     classes = enumerate_primitive_cycles(g, bound)
-    product = euler_product_series(classes, bound, enumerated_to=bound)
+    product = euler_product_series(classes, bound)
     det = poly_det(build_effective(CuspidalGraph(g, (), 1)).entries)
     assert product == series_expand(ratfunc_reduce(ONE, det), bound)

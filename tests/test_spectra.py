@@ -1,4 +1,4 @@
-"""Tests for root finding, pole reports, Ramanujan classification, growth rates."""
+"""Tests for root finding, pole reports, Ramanujan classification, pole sweeps."""
 
 import math
 from fractions import Fraction as F
@@ -10,18 +10,16 @@ from hypothesis import strategies as st
 from cuspzeta import exact, spectra
 from cuspzeta.exact import CERTIFICATE_PRIME, ONE, Poly, RatFunc, poly_gcd
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
 from cuspzeta.spectra import (
     RootFindingError,
     complex_roots,
-    growth_rate,
     pole_gap_sweep,
     pole_report,
     ramanujan_check,
     square_free_parts,
 )
 from cuspzeta.zeta import bass_ihara_zeta, counting_series
-from helpers import reference_square_free_parts
+from helpers import poly_derivative, poly_divmod, poly_eval, poly_monic, reference_square_free_parts
 
 
 def zeta_of(c) -> RatFunc:
@@ -89,7 +87,7 @@ def test_square_free_parts_reconstruct_input():
     recon = Poly([1])
     for part, m in parts:
         recon = recon * part**m
-    assert recon == p.monic()
+    assert recon == poly_monic(p)
 
 
 # --- square-free certificate -------------------------------------------------
@@ -103,19 +101,19 @@ factors = st.lists(small_rationals, min_size=1, max_size=4).map(
 
 def monic_parts(p: Poly) -> list[tuple[Poly, int]]:
     """square_free_parts with each primitive integer part made monic."""
-    return [(part.monic(), m) for part, m in square_free_parts(p)]
+    return [(poly_monic(part), m) for part, m in square_free_parts(p)]
 
 
 def assert_square_free_decomposition(p: Poly, parts: list[tuple[Poly, int]]) -> None:
     recon = ONE
     for part, m in parts:
         assert part.degree > 0 and m > 0
-        assert poly_gcd(part, part.derivative()) == ONE
-        recon = recon * part.monic() ** m
+        assert poly_gcd(part, poly_derivative(part)) == ONE
+        recon = recon * poly_monic(part) ** m
     for i, (a, _) in enumerate(parts):
         for b, _ in parts[i + 1 :]:
             assert poly_gcd(a, b) == ONE
-    assert recon == p.monic()
+    assert recon == poly_monic(p)
 
 
 @given(a=factors, b=factors, c=factors, scale=small_rationals.filter(bool))
@@ -131,7 +129,7 @@ def test_square_free_input_is_one_part(roots, scale):
     p = Poly([scale])
     for r in roots:
         p = p * Poly([-r, 1])
-    assert monic_parts(p) == [(p.monic(), 1)]
+    assert monic_parts(p) == [(poly_monic(p), 1)]
 
 
 int_factors = st.tuples(
@@ -154,7 +152,7 @@ def test_integer_yun_matches_fraction_yun(factors, u_power, scale):
         assert all(c.denominator == 1 for c in part.coeffs)
         coeffs = [c.numerator for c in part.coeffs]
         assert coeffs[-1] > 0 and math.gcd(*coeffs) == 1
-    assert [(part.monic(), m) for part, m in parts] == reference_square_free_parts(p)
+    assert [(poly_monic(part), m) for part, m in parts] == reference_square_free_parts(p)
 
 
 def count_exact_gcds(monkeypatch) -> list:
@@ -174,7 +172,7 @@ def test_loop_denominators_are_certified_without_exact_gcd(monkeypatch):
     dens = [zeta_of(loop_family(3, n)).den for n in (1, 4, 8)]
     calls = count_exact_gcds(monkeypatch)
     for den in dens:
-        assert monic_parts(den) == [(den.monic(), 1)]
+        assert monic_parts(den) == [(poly_monic(den), 1)]
     assert calls == []
 
 
@@ -191,7 +189,7 @@ def test_leading_coefficient_divisible_by_prime_takes_exact_path(monkeypatch):
     p = Poly([-1, CERTIFICATE_PRIME]) ** 2 * Poly([1, 1])
     parts = square_free_parts(p)
     assert calls
-    assert sorted((m, part.monic()) for part, m in parts) == [
+    assert sorted((m, poly_monic(part)) for part, m in parts) == [
         (1, Poly([1, 1])),
         (2, Poly([F(-1, CERTIFICATE_PRIME), 1])),
     ]
@@ -215,7 +213,7 @@ def test_root_product_matches_constant_over_leading(rng):
         product = 1.0 + 0.0j
         for z, m in roots:
             product *= z**m
-        expected = (-1) ** p.degree * float(p.coeffs[0]) / float(p.leading())
+        expected = (-1) ** p.degree * float(p.coeffs[0]) / float(p.coeffs[-1])
         assert abs(product - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
@@ -325,10 +323,10 @@ SECOND_POLE_BRACKET = (F(25000007, 10**8), F(2500001, 10**7))
 
 def test_loop_4_10_second_pole_is_just_past_minus_a_quarter():
     den = zeta_of(loop_family(4, 10)).den
-    deflated, rem = divmod(den, Poly([1, -4]))
+    deflated, rem = poly_divmod(den, Poly([1, -4]))
     assert rem.is_zero()
     inner, outer = SECOND_POLE_BRACKET
-    assert deflated(-inner) * deflated(-outer) < 0
+    assert poly_eval(deflated, -inner) * poly_eval(deflated, -outer) < 0
 
 
 def test_loop_4_10_pole_report_finds_the_second_pole():
@@ -356,10 +354,10 @@ OLD_EDGE_CASES = [(3, 16), (4, 12), (5, 9)]
 def test_loop_second_pole_follows_the_gap_law(q, n):
     # exact: den / (1 - qu) changes sign across the bracket, with no float
     den = zeta_of(loop_family(q, n)).den
-    deflated, rem = divmod(den, Poly([1, -q]))
+    deflated, rem = poly_divmod(den, Poly([1, -q]))
     assert rem.is_zero()
     inner, outer = second_pole_bracket(q, n)
-    assert deflated(-inner) * deflated(-outer) < 0
+    assert poly_eval(deflated, -inner) * poly_eval(deflated, -outer) < 0
 
 
 @pytest.mark.parametrize("q, n", OLD_EDGE_CASES)
@@ -393,34 +391,6 @@ def test_newton_polygon_starts_one_per_circle():
 def test_sweep_requires_values():
     with pytest.raises(ValueError):
         pole_gap_sweep(3, [])
-
-
-# --- growth rate -------------------------------------------------------------
-
-
-def test_growth_rate_matches_second_pole_of_loop_family():
-    c = loop_family(3, 3)
-    report = pole_report(zeta_of(c))
-    estimate = growth_rate(c, 3, range(20, 41))
-    assert estimate.limit * report.moduli_clusters[1] == pytest.approx(1.0, rel=5e-2)
-
-
-def test_growth_rate_of_pgl2_reports_main_term():
-    # here |N_m - q^m| is dominated by q^m itself, so r_m tends to q
-    estimate = growth_rate(pgl2(2), 2, range(10, 31))
-    assert estimate.limit == pytest.approx(2.0, rel=1e-2)
-
-
-def test_growth_rate_of_tree_is_exactly_q():
-    tree = EdgeIndexedGraph(["r", "s"], [("r", "s", 1, 1)])
-    c = CuspidalGraph(tree, (), 3, 1)
-    estimate = growth_rate(c, 3, range(5, 15))
-    assert all(r == pytest.approx(3.0, abs=1e-12) for r in estimate.r_values)
-
-
-def test_growth_rate_rejects_oversized_range():
-    with pytest.raises(ValueError):
-        growth_rate(pgl2(2), 2, range(100, 300))
 
 
 # --- pole / counting consistency ---------------------------------------------

@@ -10,6 +10,7 @@ from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph, relabel, truncate
 from cuspzeta.oracle import _successor_rows, trace_powers
 from cuspzeta.zeta import bass_ihara_zeta, build_effective, counting_series
+from helpers import poly_eval
 
 
 def rf(num, den) -> RatFunc:
@@ -362,15 +363,15 @@ def test_biregular_cusps_match_trace_oracle():
 def test_zeta_value_one_at_origin():
     for c in (pgl2(2), chain(3, 3), star(5, (4, 2)), loop_family(3, 3)):
         z = bass_ihara_zeta(c).bass_ihara
-        assert z.num(F(0)) == 1 and z.den(F(0)) == 1
+        assert z.num[0] == 1 and z.den[0] == 1
 
 
 def test_regular_families_have_pole_at_reciprocal_q():
     cases = [(pgl2(3), 3), (star(3, (2, 2)), 3), (loop_family(3, 2), 3), (pgl2(5), 5)]
     for c, q in cases:
         z = bass_ihara_zeta(c).bass_ihara
-        assert z.den(F(1, q)) == 0
-        assert z.num(F(1, q)) != 0
+        assert poly_eval(z.den, F(1, q)) == 0
+        assert poly_eval(z.num, F(1, q)) != 0
 
 
 @pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (3, 3), (5, 2), (3, 48), (5, 24)])
