@@ -14,12 +14,10 @@ division-free recurrence (Newton's identities for u P'/P) that, like the
 determinant's packing, runs in ``int`` arithmetic on integral coefficients.
 
 Determinants of polynomial matrices use Bareiss fraction-free elimination
-over integer polynomials (rows are cleared of denominators first), and
-polynomial gcds use the subresultant pseudo-remainder sequence; both avoid
-the coefficient blow-up of naive rational elimination.  Before that
-sequence, every gcd tries a certificate: a unit gcd modulo the prime
-2**61 - 1 proves the gcd over Q is 1, which is the common case (reduced
-zeta functions, square-free denominators).  Yun's square-free split
+over integer polynomials (rows are cleared of denominators first), which
+avoids the coefficient blow-up of naive rational elimination.  Polynomial
+gcds use the heuristic gcd: one integer gcd of the packed inputs, read back
+and kept once it divides both (see :func:`_zgcd`).  Yun's square-free split
 (:func:`square_free_parts`) and :func:`ratfunc_reduce` run on the same
 primitive integer coefficient lists, so their derivatives, exact divisions
 and gcds are int operations; only the final scaling makes Fractions.
@@ -37,14 +35,14 @@ is unchanged, while short pivots keep every later minor short.  On the
 banded edge-side matrices of the loop family most rows sit out most steps,
 and the work drops accordingly.
 
-Inside the elimination each integer polynomial entry is one integer, its
-value at u = 2^B (Kronecker substitution), so every product and exact
-division is a single big-integer operation in CPython's C code.  B comes
-from a proven bound on the coefficients of every minor the elimination
-stores (Hadamard's inequality on |u| = 1 with Cauchy's estimate), so
-packing is injective on them: zero tests, pivots and quotients are those
-over Z[u], and the determinant is read back as balanced base-2^B digits
-with masks and shifts.
+Inside the elimination and the gcd each integer polynomial is one integer,
+its value at u = 2^B (Kronecker substitution, :func:`_pack`), so every
+product, exact division and gcd is a single big-integer operation in
+CPython's C code, and results are read back as balanced base-2^B digits
+(:func:`_unpack`).  In the elimination B comes from a proven bound on the
+coefficients of every minor it stores (Hadamard's inequality on |u| = 1
+with Cauchy's estimate), so packing is injective on them: zero tests,
+pivots and quotients are those over Z[u].
 """
 
 from __future__ import annotations
@@ -55,8 +53,6 @@ from math import gcd as _int_gcd, lcm, prod
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
-
-CERTIFICATE_PRIME = 2**61 - 1
 
 __all__ = [
     "Poly",
@@ -124,19 +120,6 @@ class Poly:
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def __neg__(self) -> Poly:
-        return Poly([-c for c in self._coeffs])
-
-    def __add__(self, other: Poly | Scalar) -> Poly:
-        other = _as_poly(other)
-        n = max(len(self._coeffs), len(other._coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Poly | Scalar) -> Poly:
-        return self + (-_as_poly(other))
-
     def __mul__(self, other: Poly | Scalar) -> Poly:
         if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self._coeffs])
@@ -187,12 +170,6 @@ class Poly:
 
 ZERO = Poly()
 ONE = Poly([1])
-
-
-def _as_poly(value: Poly | Scalar) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    return Poly([value])
 
 
 # ---------------------------------------------------------------------------
@@ -254,87 +231,61 @@ def _to_int_polys(polys: list[Poly]) -> tuple[list[list[int]], int]:
     return [[c.numerator * (mult // c.denominator) for c in p.coeffs] for p in polys], mult
 
 
-def _zprem(f: list[int], g: list[int]) -> list[int]:
-    """Pseudo-remainder of lc(g)**(deg f - deg g + 1) * f modulo g."""
-    dg, lg = len(g) - 1, g[-1]
-    rem = list(f)
-    steps = len(f) - len(g) + 1
-    while rem and len(rem) - 1 >= dg:
-        lr, dr = rem[-1], len(rem) - 1
-        rem = [lg * c for c in rem]
-        for j, y in enumerate(g):
-            rem[dr - dg + j] -= lr * y
-        _ztrim(rem)
-        steps -= 1
-    if steps > 0:
-        scale = lg**steps
-        rem = [scale * c for c in rem]
-    return rem
+def _pack(p: list[int], width: int) -> int:
+    """p at u = 2^width, by Horner's rule (Kronecker substitution)."""
+    value = 0
+    for c in reversed(p):
+        value = (value << width) + c
+    return value
 
 
-def _gf_rem(a: list[int], b: list[int]) -> list[int]:
-    """Remainder of a modulo b over GF(P), ascending coefficients, b nonzero."""
-    rem = list(a)
-    db = len(b) - 1
-    inverse = pow(b[-1], -1, CERTIFICATE_PRIME)
-    for k in range(len(rem) - 1 - db, -1, -1):
-        c = rem[k + db] * inverse % CERTIFICATE_PRIME
-        if c:
-            for j in range(db):
-                rem[k + j] = (rem[k + j] - c * b[j]) % CERTIFICATE_PRIME
-    return _ztrim(rem[:db])
-
-
-def _coprime_mod_prime(f: list[int], g: list[int]) -> bool:
-    """True proves f and g coprime over Q; False proves nothing.
-
-    The primitive gcd h of f and g over Z divides both, so when the prime P
-    does not divide lc(f), or else lc(g), it does not divide lc(h) either:
-    h keeps its degree modulo P, where it divides gcd(f, g) over GF(P).  A
-    unit gcd over GF(P) therefore forces deg h = 0.
-    """
-    if f[-1] % CERTIFICATE_PRIME == 0 and g[-1] % CERTIFICATE_PRIME == 0:
-        return False
-    a = _ztrim([c % CERTIFICATE_PRIME for c in f])
-    b = _ztrim([c % CERTIFICATE_PRIME for c in g])
-    while b:
-        if len(b) == 1:
-            return True
-        a, b = b, _gf_rem(a, b)
-    return False
+def _unpack(value: int, width: int) -> list[int]:
+    """The balanced base-2^width digits of value, read by masks and shifts."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    coeffs = []
+    while value:
+        digit = value & mask
+        value >>= width
+        if digit >= half:
+            digit -= 1 << width
+            value += 1
+        coeffs.append(digit)
+    return coeffs
 
 
 def _zgcd(f: list[int], g: list[int]) -> list[int]:
     """Primitive gcd, with a positive leading coefficient, of integer
-    polynomials not both zero: a certificate modulo a prime, else the
-    subresultant remainder sequence."""
+    polynomials not both zero, by the heuristic gcd (Char, Geddes and
+    Gonnet, J. Symbolic Comput. 1989).
+
+    H is read back from gcd(f(xi), g(xi)), xi = 2^B, and h = pp(H) is
+    returned once it divides f and g; else B doubles.  B starts as the least
+    with xi >= 2m + 2, m = min(||f||_inf, ||g||_inf) for primitive f and g.
+    Correct: h | d = gcd(f, g); write d = h k.  d(xi) | H(xi) = cont(H) h(xi),
+    so k(xi) | cont(H) <= xi/2, as H's digits are balanced.  Each root of k is
+    a root of f and of g, so of modulus < 1 + m <= xi/2 (Cauchy), which gives
+    |k(xi)| > (xi/2)^deg k: k is constant.  Terminates: the integer gcd is
+    r d(xi) with r | Res(f/d, g/d), whose digits are r d once 2^(B-1) > |r| ||d||_inf.
+    """
     if not f or not g:
         return _zprimitive(f or g)
     if len(f) == 1 or len(g) == 1:
         return [1]
     f, g = _zprimitive(f), _zprimitive(g)
-    if _coprime_mod_prime(f, g):
-        return [1]
-    if len(f) < len(g):
-        f, g = g, f
-    gg, h = 1, 1
+    width = (2 * min(max(map(abs, f)), max(map(abs, g))) + 1).bit_length()  # least B
     while True:
-        d = len(f) - len(g)
-        rem = _zprem(f, g)
-        if not rem:
-            break
-        if len(rem) == 1:
-            return [1]
-        divisor = gg * h**d
-        f, g = g, [c // divisor for c in rem]
-        gg = f[-1]
-        h = h if d == 0 else (gg**d if d == 1 else gg**d // h ** (d - 1))
-    return _zprimitive(g)
+        h = _zprimitive(_unpack(_int_gcd(_pack(f, width), _pack(g, width)), width))
+        try:
+            _zquo(f, h), _zquo(g, h)
+        except ValueError:
+            width *= 2
+        else:
+            return h
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor: a certificate modulo a prime, else the
-    subresultant remainder sequence."""
+    """Monic greatest common divisor, by the heuristic gcd of the primitive
+    integer parts."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
     (f, g), _ = _to_int_polys([a, b])
@@ -547,15 +498,7 @@ def poly_det(matrix: PolyMatrix) -> Poly:
         int_rows.append(int_row)
     bound_sq = min(prod(max(1, s) for s in row_sq), prod(max(1, s) for s in col_sq))
     width = (bound_sq.bit_length() + 1) // 2 + 1  # least B with 4^(B-1) > H^2
-    rows: list[dict[int, int]] = []
-    for int_row in int_rows:
-        packed = {}
-        for j, p in int_row.items():
-            value = 0
-            for c in reversed(p):
-                value = (value << width) + c
-            packed[j] = value
-        rows.append(packed)
+    rows = [{j: _pack(p, width) for j, p in int_row.items()} for int_row in int_rows]
     divisors = [1]  # divisors[k] = P_{k-1}, the divisor of step k
     step = [0] * n  # the step whose values each row holds
     sign = 1
@@ -587,13 +530,5 @@ def poly_det(matrix: PolyMatrix) -> Poly:
             step[i] = k + 1
         divisors.append(pivot)
     det = rows[n - 1].get(n - 1, 0) * divisors[n - 1] // divisors[step[n - 1]] * sign
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    coeffs = []
-    while det:
-        digit = det & mask
-        det >>= width
-        if digit >= half:
-            digit -= 1 << width
-            det += 1
-        coeffs.append(digit)
+    coeffs = _unpack(det, width)
     return Poly(coeffs) if scale == 1 else Poly(Fraction(c, scale) for c in coeffs)

@@ -9,8 +9,8 @@ polynomial is first split into square-free parts by Yun's algorithm
 (:func:`square_free_parts`, which runs in integers in :mod:`cuspzeta.exact`),
 so the iteration only ever sees simple roots (a multiple root would cap
 double precision at eps**(1/m) accuracy, far coarser than the deliberately
-tiny root gaps of the loop family).  The split costs one certified gcd of p
-and p' in the common square-free case.  Each part's integer coefficients are
+tiny root gaps of the loop family).  The split costs one gcd of p and p'
+in the common square-free case.  Each part's integer coefficients are
 converted to floats once, as c / lead.  Multiplicities come from the exact
 split alone: each root of a part of multiplicity m is reported once with
 multiplicity m, and no distance between float roots ever merges them.  A
@@ -91,15 +91,13 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     return result
 
 
-def _aberth(coeffs: Sequence[float]) -> list[complex]:
-    """Simultaneous iteration on a square-free float polynomial.
+def _aberth(monic: Sequence[float]) -> list[complex]:
+    """Simultaneous iteration on a monic square-free float polynomial.
 
     A root stops moving once its residual reaches the evaluation noise
     floor; requiring further shrinking steps there would spin forever.  Its
     residual cannot change after that, so it is never evaluated again.
     """
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
     deriv = [i * c for i, c in enumerate(monic)][1:]
     sizes = [abs(c) for c in monic]
     degree = len(monic) - 1

@@ -249,6 +249,14 @@ def poly_quotient(a: Poly, b: Poly) -> Poly:
     return q
 
 
+def poly_add(a: Poly, b: Poly) -> Poly:
+    return Poly([a[i] + b[i] for i in range(max(len(a.coeffs), len(b.coeffs)))])
+
+
+def poly_sub(a: Poly, b: Poly) -> Poly:
+    return poly_add(a, b * -1)
+
+
 def poly_monic(p: Poly) -> Poly:
     return p * (1 / p.coeffs[-1])
 
@@ -306,7 +314,7 @@ def reference_square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
     if g.degree == 0:
         return [(poly_monic(p), 1)]
     w = poly_quotient(p, g)
-    z = poly_quotient(dp, g) - poly_derivative(w)
+    z = poly_sub(poly_quotient(dp, g), poly_derivative(w))
     parts = []
     m = 1
     while w.degree > 0:
@@ -315,7 +323,7 @@ def reference_square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
             parts.append((f, m))
             w = poly_quotient(w, f)
             z = poly_quotient(z, f)
-        z = z - poly_derivative(w)
+        z = poly_sub(z, poly_derivative(w))
         m += 1
     return parts
 
@@ -343,7 +351,7 @@ def reference_series_expand(f: RatFunc, order: int) -> tuple[F, ...]:
 def reference_log_derivative_series(z: RatFunc, order: int) -> tuple[F, ...]:
     """Series of u Z'/Z as U (num' den - den' num) / (num den), by long division."""
     u = Poly([0, 1])
-    num = u * (poly_derivative(z.num) * z.den - poly_derivative(z.den) * z.num)
+    num = u * poly_sub(poly_derivative(z.num) * z.den, poly_derivative(z.den) * z.num)
     return reference_series_expand(RatFunc(num, z.num * z.den), order)
 
 

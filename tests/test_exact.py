@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspzeta import exact
 from cuspzeta.exact import (
     ONE,
     Poly,
@@ -29,10 +30,12 @@ from cuspzeta.exact import (
 )
 from cuspzeta.zeta import MAX_SERIES_ORDER
 from helpers import (
+    poly_add,
     poly_derivative,
     poly_divmod,
     poly_eval,
     poly_monic,
+    poly_sub,
     ratfunc_mul,
     reference_log_derivative_series,
     reference_poly_det,
@@ -57,7 +60,7 @@ def cofactor_det(rows: list[list[Poly]]) -> Poly:
             continue
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         term = rows[0][j] * cofactor_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
+        acc = (poly_add if j % 2 == 0 else poly_sub)(acc, term)
     return acc
 
 
@@ -80,7 +83,7 @@ def test_poly_divrem_factorization():
 
 
 def test_poly_addition_cancellation():
-    assert Poly([1, 0, -3]) + Poly([0, 0, 3]) == ONE
+    assert poly_add(Poly([1, 0, -3]), Poly([0, 0, 3])) == ONE
 
 
 def test_poly_division_by_zero():
@@ -91,7 +94,7 @@ def test_poly_division_by_zero():
 @given(a=polys, b=nonzero_polys)
 def test_divrem_reconstruction(a, b):
     q, r = poly_divmod(a, b)
-    assert q * b + r == a
+    assert poly_add(q * b, r) == a
     assert r.is_zero() or r.degree < b.degree
 
 
@@ -142,6 +145,37 @@ def test_gcd_is_euclids_monic_gcd(a, b, c, lead):
     g = poly_gcd(a * c, b * c)
     assert g == reference_poly_gcd(a * c, b * c)
     assert g.coeffs[-1] == 1 and poly_divmod(g, poly_monic(c))[1].is_zero()
+
+
+def test_gcd_retries_a_candidate_that_fails_the_division_check(monkeypatch):
+    # B = 2 (xi = 4): gcd(6, 4) = 2 reads back as u - 2, which divides neither
+    # input; B = 4 (xi = 16): gcd(18, 16) = 2 reads back as the constant 2
+    widths = []
+    pack = exact._pack
+
+    def recording_pack(p, width):
+        widths.append(width)
+        return pack(p, width)
+
+    monkeypatch.setattr(exact, "_pack", recording_pack)
+    assert poly_gcd(Poly([2, 1]), Poly([0, 1])) == ONE
+    assert widths == [2, 2, 4, 4]
+
+
+# integer coefficients of 40 to 60 bits, of both signs, and some zeros
+big_ints = st.one_of(
+    st.just(0),
+    st.builds(lambda m, sign: sign * m, st.integers(2**40, 2**60), st.sampled_from((-1, 1))),
+)
+big_int_polys = st.lists(big_ints, min_size=1, max_size=5).map(Poly).filter(bool)
+
+
+@given(a=big_int_polys, b=big_int_polys, c=big_int_polys.filter(lambda p: p.degree > 0),
+       power=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_gcd_of_wide_coefficients_is_euclids(a, b, c, power):
+    planted = c**power
+    assert poly_gcd(a * planted, b * planted) == reference_poly_gcd(a * planted, b * planted)
 
 
 # --- rational functions ------------------------------------------------------
@@ -257,10 +291,10 @@ def test_det_row_swap_carries_the_skipped_step():
     # than 1 + u and the shortest-entry rule takes row 0 as the step-0 pivot.
     u = Poly([0, 1])
     rows = [
-        [ONE + u, ZERO, ONE, Poly([2])],
+        [Poly([1, 1]), ZERO, ONE, Poly([2])],
         [Poly([3, 1, 1]), ZERO, Poly([1, 2]), Poly([0, 2])],
         [Poly([0, 2, 1]), ZERO, u, Poly([1, 2])],
-        [ZERO, ONE - u, ZERO, ZERO],
+        [ZERO, Poly([1, -1]), ZERO, ZERO],
     ]
     assert poly_det(PolyMatrix(rows)) == cofactor_det(rows) == Poly([-2, 2, -1, 1])
 
@@ -275,8 +309,8 @@ def test_det_shortest_pivot_is_a_stale_row_below_an_up_to_date_one():
     # telescoped factor P_1 / P_0 = 1 - u.
     u = Poly([0, 1])
     rows = [
-        [ONE + u, ZERO, ONE, ZERO],
-        [u * u, ONE - u, ZERO, u],
+        [Poly([1, 1]), ZERO, ONE, ZERO],
+        [u * u, Poly([1, -1]), ZERO, u],
         [ZERO, u * u, u * u * u, ONE],
         [u * u, ZERO, u, ONE],
     ]
@@ -335,7 +369,7 @@ def wide_matrices(draw):
         i, j, k = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
         a = Poly([draw(st.integers(-3, 3)), draw(st.integers(-3, 3))])
         b = Poly([draw(wide_coeffs)])
-        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+        rows[i] = [poly_add(a * x, b * y) for x, y in zip(rows[j], rows[k])]
     return draw(st.permutations(rows))
 
 
@@ -460,7 +494,7 @@ series_orders = st.one_of(st.integers(0, 12), st.integers(0, MAX_SERIES_ORDER),
 @settings(max_examples=60, deadline=None)
 def test_series_expand_matches_long_division(num, tail, d0, order):
     # den(0) is neither 0 nor 1: the function is not normalised first
-    f = RatFunc(num, Poly([d0]) + Poly([0, 1]) * tail)
+    f = RatFunc(num, poly_add(Poly([d0]), Poly([0, 1]) * tail))
     series = series_expand(f, order)
     assert series == reference_series_expand(f, order)
     assert len(series) == order + 1 and all(type(c) is F for c in series)
@@ -470,7 +504,7 @@ def test_series_expand_matches_long_division(num, tail, d0, order):
 @settings(max_examples=60, deadline=None)
 def test_log_derivative_matches_the_quotient_route(p, q, order):
     u = Poly([0, 1])
-    z = RatFunc(ONE + u * p, ONE + u * q)
+    z = RatFunc(poly_add(ONE, u * p), poly_add(ONE, u * q))
     series = log_derivative_series(z, order)
     assert series == reference_log_derivative_series(z, order)
     assert len(series) == order + 1 and all(type(c) is F for c in series)
@@ -479,8 +513,8 @@ def test_log_derivative_matches_the_quotient_route(p, q, order):
 @given(p=polys, q=polys, r=polys, s=polys)
 @settings(max_examples=40)
 def test_series_multiplicativity(p, q, r, s):
-    f = ratfunc_reduce(ONE + Poly([0, 1]) * p, ONE + Poly([0, 1]) * q)
-    g = ratfunc_reduce(ONE + Poly([0, 1]) * r, ONE + Poly([0, 1]) * s)
+    f = ratfunc_reduce(poly_add(ONE, Poly([0, 1]) * p), poly_add(ONE, Poly([0, 1]) * q))
+    g = ratfunc_reduce(poly_add(ONE, Poly([0, 1]) * r), poly_add(ONE, Poly([0, 1]) * s))
     order = 8
     a, b = series_expand(f, order), series_expand(g, order)
     product = tuple(sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(order + 1))
@@ -518,8 +552,8 @@ def test_log_derivative_requires_value_one_at_zero():
 @given(p=polys, q=polys, r=polys, s=polys)
 @settings(max_examples=40)
 def test_log_derivative_additivity(p, q, r, s):
-    f = ratfunc_reduce(ONE + Poly([0, 1]) * p, ONE + Poly([0, 1]) * q)
-    g = ratfunc_reduce(ONE + Poly([0, 1]) * r, ONE + Poly([0, 1]) * s)
+    f = ratfunc_reduce(poly_add(ONE, Poly([0, 1]) * p), poly_add(ONE, Poly([0, 1]) * q))
+    g = ratfunc_reduce(poly_add(ONE, Poly([0, 1]) * r), poly_add(ONE, Poly([0, 1]) * s))
     order = 8
     lhs = log_derivative_series(ratfunc_mul(f, g), order)
     rhs = tuple(map(sum, zip(log_derivative_series(f, order), log_derivative_series(g, order))))

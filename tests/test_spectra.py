@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspzeta import exact, spectra
-from cuspzeta.exact import CERTIFICATE_PRIME, ONE, Poly, RatFunc, poly_gcd
+from cuspzeta import spectra
+from cuspzeta.exact import ONE, Poly, RatFunc, poly_gcd
 from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.spectra import (
     RootFindingError,
@@ -155,52 +155,36 @@ def test_integer_yun_matches_fraction_yun(factors, u_power, scale):
     assert [(poly_monic(part), m) for part, m in parts] == reference_square_free_parts(p)
 
 
-def count_exact_gcds(monkeypatch) -> list:
-    """Record every pseudo-remainder step of the subresultant sequence."""
-    calls = []
-    zprem = exact._zprem
-
-    def counting_zprem(f, g):
-        calls.append((f, g))
-        return zprem(f, g)
-
-    monkeypatch.setattr(exact, "_zprem", counting_zprem)
-    return calls
-
-
-def test_loop_denominators_are_certified_without_exact_gcd(monkeypatch):
-    dens = [zeta_of(loop_family(3, n)).den for n in (1, 4, 8)]
-    calls = count_exact_gcds(monkeypatch)
-    for den in dens:
+def test_loop_denominators_are_square_free():
+    for n in (1, 4, 8):
+        den = zeta_of(loop_family(3, n)).den
         assert monic_parts(den) == [(poly_monic(den), 1)]
-    assert calls == []
 
 
-def test_reduced_loop_zeta_functions_are_certified_without_exact_gcd(monkeypatch):
-    zetas = [zeta_of(loop_family(3, n)) for n in (1, 4, 8)]
-    calls = count_exact_gcds(monkeypatch)
-    for z in zetas:
+def test_reduced_loop_zeta_functions_are_coprime():
+    for n in (1, 4, 8):
+        z = zeta_of(loop_family(3, n))
         assert poly_gcd(z.num, z.den) == ONE
-    assert calls == []
 
 
-def test_leading_coefficient_divisible_by_prime_takes_exact_path(monkeypatch):
-    calls = count_exact_gcds(monkeypatch)
-    p = Poly([-1, CERTIFICATE_PRIME]) ** 2 * Poly([1, 1])
+# The prime 2**61 - 1 divides the leading coefficient of the first input and
+# is a root of the second: modulo it, the first loses its degree and the
+# second is u^2, not square-free.
+
+
+def test_leading_coefficient_divisible_by_2_61_minus_1_splits():
+    p = Poly([-1, 2**61 - 1]) ** 2 * Poly([1, 1])
     parts = square_free_parts(p)
-    assert calls
     assert sorted((m, poly_monic(part)) for part, m in parts) == [
         (1, Poly([1, 1])),
-        (2, Poly([F(-1, CERTIFICATE_PRIME), 1])),
+        (2, Poly([F(-1, 2**61 - 1), 1])),
     ]
     assert_square_free_decomposition(p, parts)
 
 
-def test_square_free_over_q_but_not_modulo_prime_takes_exact_path(monkeypatch):
-    calls = count_exact_gcds(monkeypatch)
-    p = Poly([0, 1]) * Poly([-CERTIFICATE_PRIME, 1])
+def test_square_free_over_q_but_not_modulo_2_61_minus_1():
+    p = Poly([0, 1]) * Poly([-(2**61 - 1), 1])
     assert square_free_parts(p) == [(p, 1)]
-    assert calls
 
 
 def test_root_product_matches_constant_over_leading(rng):

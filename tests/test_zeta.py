@@ -10,7 +10,7 @@ from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph, relabel, truncate
 from cuspzeta.oracle import _successor_rows, trace_powers
 from cuspzeta.zeta import bass_ihara_zeta, build_effective, counting_series
-from helpers import poly_eval
+from helpers import poly_add, poly_eval, poly_sub
 
 
 def rf(num, den) -> RatFunc:
@@ -110,7 +110,7 @@ def test_transfer_matches_oracle_successor_rows(rng):
         expected = [[ONE if i == j else Poly() for j in range(len(rows))] for i in range(len(rows))]
         for i, row in enumerate(rows):
             for j, w in row:
-                expected[i][j] = expected[i][j] - Poly([0, w])
+                expected[i][j] = poly_sub(expected[i][j], Poly([0, w]))
         assert [list(r) for r in transfer(g).entries.rows] == expected
 
 
@@ -388,7 +388,7 @@ def test_loop_family_determinant_product_form(q, n):
     ring_sum = [0] * (2 * n)
     for k in range(n):
         ring_sum[2 * k] = q**k
-    even_factor = Poly([1, 1]) * Poly(ring_sum) + Poly([0] * (2 * n) + [q**n])
+    even_factor = poly_add(Poly([1, 1]) * Poly(ring_sum), Poly([0] * (2 * n) + [q**n]))
     odd_coeffs = [0] * (2 * n + 2)
     odd_coeffs[0] = 1
     for k in range(n + 1):

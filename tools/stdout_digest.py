@@ -8,9 +8,13 @@ Run from the root of a source checkout; the package is imported from
 every operation runs once through ``cuspzeta.cli.main`` in-process.  Its exit
 code, stdout and stderr are hashed, with verify's wall-clock ``elapsed_s``
 masked by ``perfbench/checks.py`` and the temporary directory's path
-replaced by a fixed name.  One SHA-256 line per workload and seed, and one
-over all of them, go to stdout as a Markdown list, so two trees whose lines
-match print byte-identical output on all of these operations.
+replaced by a fixed name.  The ``dense`` workload runs only ``zeta``, so
+``poles`` on each of its graphs is hashed too: their denominators, of degree
+54 and 62 with repeated (1 - u^2) factors, give Yun's split its largest
+gcds.  One SHA-256 line per workload and seed, one per seed for the dense
+poles, and one over all of them, go to stdout as a Markdown list, so two
+trees whose lines match print byte-identical output on all of these
+operations.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import hashlib
 import io
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,17 +50,24 @@ def run(op: workloads.Op, workdir: str) -> bytes:
     return repr((op.name, code, stdout, stderr)).encode()
 
 
+def dense_poles(seed: int, workdir: Path) -> list[workloads.Op]:
+    """``poles`` on each graph of the ``dense`` workload."""
+    return [workloads.Op(op.name.replace("zeta", "poles", 1), ("poles", op.argv[1]), "poles")
+            for op in workloads.build("dense", seed, workdir)]
+
+
 def main() -> int:
     total = hashlib.sha256()
-    for name in workloads.WORKLOADS:
+    builders = [(f"`{name}`", partial(workloads.build, name)) for name in workloads.WORKLOADS]
+    for label, build in builders + [("`dense` poles", dense_poles)]:
         for seed in SEEDS:
             digest = hashlib.sha256()
             with tempfile.TemporaryDirectory() as workdir:
-                ops = workloads.build(name, seed, Path(workdir))
+                ops = build(seed, Path(workdir))
                 for op in ops:
                     digest.update(run(op, workdir))
             total.update(digest.digest())
-            print(f"- `{name}` seed {seed}, {len(ops)} operations: `{digest.hexdigest()}`")
+            print(f"- {label} seed {seed}, {len(ops)} operations: `{digest.hexdigest()}`")
     print(f"- all: `{total.hexdigest()}`")
     return 0
 
