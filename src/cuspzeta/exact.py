@@ -27,13 +27,15 @@ entry is zero, since Bareiss would only rescale it by P_k / P_{k-1} (P_k
 the pivot of step k).  A skipped row remembers the step its values belong
 to; the factors it missed telescope to one quotient of two pivots, which
 is folded into the row's next update, or applied when the row becomes the
-pivot row or the last row.  Step k pivots on the row whose column-k entry,
-brought up to date, is shortest.  Bareiss is exact for any order of nonzero
-pivots: an up-to-date entry is a minor of the row-permuted matrix
-(Sylvester's identity), so every division stays exact and the determinant
-is unchanged, while short pivots keep every later minor short.  On the
-banded edge-side matrices of the loop family most rows sit out most steps,
-and the work drops accordingly.
+pivot row or the last row.  Pivoting is complete: step k pivots on the
+shortest up-to-date entry of all remaining rows and columns; each row
+caches its own shortest entry, and columns never move, so the sign gains
+the parity of the pivot columns.  Bareiss is exact for any order of
+nonzero pivots: an up-to-date entry is a minor of the row- and
+column-permuted matrix (Sylvester's identity), so every division stays
+exact and the determinant is unchanged, while short pivots keep every
+later minor short.  On the banded edge-side matrices of the loop family
+most rows sit out most steps, and the work drops accordingly.
 
 Inside the elimination and the gcd each integer polynomial is one integer,
 its value at u = 2^B (Kronecker substitution, :func:`_pack`), so every
@@ -468,16 +470,21 @@ def poly_det(matrix: PolyMatrix) -> Poly:
         a_ij <- (P_k a_ij - a_ik a_kj) / P_{s-1}
 
     on the stored values; a row that becomes the pivot row, or the last
-    row, is brought up to date by P_{k-1} / P_{s-1} alone.  The candidates
-    of step k are rows k..n-1 that are nonzero in column k, and the pivot row
-    is the one whose entry is shortest once brought up to date.  Every row
-    owes the same P_{k-1}, so the key is the entry's bit length less that of
-    P_{s-1}; ties go to the lowest row.  Bareiss is exact for any order of
-    nonzero pivots (Sylvester's identity): every entry of an up-to-date row
-    is a minor of the row-permuted scaled matrix, and a stale row times
-    P_{k-1} / P_{s-1} is that minor too, so each division is exact and the
-    determinant is identical.  The update touches only columns where the
-    row or the pivot row is nonzero.
+    row, is brought up to date by P_{k-1} / P_{s-1} alone.  Pivoting is
+    complete: step k pivots on the entry of rows k..n-1 (which hold only
+    the columns not yet pivoted on) that is shortest once brought up to
+    date.  Every row owes the same P_{k-1}, so the key is the entry's bit
+    length less that of P_{s-1}, which a row's entries share: each row
+    caches (key, column) of its shortest entry, refreshed only when the row
+    is updated and swapped with the row; ties go to the lowest column, then
+    row.  Columns are never swapped, so the sign of the row swaps gains the
+    parity of the pivot columns in step order.  Bareiss is exact for any
+    order of nonzero pivots (Sylvester's identity): every entry of an
+    up-to-date row is a minor of the row- and column-permuted scaled
+    matrix, and a stale row times P_{k-1} / P_{s-1} is that minor too, so
+    each division is exact and the determinant is identical; a row left
+    empty is a zero row of it, so the determinant is zero.  The update
+    touches only columns where the row or the pivot row is nonzero.
     """
     n = matrix.n
     if n == 0:
@@ -499,25 +506,29 @@ def poly_det(matrix: PolyMatrix) -> Poly:
     bound_sq = min(prod(max(1, s) for s in row_sq), prod(max(1, s) for s in col_sq))
     width = (bound_sq.bit_length() + 1) // 2 + 1  # least B with 4^(B-1) > H^2
     rows = [{j: _pack(p, width) for j, p in int_row.items()} for int_row in int_rows]
+    if not all(rows):
+        return ZERO
     divisors = [1]  # divisors[k] = P_{k-1}, the divisor of step k
     step = [0] * n  # the step whose values each row holds
-    sign = 1
+    shortest = [min((v.bit_length() - 1, j) for j, v in row.items()) for row in rows]  # key, column
+    cols, sign = [], 1  # the pivot column of each step; the row swaps' sign
     for k in range(n - 1):
-        pivot_row = min((r for r in range(k, n) if k in rows[r]), default=None,
-                        key=lambda r: rows[r][k].bit_length() - divisors[step[r]].bit_length())
-        if pivot_row is None:
-            return ZERO
+        pivot_row = min(range(k, n), key=shortest.__getitem__)
         if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            step[k], step[pivot_row] = step[pivot_row], step[k]
+            for a in (rows, step, shortest):
+                a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
         top, up, down = rows[k], divisors[k], divisors[step[k]]
+        rows[k] = None
         if up != down:
             top = {j: v * up // down for j, v in top.items()}
-        pivot = top.pop(k)
+        col = shortest[k][1]
+        cols.append(col)
+        pivot = top.pop(col)
+        pivot_bits = pivot.bit_length()
         for i in range(k + 1, n):
             row = rows[i]
-            rik = row.pop(k, None)
+            rik = row.pop(col, None)
             if rik is None:
                 continue
             divisor = divisors[step[i]]
@@ -527,8 +538,17 @@ def poly_det(matrix: PolyMatrix) -> Poly:
                     row[j] = value
                 else:
                     row.pop(j, None)
+            if not row:
+                return ZERO
             step[i] = k + 1
+            shortest[i] = min((v.bit_length() - pivot_bits, j) for j, v in row.items())
         divisors.append(pivot)
-    det = rows[n - 1].get(n - 1, 0) * divisors[n - 1] // divisors[step[n - 1]] * sign
+    (col, last), = rows[n - 1].items()
+    cols.append(col)
+    for k in range(n):  # sort the pivot columns by swaps, each flipping the sign
+        while cols[k] != k:
+            j = cols[k]
+            cols[k], cols[j], sign = cols[j], j, -sign
+    det = last * divisors[n - 1] // divisors[step[n - 1]] * sign
     coeffs = _unpack(det, width)
     return Poly(coeffs) if scale == 1 else Poly(Fraction(c, scale) for c in coeffs)

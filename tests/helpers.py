@@ -424,9 +424,9 @@ def reference_poly_det(matrix: PolyMatrix) -> Poly:
     the integer-packed one: the same skipped rows and telescoped rescale,
     but every product and exact division is a schoolbook loop over
     polynomial coefficients, and step k pivots on the first row that is
-    nonzero in column k, where the engine takes the shortest entry.  So
-    agreement also checks that the determinant does not depend on the
-    pivot order.
+    nonzero in column k, where the engine takes the shortest entry of all
+    remaining rows and columns.  So agreement also checks that the
+    determinant does not depend on the pivot order.
 
     Each row is first multiplied by the lcm of its coefficient denominators
     so the elimination runs over integer polynomials; the final determinant

@@ -285,46 +285,48 @@ def test_det_sparse_matches_cofactor(rows):
 
 
 def test_det_row_swap_carries_the_skipped_step():
-    # column 1 is nonzero only in the last row, which skipped step 0; after
-    # the swap it must be rescaled by the step-0 pivot 1 + u before use.
-    # Rows 1 and 2 carry u times row 0, so their column-0 entries are longer
-    # than 1 + u and the shortest-entry rule takes row 0 as the step-0 pivot.
+    # Step 0 pivots on row 0's 1 + u, the shortest entry; row 2 has nothing
+    # in column 0 and skips the step.  At step 1 row 1 holds entries of
+    # degree 4 and 5, and the stale row 2's 1 + u^2 is (1 + u)(1 + u^2) once
+    # up to date, the shortest: the swap must carry row 2's step, and the
+    # row is rescaled by the step-0 pivot 1 + u before use.
     u = Poly([0, 1])
     rows = [
-        [Poly([1, 1]), ZERO, ONE, Poly([2])],
-        [Poly([3, 1, 1]), ZERO, Poly([1, 2]), Poly([0, 2])],
-        [Poly([0, 2, 1]), ZERO, u, Poly([1, 2])],
-        [ZERO, Poly([1, -1]), ZERO, ZERO],
+        [Poly([1, 1]), u * u, Poly([0, 0, 1, 1])],
+        [u * u, Poly([1, 0, 1]), Poly([0, 0, 0, 1])],
+        [ZERO, Poly([1, 0, 1]), ZERO],
     ]
-    assert poly_det(PolyMatrix(rows)) == cofactor_det(rows) == Poly([-2, 2, -1, 1])
+    assert poly_det(PolyMatrix(rows)) == cofactor_det(rows) == Poly([0, 0, 0, -1, 0, 0, 0, 1])
 
 
 def test_det_shortest_pivot_is_a_stale_row_below_an_up_to_date_one():
     # Step 0 pivots on 1 + u; rows 1 and 3 are updated and row 2 skips it.
-    # Step 1 pivots on row 1's (1 + u)(1 - u), shorter than row 2's u^2 times
-    # the factor 1 + u it still owes; row 3 is zero in column 1 and skips
-    # the step.  At step 2 the up-to-date row 2 holds u^3 + u^4 - u^5 in
-    # column 2 and the stale row 3 holds u, which is u - u^2 once up to date:
-    # the shortest-entry rule swaps row 3 in and brings it up to date by the
-    # telescoped factor P_1 / P_0 = 1 - u.
+    # Step 1 pivots on row 1's (1 + u)(1 + u^2); row 2 is updated and row 3,
+    # zero in column 1, skips the step.  At step 2 the up-to-date row 2 holds
+    # (1 + u)(1 + u^2)(1 + u^3) in column 2 and the stale row 3 holds
+    # (1 + u)(1 + 3u^2), which is (1 + u)(1 + u^2)(1 + 3u^2) once up to
+    # date: the shortest-entry rule swaps row 3 in and brings it up to date
+    # by the telescoped factor P_1 / P_0 = 1 + u^2.
     u = Poly([0, 1])
     rows = [
-        [Poly([1, 1]), ZERO, ONE, ZERO],
-        [u * u, Poly([1, -1]), ZERO, u],
-        [ZERO, u * u, u * u * u, ONE],
-        [u * u, ZERO, u, ONE],
+        [Poly([1, 1]), ZERO, ZERO, u * u],
+        [u * u, Poly([1, 0, 1]), ZERO, ZERO],
+        [ZERO, u * u * u, Poly([1, 0, 0, 1]), ZERO],
+        [u * u, ZERO, Poly([1, 0, 3]), u ** 4],
     ]
-    assert poly_det(PolyMatrix(rows)) == cofactor_det(rows) == Poly([0, -1, 1, 1, 2, -1])
+    assert poly_det(PolyMatrix(rows)) == cofactor_det(rows) == Poly([0, 0, 0, 0, 0, 1, 0, 0, 1, -3, 1])
 
 
 def test_det_row_skipped_for_several_steps():
-    # the last row is zero until its last column, so it skips every step and
-    # picks up the whole telescoped rescale at the end
+    # the last row's one entry is in the last column, which is zero in every
+    # other row, and is longer than every other pivot: the row is never
+    # updated, skips every step and picks up the whole telescoped rescale
+    # P_2 / P_{-1} at the end
     rows = [
         [Poly([1, 2]), Poly([0, 1]), Poly([3]), ZERO],
-        [Poly([0, F(1, 2)]), Poly([2]), ZERO, Poly([1, 1])],
-        [ZERO, Poly([1, -1]), Poly([0, 0, 1]), Poly([F(-2, 3)])],
-        [ZERO, ZERO, ZERO, Poly([5, 0, 1])],
+        [Poly([0, F(1, 2)]), Poly([2]), ZERO, ZERO],
+        [ZERO, Poly([1, -1]), Poly([0, 0, 1]), ZERO],
+        [ZERO, ZERO, ZERO, Poly([5, 0, 0, 0, 0, 0, 1])],
     ]
     assert poly_det(PolyMatrix(rows)) == cofactor_det(rows)
 
@@ -335,9 +337,44 @@ def test_det_singular_matrix_is_zero():
     assert poly_det(m).is_zero()
 
 
+def test_det_zero_middle_row_is_zero():
+    # a row with no entry is found before the first step
+    rows = [[Poly([1, 1]), Poly([0, 1]), Poly([2])], [ZERO, ZERO, ZERO], [Poly([0, 1]), ONE, Poly([3])]]
+    assert poly_det(PolyMatrix(rows)).is_zero()
+    assert reference_poly_det(PolyMatrix(rows)).is_zero()
+
+
+def test_det_last_row_emptied_by_the_last_update_is_zero():
+    # row 2 is row 0 + u row 1: steps 0 and 1 pivot in rows 1 and 0, and the
+    # update of step 1 leaves row 2 with no entry
+    u = Poly([0, 1])
+    top, middle = [Poly([1, 1]), Poly([2]), u], [u, ONE, Poly([3, 1])]
+    rows = [top, middle, [poly_add(a, u * b) for a, b in zip(top, middle)]]
+    assert poly_det(PolyMatrix(rows)).is_zero()
+    assert cofactor_det(rows).is_zero()
+
+
 def test_det_zero_pivot_forces_row_swap():
-    m = PolyMatrix([[ZERO, ONE], [ONE, ZERO]])
-    assert poly_det(m) == Poly([-1])
+    # the top-left entry is zero and the shortest entry, 1, is in row 1, so
+    # step 0 swaps the rows; the pivot columns stay in order and the sign is
+    # the row swap's alone
+    m = PolyMatrix([[ZERO, Poly([0, 1])], [ONE, ZERO]])
+    assert poly_det(m) == Poly([0, -1])
+
+
+def test_det_sign_from_the_pivot_columns_alone():
+    # Step 0 pivots on row 0's 1 in column 1 and step 1 on row 1's 2 - u^2 in
+    # column 0; the last row is left with column 2.  No row is swapped, and
+    # the pivot columns 1, 0, 2 are an odd permutation, which gives the sign.
+    u = Poly([0, 1])
+    rows = [
+        [u, ONE, u * u],
+        [Poly([2]), u, u * u],
+        [u * u, u, Poly([5])],
+    ]
+    expected = Poly([-10, 0, 5, 2, 0, -1])
+    assert poly_det(PolyMatrix(rows)) == cofactor_det(rows) == expected
+    assert reference_poly_det(PolyMatrix(rows)) == expected
 
 
 # Coefficients far past one machine word, of both signs, and fractions whose
