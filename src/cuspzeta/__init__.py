@@ -17,7 +17,6 @@ from cuspzeta.graphs import (
     GraphFormatError,
     GraphOfGroups,
     OrientedEdge,
-    ValidationReport,
     invariant_signature,
     relabel,
     truncate,

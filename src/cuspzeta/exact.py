@@ -27,15 +27,17 @@ entry is zero, since Bareiss would only rescale it by P_k / P_{k-1} (P_k
 the pivot of step k).  A skipped row remembers the step its values belong
 to; the factors it missed telescope to one quotient of two pivots, which
 is folded into the row's next update, or applied when the row becomes the
-pivot row or the last row.  Pivoting is complete: step k pivots on the
-shortest up-to-date entry of all remaining rows and columns; each row
-caches its own shortest entry, and columns never move, so the sign gains
-the parity of the pivot columns.  Bareiss is exact for any order of
-nonzero pivots: an up-to-date entry is a minor of the row- and
-column-permuted matrix (Sylvester's identity), so every division stays
-exact and the determinant is unchanged, while short pivots keep every
-later minor short.  On the banded edge-side matrices of the loop family
-most rows sit out most steps, and the work drops accordingly.
+pivot row.  Pivoting is complete: step k pivots on the shortest up-to-date
+entry of all remaining rows and columns (ties to the highest row), and
+each row caches its own shortest entry.  Neither rows nor columns move:
+the pivot row is used where it sits and then dropped, the determinant is
+the last pivot, and its sign is the parity of the permutation taking each
+row to its pivot column.  Bareiss is exact for any order of nonzero
+pivots: an up-to-date entry is a minor of the row- and column-permuted
+matrix (Sylvester's identity), so every division stays exact and the
+determinant is unchanged, while short pivots keep every later minor
+short.  On the banded edge-side matrices of the loop family most rows sit
+out most steps, and the work drops accordingly.
 
 Inside the elimination and the gcd each integer polynomial is one integer,
 its value at u = 2^B (Kronecker substitution, :func:`_pack`), so every
@@ -469,26 +471,27 @@ def poly_det(matrix: PolyMatrix) -> Poly:
 
         a_ij <- (P_k a_ij - a_ik a_kj) / P_{s-1}
 
-    on the stored values; a row that becomes the pivot row, or the last
-    row, is brought up to date by P_{k-1} / P_{s-1} alone.  Pivoting is
-    complete: step k pivots on the entry of rows k..n-1 (which hold only
-    the columns not yet pivoted on) that is shortest once brought up to
-    date.  Every row owes the same P_{k-1}, so the key is the entry's bit
-    length less that of P_{s-1}, which a row's entries share: each row
-    caches (key, column) of its shortest entry, refreshed only when the row
-    is updated and swapped with the row; ties go to the lowest column, then
-    row.  Columns are never swapped, so the sign of the row swaps gains the
-    parity of the pivot columns in step order.  Bareiss is exact for any
-    order of nonzero pivots (Sylvester's identity): every entry of an
-    up-to-date row is a minor of the row- and column-permuted scaled
-    matrix, and a stale row times P_{k-1} / P_{s-1} is that minor too, so
-    each division is exact and the determinant is identical; a row left
-    empty is a zero row of it, so the determinant is zero.  The update
+    on the stored values; a row that becomes the pivot row is brought up
+    to date by P_{k-1} / P_{s-1} alone.  Pivoting is complete: step k
+    pivots on the entry of the remaining rows (which hold only the columns
+    not yet pivoted on) that is shortest once brought up to date.  Every
+    row owes the same P_{k-1}, so the key is the entry's bit length less
+    that of P_{s-1}, which a row's entries share: each row caches (key,
+    column) of its shortest entry, refreshed only when the row is updated;
+    ties go to the lowest column, then the highest row.  No row or column
+    moves: the pivot row is used where it sits and leaves the remaining
+    rows, so after n steps the last pivot P_{n-1} (P_{-1} = 1 when n = 0)
+    is the determinant of the matrix with its rows and columns in pivot
+    order, and the sign is the parity of the permutation taking each row to
+    its pivot column.  Bareiss is exact for any order of nonzero pivots
+    (Sylvester's identity): every entry of an up-to-date row is a minor of
+    the row- and column-permuted scaled matrix, and a stale row times
+    P_{k-1} / P_{s-1} is that minor too, so each division is exact and the
+    determinant is identical; a row left empty is a zero row of it, so the
+    determinant is zero.  The update
     touches only columns where the row or the pivot row is nonzero.
     """
     n = matrix.n
-    if n == 0:
-        return ONE
     scale = 1
     int_rows: list[dict[int, list[int]]] = []
     row_sq, col_sq = [], [0] * n  # sums of squared 1-norms of the entries
@@ -505,29 +508,22 @@ def poly_det(matrix: PolyMatrix) -> Poly:
         int_rows.append(int_row)
     bound_sq = min(prod(max(1, s) for s in row_sq), prod(max(1, s) for s in col_sq))
     width = (bound_sq.bit_length() + 1) // 2 + 1  # least B with 4^(B-1) > H^2
-    rows = [{j: _pack(p, width) for j, p in int_row.items()} for int_row in int_rows]
-    if not all(rows):
+    rows = {i: {j: _pack(p, width) for j, p in row.items()} for i, row in enumerate(int_rows)}
+    if not all(rows.values()):
         return ZERO
     divisors = [1]  # divisors[k] = P_{k-1}, the divisor of step k
     step = [0] * n  # the step whose values each row holds
-    shortest = [min((v.bit_length() - 1, j) for j, v in row.items()) for row in rows]  # key, column
-    cols, sign = [], 1  # the pivot column of each step; the row swaps' sign
-    for k in range(n - 1):
-        pivot_row = min(range(k, n), key=shortest.__getitem__)
-        if pivot_row != k:
-            for a in (rows, step, shortest):
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        top, up, down = rows[k], divisors[k], divisors[step[k]]
-        rows[k] = None
+    shortest = {i: min((v.bit_length() - 1, j) for j, v in row.items()) for i, row in rows.items()}
+    pivot_cols = [0] * n  # the column each row pivots in
+    for k in range(n):
+        r = min(reversed(shortest), key=shortest.__getitem__)  # ties to the highest row
+        col = pivot_cols[r] = shortest.pop(r)[1]
+        top, up, down = rows.pop(r), divisors[k], divisors[step[r]]
         if up != down:
             top = {j: v * up // down for j, v in top.items()}
-        col = shortest[k][1]
-        cols.append(col)
         pivot = top.pop(col)
         pivot_bits = pivot.bit_length()
-        for i in range(k + 1, n):
-            row = rows[i]
+        for i, row in rows.items():
             rik = row.pop(col, None)
             if rik is None:
                 continue
@@ -543,12 +539,11 @@ def poly_det(matrix: PolyMatrix) -> Poly:
             step[i] = k + 1
             shortest[i] = min((v.bit_length() - pivot_bits, j) for j, v in row.items())
         divisors.append(pivot)
-    (col, last), = rows[n - 1].items()
-    cols.append(col)
-    for k in range(n):  # sort the pivot columns by swaps, each flipping the sign
-        while cols[k] != k:
-            j = cols[k]
-            cols[k], cols[j], sign = cols[j], j, -sign
-    det = last * divisors[n - 1] // divisors[step[n - 1]] * sign
+    sign = 1
+    for k in range(n):  # sort the row-to-column permutation by swaps, each flipping the sign
+        while pivot_cols[k] != k:
+            j = pivot_cols[k]
+            pivot_cols[k], pivot_cols[j], sign = pivot_cols[j], j, -sign
+    det = divisors[n] * sign
     coeffs = _unpack(det, width)
     return Poly(coeffs) if scale == 1 else Poly(Fraction(c, scale) for c in coeffs)

@@ -10,7 +10,7 @@ standard rays; a ray is never materialized, only its attachment data
 
 The constructors enforce the invariants (unique vertex ids, known endpoints
 and cusp vertices, positive weights) by raising ``ValueError``;
-:func:`validate` checks only connectivity and regularity.
+:func:`validate` checks only connectivity.
 
 Vertex ids are opaque strings.  Matrix row order everywhere in the package
 is fixed by the lexicographic order of vertex ids, so identical inputs give
@@ -30,7 +30,6 @@ __all__ = [
     "GraphOfGroups",
     "Cusp",
     "CuspidalGraph",
-    "ValidationReport",
     "GraphFormatError",
     "weights_from_groups",
     "validate",
@@ -266,35 +265,12 @@ def _list_field(obj: dict, key: str) -> list:
     return value
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    errors: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
+def validate(g: EdgeIndexedGraph | CuspidalGraph) -> None:
+    """Raise :class:`GraphFormatError` unless the core graph is connected.
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate(
-    g: EdgeIndexedGraph | CuspidalGraph, expect_q: int | None = None
-) -> ValidationReport:
-    """Check connectivity; regularity failures are warnings only.
-
-    The constructors already enforce every other invariant.  With
-    ``expect_q`` given, every core vertex must have weighted out-degree
-    (plus one alpha per attached cusp) equal to ``expect_q + 1``.  Families
-    with deliberately small attachment weights are non-regular, so a
-    regularity mismatch does not invalidate the graph.
+    The constructors already enforce every other invariant.
     """
-    cusps: tuple[Cusp, ...] = ()
-    if isinstance(g, CuspidalGraph):
-        cusps = g.cusps
-        graph = g.core
-    else:
-        graph = g
-    errors: list[str] = []
-    warnings: list[str] = []
+    graph = g.core if isinstance(g, CuspidalGraph) else g
     if graph.vertices:
         seen = {graph.vertices[0]}
         stack = [graph.vertices[0]]
@@ -306,22 +282,7 @@ def validate(
                     seen.add(t)
                     stack.append(t)
         if len(seen) != len(graph.vertices):
-            errors.append("graph is not connected")
-    if expect_q is not None and not errors:
-        target = Fraction(expect_q + 1)
-        for v in graph.vertices:
-            total = sum((graph.edges[i].weight for i in graph.out_edges(v)), Fraction(0))
-            total += sum(c.alpha for c in cusps if c.vertex == v)
-            if total != target:
-                warnings.append(
-                    f"vertex {v!r} has weighted out-degree {total}, expected {target}"
-                )
-        for idx, c in enumerate(cusps):
-            if c.ray_q != expect_q:
-                warnings.append(
-                    f"cusp {idx} has ray weight {c.ray_q}, so the ray is not {expect_q + 1}-regular"
-                )
-    return ValidationReport(tuple(errors), tuple(warnings))
+            raise GraphFormatError("graph is not connected")
 
 
 def truncate(c: CuspidalGraph, depth: int) -> EdgeIndexedGraph:

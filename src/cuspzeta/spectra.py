@@ -42,7 +42,6 @@ __all__ = [
     "SweepRow",
     "RootFindingError",
     "complex_roots",
-    "square_free_parts",
     "pole_report",
     "ramanujan_check",
     "pole_gap_sweep",

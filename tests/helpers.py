@@ -82,6 +82,17 @@ def weighted_vertex_side_zeta(c: CuspidalGraph) -> RatFunc:
     return ratfunc_reduce(num, den)
 
 
+def is_regular(c: CuspidalGraph, q: int) -> bool:
+    """Whether every core vertex has weighted out-degree, plus the alpha of
+    each cusp at it, equal to q + 1, and every cusp has ray weight q."""
+    degree = dict.fromkeys(c.core.vertices, F(0))
+    for e in c.core.edges:
+        degree[e.source] += e.weight
+    for cusp in c.cusps:
+        degree[cusp.vertex] += cusp.alpha
+    return all(d == q + 1 for d in degree.values()) and all(cusp.ray_q == q for cusp in c.cusps)
+
+
 def random_min_degree_two_graph(rng: random.Random, max_vertices: int = 10) -> EdgeIndexedGraph:
     """Connected simple unit-weight graph with minimum degree two.
 

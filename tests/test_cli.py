@@ -5,6 +5,7 @@ import io
 import json
 import shlex
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from cuspzeta import cli, oracle, spectra
 from cuspzeta.exact import Poly
-from cuspzeta.families import loop_family, pgl2
+from cuspzeta.families import chain, loop_family, pgl2
 from cuspzeta.graphs import CuspidalGraph
 from cuspzeta.zeta import MAX_SERIES_ORDER, CountingSeries, bass_ihara_zeta
 from helpers import poly_divmod
@@ -108,6 +109,22 @@ def test_zeta_series_and_selberg_flags(capsys, tmp_path):
     assert data["selberg"] == expected.to_json()
 
 
+def test_zeta_selberg_past_the_budget_exits_1_before_the_power(capsys, tmp_path):
+    # bass_ihara of chain(3, 4) is (1 - 3u^2) / (1 - 9u^2), so degree 2 * 10^6
+    path = write_graph(tmp_path, replace(chain(3, 4), central_order=10**6))
+    captured = run_cli(capsys, "zeta", path, "--expand-selberg", expect=1)
+    assert captured.out == ""
+    assert captured.err.startswith("FAIL budget: Selberg degree 2000000 exceeds the cap 800")
+
+
+def test_zeta_selberg_at_the_budget_expands_the_power(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SELBERG_DEGREE", 6)
+    graph = replace(chain(3, 4), central_order=3)
+    data = json.loads(run_cli(capsys, "zeta", write_graph(tmp_path, graph), "--expand-selberg").out)
+    assert data["selberg"] == bass_ihara_zeta(graph).selberg_expanded().to_json()
+    assert len(data["selberg"]["den"]) == 7
+
+
 def no_determinant(graph):
     raise AssertionError("the determinant ran before the order was checked")
 
@@ -174,6 +191,7 @@ def _graph_with(**fields):
         pytest.param(_graph_with(edges=5), id="edges-int"),
         pytest.param(_graph_with(cusps=None), id="cusps-null"),
         pytest.param(_graph_with(cusps=[{"vertex": "a", "alpha": 1, "ray_q": 1}]), id="ray-q-1"),
+        pytest.param(_graph_with(vertices=["a", "b", "c"]), id="disconnected"),
         pytest.param(None, id="directory"),
         pytest.param(b'{"q": 3, "vertices": ["\xe9"]}', id="not-utf8"),
         # past the int-str digit limit where the interpreter has one, negative where not

@@ -256,8 +256,8 @@ def sparse_matrices(draw):
 
     Each row is zero left of a drawn column, so it sits out that many steps
     before it is eliminated; some diagonal entries are zeroed and the rows
-    are shuffled, so pivots are often found by a row swap, and a row may be
-    replaced by a multiple of another (singular).
+    are shuffled, so pivots are often found off the diagonal, and a row may
+    be replaced by a multiple of another (singular).
     """
     n = draw(st.integers(1, 7))
     coeff = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
@@ -284,12 +284,32 @@ def test_det_sparse_matches_cofactor(rows):
     assert poly_det(PolyMatrix(rows)) == cofactor_det(rows)
 
 
-def test_det_row_swap_carries_the_skipped_step():
+def permutation_sign(perm: list[int]) -> int:
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+    return -1 if inversions % 2 else 1
+
+
+@given(rows=sparse_matrices(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_det_column_permutation_multiplies_by_its_sign(rows, data):
+    n = len(rows)
+    perm = data.draw(st.permutations(range(n)))
+    permuted = PolyMatrix([[row[perm[j]] for j in range(n)] for row in rows])
+    expected = poly_det(PolyMatrix(rows)) * permutation_sign(perm)
+    assert poly_det(permuted) == expected
+    assert reference_poly_det(permuted) == expected
+
+
+def test_det_of_the_empty_matrix_is_one():
+    assert poly_det(PolyMatrix([])) == ONE
+
+
+def test_det_stale_pivot_row_carries_its_skipped_step():
     # Step 0 pivots on row 0's 1 + u, the shortest entry; row 2 has nothing
     # in column 0 and skips the step.  At step 1 row 1 holds entries of
     # degree 4 and 5, and the stale row 2's 1 + u^2 is (1 + u)(1 + u^2) once
-    # up to date, the shortest: the swap must carry row 2's step, and the
-    # row is rescaled by the step-0 pivot 1 + u before use.
+    # up to date, the shortest: row 2 pivots where it sits, its step says it
+    # missed step 0, and it is rescaled by the step-0 pivot 1 + u before use.
     u = Poly([0, 1])
     rows = [
         [Poly([1, 1]), u * u, Poly([0, 0, 1, 1])],
@@ -305,8 +325,8 @@ def test_det_shortest_pivot_is_a_stale_row_below_an_up_to_date_one():
     # zero in column 1, skips the step.  At step 2 the up-to-date row 2 holds
     # (1 + u)(1 + u^2)(1 + u^3) in column 2 and the stale row 3 holds
     # (1 + u)(1 + 3u^2), which is (1 + u)(1 + u^2)(1 + 3u^2) once up to
-    # date: the shortest-entry rule swaps row 3 in and brings it up to date
-    # by the telescoped factor P_1 / P_0 = 1 + u^2.
+    # date: the shortest-entry rule picks row 3 over row 2 and brings it up
+    # to date by the telescoped factor P_1 / P_0 = 1 + u^2.
     u = Poly([0, 1])
     rows = [
         [Poly([1, 1]), ZERO, ZERO, u * u],
@@ -321,7 +341,7 @@ def test_det_row_skipped_for_several_steps():
     # the last row's one entry is in the last column, which is zero in every
     # other row, and is longer than every other pivot: the row is never
     # updated, skips every step and picks up the whole telescoped rescale
-    # P_2 / P_{-1} at the end
+    # P_2 / P_{-1} as the last pivot row
     rows = [
         [Poly([1, 2]), Poly([0, 1]), Poly([3]), ZERO],
         [Poly([0, F(1, 2)]), Poly([2]), ZERO, ZERO],
@@ -345,8 +365,9 @@ def test_det_zero_middle_row_is_zero():
 
 
 def test_det_last_row_emptied_by_the_last_update_is_zero():
-    # row 2 is row 0 + u row 1: steps 0 and 1 pivot in rows 1 and 0, and the
-    # update of step 1 leaves row 2 with no entry
+    # row 2 is row 0 + u row 1: steps 0 and 1 pivot in rows 1 and 2 (rows 0
+    # and 2 tie at step 1, and a tie goes to the higher row), and the update
+    # of step 1 leaves row 0, the one row left, with no entry
     u = Poly([0, 1])
     top, middle = [Poly([1, 1]), Poly([2]), u], [u, ONE, Poly([3, 1])]
     rows = [top, middle, [poly_add(a, u * b) for a, b in zip(top, middle)]]
@@ -354,18 +375,19 @@ def test_det_last_row_emptied_by_the_last_update_is_zero():
     assert cofactor_det(rows).is_zero()
 
 
-def test_det_zero_pivot_forces_row_swap():
+def test_det_sign_from_the_pivot_rows_alone():
     # the top-left entry is zero and the shortest entry, 1, is in row 1, so
-    # step 0 swaps the rows; the pivot columns stay in order and the sign is
-    # the row swap's alone
+    # steps 0 and 1 pivot in rows 1 and 0; the pivot columns stay in order
+    # and the sign is that of the pivot rows' order alone
     m = PolyMatrix([[ZERO, Poly([0, 1])], [ONE, ZERO]])
     assert poly_det(m) == Poly([0, -1])
 
 
 def test_det_sign_from_the_pivot_columns_alone():
     # Step 0 pivots on row 0's 1 in column 1 and step 1 on row 1's 2 - u^2 in
-    # column 0; the last row is left with column 2.  No row is swapped, and
-    # the pivot columns 1, 0, 2 are an odd permutation, which gives the sign.
+    # column 0; the last row is left with column 2.  The rows pivot in order,
+    # and the pivot columns 1, 0, 2 are an odd permutation, which gives the
+    # sign.
     u = Poly([0, 1])
     rows = [
         [u, ONE, u * u],

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import CuspidalGraph, validate
+from cuspzeta.graphs import CuspidalGraph
 from cuspzeta.zeta import bass_ihara_zeta, build_effective
+from helpers import is_regular
 
 
 def successor_weights(graph, source, target):
@@ -77,8 +78,7 @@ def test_star_rejects_empty_or_nonpositive_parts():
 
 
 def test_star_regularity_at_full_sum():
-    report = validate(star(5, (3, 2, 1)), expect_q=5)
-    assert report.ok and not report.warnings
+    assert is_regular(star(5, (3, 2, 1)), 5)
 
 
 # --- loop family -------------------------------------------------------------
@@ -86,8 +86,7 @@ def test_star_regularity_at_full_sum():
 
 def test_loop_family_is_regular():
     for q, n in [(3, 1), (3, 2), (5, 2)]:
-        report = validate(loop_family(q, n), expect_q=q)
-        assert report.ok and not report.warnings, (q, n, report)
+        assert is_regular(loop_family(q, n), q), (q, n)
 
 
 def test_loop_family_q2_warns():
@@ -171,6 +170,4 @@ def test_builders_are_regular_exactly_at_full_attachment():
         (loop_family(5, 1), 5, True),
     ]
     for c, q, regular in cases:
-        report = validate(c, expect_q=q)
-        assert report.ok
-        assert (not report.warnings) == regular, (c, report.warnings)
+        assert is_regular(c, q) == regular, c

@@ -15,6 +15,7 @@ from cuspzeta.graphs import (
     validate,
     weights_from_groups,
 )
+from helpers import is_regular
 
 
 def two_vertex_gog(order_a, order_b, edge_order):
@@ -75,32 +76,34 @@ def test_graph_of_groups_rejects_edge_order_shorter_than_edge_pairs():
 
 def test_weights_output_validates():
     g = weights_from_groups(two_vertex_gog(6, 2, 2))
-    assert validate(g).ok
+    validate(g)
 
 
 # --- validate ----------------------------------------------------------------
 
 
 def test_validate_chain_at_full_attachment_is_regular():
-    report = validate(chain(3, 4), expect_q=3)
-    assert report.ok and not report.warnings
+    validate(chain(3, 4))
+    assert is_regular(chain(3, 4), 3)
 
 
 def test_validate_star_hub_degree():
-    report = validate(star(3, (2, 2)), expect_q=3)
-    assert report.ok and not report.warnings
+    validate(star(3, (2, 2)))
+    assert is_regular(star(3, (2, 2)), 3)
 
 
 def test_validate_small_attachment_warns_only():
-    report = validate(chain(3, 1), expect_q=3)
-    assert report.ok
-    assert any("out-degree" in w for w in report.warnings)
+    # alpha 1 leaves the vertex's weighted out-degree short of q + 1 while the
+    # ray stays q-regular: irregular, yet a valid graph
+    g = chain(3, 1)
+    validate(g)
+    assert all(c.ray_q == 3 for c in g.cusps) and not is_regular(g, 3)
 
 
 def test_validate_detects_disconnected_graph():
     g = EdgeIndexedGraph(["x", "y", "z"], [("x", "y", 1, 1)])
-    report = validate(g)
-    assert any("connected" in e for e in report.errors)
+    with pytest.raises(GraphFormatError, match="graph is not connected"):
+        validate(g)
 
 
 # --- invariants enforced at construction --------------------------------------
@@ -194,7 +197,7 @@ def test_truncate_ray_names_avoid_core_vertices():
     assert large.vertices[3:] == ("v0.ray0.1''", "v0.ray0.2", "v0.ray0.3")
     assert truncate(c, 3) == large
     assert set(small.edge_pairs()) <= set(large.edge_pairs())
-    assert validate(large).ok
+    validate(large)
 
 
 # --- relabel -----------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspzeta import spectra
-from cuspzeta.exact import ONE, Poly, RatFunc, poly_gcd
+from cuspzeta.exact import ONE, Poly, RatFunc, poly_gcd, square_free_parts
 from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.spectra import (
     RootFindingError,
@@ -16,7 +16,6 @@ from cuspzeta.spectra import (
     pole_gap_sweep,
     pole_report,
     ramanujan_check,
-    square_free_parts,
 )
 from cuspzeta.zeta import bass_ihara_zeta, counting_series
 from helpers import poly_derivative, poly_divmod, poly_eval, poly_monic, reference_square_free_parts
