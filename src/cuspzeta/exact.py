@@ -1,26 +1,29 @@
-"""Exact univariate polynomial and rational-function arithmetic.
+"""Exact univariate polynomial and rational-function arithmetic over Z.
 
-Every scalar is an arbitrary-precision rational (``fractions.Fraction``), so
-all results in this module are exact; nothing here touches floating point.
+Every coefficient is a Python ``int``.  Graph weights are indices of finite
+groups, so every matrix the engine builds lies in Z[u], and so do its
+determinant and every reduced zeta function; nothing here touches floating
+point, and nothing here divides except exactly.
 
 A :class:`Poly` is a dense polynomial in one variable ``u``, stored as an
-ascending coefficient tuple with no trailing zeros (the zero polynomial is
-the empty tuple).  A :class:`RatFunc` is a reduced rational function
-``num/den`` with ``gcd(num, den) = 1``; whenever ``den(0) != 0`` both parts
-are scaled so that ``den(0) = 1``, which makes equality of rational
-functions a plain structural comparison.  A truncated Taylor expansion is
-a plain tuple of its coefficients, of length order + 1, found by a
-division-free recurrence (Newton's identities for u P'/P) that, like the
-determinant's packing, runs in ``int`` arithmetic on integral coefficients.
+ascending tuple of ints with no trailing zeros (the zero polynomial is the
+empty tuple); a non-integral coefficient is a ``ValueError``.  A
+:class:`RatFunc` is a reduced rational function ``num/den`` with
+``gcd(num, den) = 1`` and no common integer content, signed so that
+``den(0) > 0`` (or the leading coefficient of ``den`` when ``den(0) = 0``),
+which makes equality of rational functions a plain structural comparison;
+for a zeta function that means ``den(0) = 1``.  A truncated Taylor
+expansion is a plain tuple of its coefficients, of length order + 1, found
+by a division-free recurrence (Newton's identities for u P'/P) once
+``den(0) = +-1``.
 
-Determinants of polynomial matrices use Bareiss fraction-free elimination
-over integer polynomials (rows are cleared of denominators first), which
-avoids the coefficient blow-up of naive rational elimination.  Polynomial
-gcds use the heuristic gcd: one integer gcd of the packed inputs, read back
-and kept once it divides both (see :func:`_zgcd`).  Yun's square-free split
-(:func:`square_free_parts`) and :func:`ratfunc_reduce` run on the same
-primitive integer coefficient lists, so their derivatives, exact divisions
-and gcds are int operations; only the final scaling makes Fractions.
+Determinants of polynomial matrices use Bareiss fraction-free elimination,
+which avoids the coefficient blow-up of naive rational elimination.
+Polynomial gcds use the heuristic gcd: one integer gcd of the packed inputs,
+read back and kept once it divides both (see :func:`_zgcd`).  Yun's
+square-free split (:func:`square_free_parts`) and :func:`ratfunc_reduce` run
+on the same primitive coefficient lists, so their derivatives, exact
+divisions and gcds are int operations.
 
 The elimination keeps rows sparse and skips every row whose pivot-column
 entry is zero, since Bareiss would only rescale it by P_k / P_{k-1} (P_k
@@ -39,12 +42,13 @@ determinant is unchanged, while short pivots keep every later minor
 short.  On the banded edge-side matrices of the loop family most rows sit
 out most steps, and the work drops accordingly.
 
-Inside the elimination and the gcd each integer polynomial is one integer,
-its value at u = 2^B (Kronecker substitution, :func:`_pack`), so every
-product, exact division and gcd is a single big-integer operation in
-CPython's C code, and results are read back as balanced base-2^B digits
-(:func:`_unpack`).  In the elimination B comes from a proven bound on the
-coefficients of every minor it stores (Hadamard's inequality on |u| = 1
+Inside the elimination, the gcd and :class:`Poly`'s products and powers,
+each polynomial is one integer, its value at u = 2^B (Kronecker
+substitution, :func:`_pack`), so every product, power, exact division and
+gcd is a single big-integer operation in CPython's C code, and results are
+read back as balanced base-2^B digits (:func:`_unpack`).  B comes from a
+proven bound on the coefficients of every value read back (the 1-norm of
+a product or power; in the elimination, Hadamard's inequality on |u| = 1
 with Cauchy's estimate), so packing is injective on them: zero tests,
 pivots and quotients are those over Z[u].
 """
@@ -52,11 +56,8 @@ pivots and quotients are those over Z[u].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd as _int_gcd, lcm, prod
-from typing import Iterable, Union
-
-Scalar = Union[int, Fraction]
+from math import gcd as _int_gcd, prod
+from typing import Iterable, Sequence
 
 __all__ = [
     "Poly",
@@ -68,19 +69,18 @@ __all__ = [
     "ratfunc_reduce",
     "series_expand",
     "log_derivative_series",
-    "rational_to_json",
 ]
 
 
-def rational_to_json(x: Fraction) -> int | str:
-    """Serialize a rational as an int when integral, else as a "p/q" string."""
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
+def _integer(c) -> int:
+    """c as an ``int``: an int as it is, an integral Fraction as its numerator."""
+    if getattr(c, "denominator", None) != 1:
+        raise ValueError(f"polynomial coefficient {c!r} is not an integer")
+    return c.numerator
 
 
 class Poly:
-    """Dense univariate polynomial over the rationals.
+    """Dense univariate polynomial over the integers.
 
     Coefficients are stored ascending: ``coeffs[i]`` multiplies ``u**i``.
     Instances are immutable and hashable.
@@ -88,14 +88,14 @@ class Poly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = [c if type(c) is int else _integer(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(cs)
+        self._coeffs: tuple[int, ...] = tuple(cs)
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
 
     @property
@@ -109,52 +109,44 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> int:
         if 0 <= i < len(self._coeffs):
             return self._coeffs[i]
-        return Fraction(0)
+        return 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
             return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self == Poly([other])
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def __mul__(self, other: Poly | Scalar) -> Poly:
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: Poly | int) -> Poly:
+        """One packed product; its coefficients are at most ||a||_1 ||b||_1."""
+        if isinstance(other, int):
             return Poly([c * other for c in self._coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        width = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() + 1
+        return Poly(_unpack(_pack(a, width) * _pack(b, width), width))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
+        """One packed integer power; its coefficients are at most ||p||_1^n."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        width = (sum(map(abs, self._coeffs)) ** n).bit_length() + 2
+        return Poly(_unpack(_pack(self._coeffs, width) ** n, width))
 
-    def to_json(self) -> list[int | str]:
-        return [rational_to_json(c) for c in self._coeffs]
+    def to_json(self) -> list[int]:
+        return list(self._coeffs)
 
     def __repr__(self) -> str:
         if not self._coeffs:
@@ -177,8 +169,9 @@ ONE = Poly([1])
 
 
 # ---------------------------------------------------------------------------
-# Integer-coefficient internals shared by the determinant and gcd routines.
-# An integer polynomial is a plain list of ints, ascending, trailing nonzero.
+# Internals shared by the products, the determinant and the gcd routines.
+# A polynomial here is a plain list or tuple of ints, ascending, trailing
+# nonzero.
 # ---------------------------------------------------------------------------
 
 
@@ -188,7 +181,7 @@ def _ztrim(p: list[int]) -> list[int]:
     return p
 
 
-def _zprimitive(p: list[int]) -> list[int]:
+def _zprimitive(p: Sequence[int]) -> Sequence[int]:
     """p over its content, with a positive leading coefficient (``[]`` stays ``[]``)."""
     g = _int_gcd(*p)
     if p and p[-1] < 0:
@@ -207,7 +200,7 @@ def _zsub(a: list[int], b: list[int]) -> list[int]:
     return _ztrim(out)
 
 
-def _zquo(a: list[int], b: list[int]) -> list[int]:
+def _zquo(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     """a / b for integer polynomials when b divides a in Z[u]; else ValueError.
 
     A primitive b that divides a over Q divides it in Z[u] (Gauss's lemma).
@@ -227,15 +220,7 @@ def _zquo(a: list[int], b: list[int]) -> list[int]:
     return quot
 
 
-def _to_int_polys(polys: list[Poly]) -> tuple[list[list[int]], int]:
-    """Clear denominators: (integer coefficient lists, their common multiplier)."""
-    mult = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    if mult == 1:
-        return [[c.numerator for c in p.coeffs] for p in polys], 1
-    return [[c.numerator * (mult // c.denominator) for c in p.coeffs] for p in polys], mult
-
-
-def _pack(p: list[int], width: int) -> int:
+def _pack(p: Sequence[int], width: int) -> int:
     """p at u = 2^width, by Horner's rule (Kronecker substitution)."""
     value = 0
     for c in reversed(p):
@@ -257,7 +242,7 @@ def _unpack(value: int, width: int) -> list[int]:
     return coeffs
 
 
-def _zgcd(f: list[int], g: list[int]) -> list[int]:
+def _zgcd(f: Sequence[int], g: Sequence[int]) -> Sequence[int]:
     """Primitive gcd, with a positive leading coefficient, of integer
     polynomials not both zero, by the heuristic gcd (Char, Geddes and
     Gonnet, J. Symbolic Comput. 1989).
@@ -288,20 +273,18 @@ def _zgcd(f: list[int], g: list[int]) -> list[int]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, by the heuristic gcd of the primitive
-    integer parts."""
+    """Primitive greatest common divisor with a positive leading coefficient,
+    by the heuristic gcd."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
-    (f, g), _ = _to_int_polys([a, b])
-    h = _zgcd(f, g)
-    return Poly(Fraction(c, h[-1]) for c in h)
+    return Poly(_zgcd(a.coeffs, b.coeffs))
 
 
 def square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
     """Yun decomposition p = c * prod part_m**m with pairwise coprime,
     square-free parts; only parts of positive degree are returned.
 
-    Each part is a primitive integer polynomial with a positive leading
+    Each part is a primitive polynomial with a positive leading
     coefficient.  Every step runs on integer coefficient lists: p is made
     primitive, every divisor is a primitive gcd that divides over Q, so by
     Gauss's lemma each division is exact in Z[u].  Yun's subtraction
@@ -312,8 +295,7 @@ def square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
         raise ValueError("the zero polynomial has no square-free decomposition")
     if p.degree < 1:
         return []
-    (f,), _ = _to_int_polys([p])
-    f = _zprimitive(f)
+    f = _zprimitive(list(p.coeffs))
     df = _zderivative(f)
     g = _zgcd(f, df)
     if len(g) == 1:
@@ -334,7 +316,7 @@ def square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
 
 @dataclass(frozen=True)
 class RatFunc:
-    """Reduced rational function num/den, canonical once den(0) is nonzero."""
+    """Reduced rational function num/den in the canonical form of :func:`ratfunc_reduce`."""
 
     num: Poly
     den: Poly
@@ -347,34 +329,31 @@ class RatFunc:
 
 
 def ratfunc_reduce(num: Poly, den: Poly) -> RatFunc:
-    """Reduce num/den to lowest terms and normalize so that den(0) = 1.
+    """Reduce num/den to lowest terms in Z[u], canonically.
 
-    When the denominator vanishes at 0 (never the case for zeta functions),
-    the denominator is made monic instead, so reduction stays canonical.
-    num and den are cleared of denominators together, divided exactly by
-    their primitive integer gcd, and scaled back into Fractions once.
+    num and den are divided exactly by their primitive gcd and then by
+    their common content, signed so that den(0) > 0, or den's leading
+    coefficient when den(0) = 0 (never the case for zeta functions).
+    Whenever num/den is a quotient in Z[u] whose den(0) is 1, as every zeta
+    function is, the result has den(0) = 1 too.
     """
     if den.is_zero():
         raise ZeroDivisionError("rational function with zero denominator")
     if num.is_zero():
         return RatFunc(ZERO, ONE)
-    (f, g), _ = _to_int_polys([num, den])
+    f, g = num.coeffs, den.coeffs
     h = _zgcd(f, g)
     f, g = _zquo(f, h), _zquo(g, h)
-    scale = g[0] or g[-1]
-    return RatFunc(Poly(Fraction(c, scale) for c in f), Poly(Fraction(c, scale) for c in g))
+    content = _int_gcd(*f, *g)
+    if (g[0] or g[-1]) < 0:
+        content = -content
+    return RatFunc(Poly(c // content for c in f), Poly(c // content for c in g))
 
 
-def _scalars(p: Poly, scale: Fraction | int = 1) -> list[Scalar]:
-    """Coefficients of p / scale, each an ``int`` when it is integral."""
-    cs = p.coeffs if scale == 1 else [c / scale for c in p.coeffs]
-    return [c.numerator if c.denominator == 1 else c for c in cs]
-
-
-def _recurrence(rhs: list[Scalar], den: list[Scalar], order: int) -> list[Scalar]:
+def _recurrence(rhs: Sequence[int], den: Sequence[int], order: int) -> list[int]:
     """out_m = rhs_m - sum_{k=1}^{min(m, deg den)} den_k out_(m-k): rhs/den when den_0 = 1."""
     terms = [(k, d) for k, d in enumerate(den) if k and d]
-    out: list[Scalar] = []
+    out: list[int] = []
     for m in range(order + 1):
         acc = rhs[m] if m < len(rhs) else 0
         for k, d in terms:
@@ -385,23 +364,26 @@ def _recurrence(rhs: list[Scalar], den: list[Scalar], order: int) -> list[Scalar
     return out
 
 
-def series_expand(f: RatFunc, order: int) -> tuple[Fraction, ...]:
-    """Taylor coefficients of f at 0 through ``order``.
+def series_expand(f: RatFunc, order: int) -> tuple[int, ...]:
+    """Taylor coefficients of f at 0 through ``order``; needs den(0) = +-1.
 
     num and den are divided once by den(0), so that d_0 = 1 and the recurrence
     out_m = n_m - sum_{k=1}^{min(m, deg den)} d_k out_(m-k) needs no division;
-    the cost is O(order * deg den) exact operations.
+    the cost is O(order * deg den) int operations.  Another nonzero den(0)
+    would make the coefficients non-integral, and is a ``ValueError``.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     d0 = f.den[0]
     if d0 == 0:
         raise ZeroDivisionError("series expansion at a pole of the function")
-    series = _recurrence(_scalars(f.num, d0), _scalars(f.den, d0), order)
-    return tuple(map(Fraction, series))
+    if d0 not in (1, -1):
+        raise ValueError(f"series expansion needs den(0) = +-1, got {d0}")
+    num, den = ([d0 * c for c in p.coeffs] for p in (f.num, f.den))
+    return tuple(_recurrence(num, den, order))
 
 
-def log_derivative_series(z: RatFunc, order: int) -> tuple[Fraction, ...]:
+def log_derivative_series(z: RatFunc, order: int) -> tuple[int, ...]:
     """Coefficients of u*Z'(u)/Z(u) through ``order``; requires Z(0) = 1.
 
     The m-th coefficient equals m times the u**m coefficient of log Z, which
@@ -414,9 +396,9 @@ def log_derivative_series(z: RatFunc, order: int) -> tuple[Fraction, ...]:
         raise ValueError("logarithmic derivative requires Z(0) = 1")
     sums = []
     for p in (z.num, z.den):
-        cs = _scalars(p)
+        cs = p.coeffs
         sums.append(_recurrence([k * c for k, c in enumerate(cs)], cs, order))
-    return tuple(Fraction(a - b) for a, b in zip(*sums))
+    return tuple(a - b for a, b in zip(*sums))
 
 
 class PolyMatrix:
@@ -436,15 +418,11 @@ class PolyMatrix:
 def poly_det(matrix: PolyMatrix) -> Poly:
     """Exact determinant by fraction-free (Bareiss) elimination, sparse rows.
 
-    Each row is first multiplied by the lcm of its coefficient denominators
-    so the elimination runs over integer polynomials; the final determinant
-    is divided by the accumulated row multipliers.  Rows are stored as maps
-    from column to nonzero entry.
-
-    Every entry is then packed into one integer, its value at u = 2^B
-    (Kronecker substitution), and the elimination below runs on those
-    integers.  Every value it stores is a minor of the scaled integer
-    matrix, and its coefficients are bounded: by Cauchy's estimate each is
+    Rows are stored as maps from column to nonzero entry, and every entry
+    is packed into one integer, its value at u = 2^B (Kronecker
+    substitution); the elimination below runs on those integers.  Every
+    value it stores is a minor of the matrix, and its coefficients are
+    bounded: by Cauchy's estimate each is
     at most the minor's maximum modulus on |u| = 1, and by Hadamard's
     inequality that is at most the product of the minor's row 2-norms (or
     of its column 2-norms), where |a_ij(u)| <= ||a_ij||_1.  Each nonzero
@@ -485,21 +463,17 @@ def poly_det(matrix: PolyMatrix) -> Poly:
     order, and the sign is the parity of the permutation taking each row to
     its pivot column.  Bareiss is exact for any order of nonzero pivots
     (Sylvester's identity): every entry of an up-to-date row is a minor of
-    the row- and column-permuted scaled matrix, and a stale row times
+    the row- and column-permuted matrix, and a stale row times
     P_{k-1} / P_{s-1} is that minor too, so each division is exact and the
     determinant is identical; a row left empty is a zero row of it, so the
     determinant is zero.  The update
     touches only columns where the row or the pivot row is nonzero.
     """
     n = matrix.n
-    scale = 1
-    int_rows: list[dict[int, list[int]]] = []
+    int_rows: list[dict[int, tuple[int, ...]]] = []
     row_sq, col_sq = [], [0] * n  # sums of squared 1-norms of the entries
     for row in matrix.rows:
-        cols = [j for j, p in enumerate(row) if p._coeffs]
-        ints, mult = _to_int_polys([row[j] for j in cols])
-        scale *= mult
-        int_row = dict(zip(cols, ints))
+        int_row = {j: p.coeffs for j, p in enumerate(row) if p.coeffs}
         row_sq.append(0)
         for j, p in int_row.items():
             square = sum(map(abs, p)) ** 2
@@ -544,6 +518,4 @@ def poly_det(matrix: PolyMatrix) -> Poly:
         while pivot_cols[k] != k:
             j = pivot_cols[k]
             pivot_cols[k], pivot_cols[j], sign = pivot_cols[j], j, -sign
-    det = divisors[n] * sign
-    coeffs = _unpack(det, width)
-    return Poly(coeffs) if scale == 1 else Poly(Fraction(c, scale) for c in coeffs)
+    return Poly(_unpack(divisors[n] * sign, width))

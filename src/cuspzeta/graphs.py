@@ -2,14 +2,16 @@
 
 A graph is built from undirected edge pairs (a, b, w(a->b), w(b->a)); pair k
 becomes the oriented edges 2k (a->b) and 2k+1 (b->a), which are each
-other's inverse by construction, and each carries its own positive
-rational weight.  A cuspidal graph is a finite core plus finitely many
-standard rays; a ray is never materialized, only its attachment data
-(outward weight ``alpha`` and inward weight ``ray_q``) is stored, and
-:func:`truncate` produces finite approximations on demand.
+other's inverse by construction, and each carries its own positive integer
+weight.  In a graph of finite groups the weight of an edge is the index
+[G_source : G_edge], and every weight is taken to be such an index.  A
+cuspidal graph is a finite core plus finitely many standard rays; a ray is
+never materialized, only its attachment data (outward weight ``alpha`` and
+inward weight ``ray_q``) is stored, and :func:`truncate` produces finite
+approximations on demand.
 
 The constructors enforce the invariants (unique vertex ids, known endpoints
-and cusp vertices, positive weights) by raising ``ValueError``;
+and cusp vertices, positive integer weights) by raising ``ValueError``;
 :func:`validate` checks only connectivity.
 
 Vertex ids are opaque strings.  Matrix row order everywhere in the package
@@ -20,7 +22,6 @@ identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 
@@ -51,18 +52,18 @@ class OrientedEdge:
     source: str
     target: str
     inverse: int
-    weight: Fraction
+    weight: int
 
 
 class EdgeIndexedGraph:
-    """Finite graph whose oriented edges carry positive rational weights."""
+    """Finite graph whose oriented edges carry positive integer weights."""
 
     __slots__ = ("vertices", "edges", "_out")
 
     def __init__(
         self,
         vertices: Iterable[str],
-        pairs: Iterable[tuple[str, str, Fraction | int, Fraction | int]],
+        pairs: Iterable[tuple[str, str, int, int]],
     ):
         """Pair k = (a, b, weight a->b, weight b->a) becomes inverse edges 2k and 2k+1."""
         self.vertices: tuple[str, ...] = tuple(vertices)
@@ -74,10 +75,12 @@ class EdgeIndexedGraph:
             if a not in out or b not in out:
                 raise ValueError(f"edge ({a!r}, {b!r}) references an unknown vertex")
             i = len(edges)
-            edges.append(OrientedEdge(i, a, b, i + 1, Fraction(wa)))
-            edges.append(OrientedEdge(i + 1, b, a, i, Fraction(wb)))
+            edges.append(OrientedEdge(i, a, b, i + 1, wa))
+            edges.append(OrientedEdge(i + 1, b, a, i, wb))
         self.edges: tuple[OrientedEdge, ...] = tuple(edges)
         for e in self.edges:
+            if not isinstance(e.weight, int):
+                raise ValueError(f"edge {e.id} has non-integer weight {e.weight!r}")
             if e.weight <= 0:
                 raise ValueError(f"edge {e.id} has non-positive weight {e.weight}")
             out[e.source].append(e.id)
@@ -87,7 +90,7 @@ class EdgeIndexedGraph:
         """Ids of oriented edges whose source is ``vertex``."""
         return self._out.get(vertex, ())
 
-    def edge_pairs(self) -> list[tuple[str, str, Fraction, Fraction]]:
+    def edge_pairs(self) -> list[tuple[str, str, int, int]]:
         """Undirected pairs (a, b, w(a->b), w(b->a)), one per inverse pair."""
         return [(e.source, e.target, e.weight, self.edges[e.inverse].weight)
                 for e in self.edges[::2]]
@@ -140,7 +143,7 @@ def weights_from_groups(g: GraphOfGroups) -> EdgeIndexedGraph:
                     f"edge group order {n_e} of pair ({a}, {b}) does not divide "
                     f"vertex group order {g.vertex_order[v]} at {v}"
                 )
-        pairs.append((a, b, Fraction(g.vertex_order[a], n_e), Fraction(g.vertex_order[b], n_e)))
+        pairs.append((a, b, g.vertex_order[a] // n_e, g.vertex_order[b] // n_e))
     return EdgeIndexedGraph(g.vertices, pairs)
 
 
@@ -189,7 +192,7 @@ class CuspidalGraph:
             "central_order": self.central_order,
             "vertices": list(self.core.vertices),
             "edges": [
-                {"a": a, "b": b, "wa": _int_weight(wa), "wb": _int_weight(wb)}
+                {"a": a, "b": b, "wa": wa, "wb": wb}
                 for a, b, wa, wb in self.core.edge_pairs()
             ],
             "cusps": [
@@ -234,12 +237,6 @@ class CuspidalGraph:
             return cls(core, tuple(Cusp(*c) for c in cusps), q, central)
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from exc
-
-
-def _int_weight(w: Fraction) -> int:
-    if w.denominator != 1:
-        raise GraphFormatError(f"graph JSON carries integer weights only, got {w}")
-    return int(w)
 
 
 def _require_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
@@ -299,7 +296,7 @@ def truncate(c: CuspidalGraph, depth: int) -> EdgeIndexedGraph:
         raise ValueError("truncation depth must be >= 1")
     vertices = list(c.core.vertices)
     core = set(vertices)
-    pairs: list[tuple[str, str, Fraction | int, Fraction | int]] = c.core.edge_pairs()
+    pairs = c.core.edge_pairs()
     for idx, cusp in enumerate(c.cusps):
         prev = cusp.vertex
         for k in range(1, depth + 1):
@@ -329,26 +326,31 @@ def relabel(g: EdgeIndexedGraph | CuspidalGraph, mapping: Mapping[str, str]):
 
 
 def invariant_signature(c: CuspidalGraph):
-    """Canonical tuple of isomorphism invariants of a cuspidal graph.
+    """Canonical tuple of isomorphism invariants of a cuspidal graph's presentation.
 
-    Equal signatures are necessary for isomorphism; distinct signatures
-    certify non-isomorphism.  The components are the sorted degree sequence
-    (cusps count as pendant edges), the multiset of unoriented core weight
-    pairs, the multiset of cusp parameters, and the canonically aggregated
-    per-vertex outgoing-weight multisets.
+    Equal signatures are necessary for two presentations (core plus cusps)
+    to be isomorphic, and distinct signatures certify that they are not.
+    They do not certify that the infinite graphs presented differ.  With
+    q = 2, one vertex with three cusps of alpha 1, and the path v0-v1 with
+    w(v0->v1) = 1, w(v1->v0) = 2 and cusps of alpha 1 (two at v0, one at
+    v1), have distinct signatures; yet v1 is the first vertex of a standard
+    ray, so both present one graph.  The components are the sorted degree
+    sequence (cusps count as pendant edges), the multiset of unoriented
+    core weight pairs, the multiset of cusp parameters, and the canonically
+    aggregated per-vertex outgoing-weight multisets.
     """
     graph = c.core
     degree_seq = []
     profiles = []
     for v in graph.vertices:
         out = [graph.edges[i].weight for i in graph.out_edges(v)]
-        alphas = [Fraction(x.alpha) for x in c.cusps if x.vertex == v]
+        alphas = [x.alpha for x in c.cusps if x.vertex == v]
         degree_seq.append(len(out) + len(alphas))
         profiles.append(tuple(sorted(out + alphas)))
     weight_pairs = sorted(
         (min(wa, wb), max(wa, wb)) for _, _, wa, wb in graph.edge_pairs()
     )
-    cusp_params = sorted((Fraction(x.alpha), x.ray_q) for x in c.cusps)
+    cusp_params = sorted((x.alpha, x.ray_q) for x in c.cusps)
     return (
         tuple(sorted(degree_seq)),
         tuple(weight_pairs),

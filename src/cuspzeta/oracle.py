@@ -3,30 +3,26 @@
 Everything here is deliberately independent of the determinant engine.
 
 Traces of transfer-operator powers are exact sparse matrix products on
-packed integer rows.  With s the lcm of the weight denominators, sT is an
-integer matrix, and row i of (sT)^m is stored as one integer
-sum_j e_ij 2^(W j), each entry in a balanced slot of W bits.  Row i of
-(sT)^(m+1) is sum_k (sT)_ik times row k of (sT)^m, one big-integer
+packed integer rows.  Every weight is a positive integer, so every move of
+T, w or w - 1 on a backtrack, is a nonnegative integer, and row i of T^m
+is stored as one integer sum_j e_ij 2^(W j), each entry in a slot of W
+bits.  Row i of T^(m+1) is sum_k T_ik times row k of T^m, one big-integer
 multiply-add per nonzero of T; packing is linear over Z, so this packs the
-exact product.  The induced norm ||A||_inf (largest absolute row sum) is
-submultiplicative and ||sT||_inf is 0 or at least 1, so every entry of
-(sT)^m, m <= up_to, obeys |e_ij| <= ||(sT)^m||_inf <= ||sT||_inf^up_to,
-which W makes < 2^(W-1); the negative w - 1 backtrack moves of weights
-below 1 are included.  Each row is then read uniquely: adding
-half = 2^(W-1) to slots 0..i makes their digits e + half, in [1, 2^W), so
-no borrow crosses them, and slot i, shifted down and masked, is
-e_ii + half.  tr(T^m) = tr((sT)^m) / s^m.
+exact product.  The induced norm ||A||_inf (largest row sum) is
+submultiplicative and ||T||_inf is 0 or at least 1, so every entry of
+T^m, m <= up_to, obeys 0 <= e_ij <= ||T^m||_inf <= ||T||_inf^up_to, which
+W makes < 2^W: no slot carries into the next, and slot i of row i,
+shifted down and masked, is e_ii.
 
 Cycle classes come from one depth-first search per start edge over the
 weighted successor graph, restricted to edges not below the start, on a
-single mutable path with a running weight product (a plain int when every
-transition weight is integral).  It generates graph-constrained necklaces
-(Fredricksen-Kessler-Maiorana; Cattell, Ruskey, Sawada, Serra and Miers,
-J. Algorithms 2000): with p the period of the longest Lyndon prefix of the
-path a_0..a_{n-1}, the next edge must be >= a_{n-p}, and one above it sets
-p = n + 1.  A closing walk is a necklace (its class's minimal rotation) iff
-p | n, and a Lyndon word (primitive) iff p == n, so each class is found
-once, with primitive length p.  A child is pushed only if a backward
+single mutable path with a running integer weight product.  It generates
+graph-constrained necklaces (Fredricksen-Kessler-Maiorana; Cattell, Ruskey,
+Sawada, Serra and Miers, J. Algorithms 2000): with p the period of the
+longest Lyndon prefix of the path a_0..a_{n-1}, the next edge must be
+>= a_{n-p}, and one above it sets p = n + 1.  A closing walk is a necklace
+(its class's minimal rotation) iff p | n, and a Lyndon word (primitive) iff
+p == n, so each class is found once, with primitive length p.  A child is pushed only if a backward
 breadth-first search from the start shows that it can still close within
 the length bound.  The search counts classes per (length, weight,
 primitive length) key and returns that multiset, a ``Counter`` of
@@ -47,9 +43,7 @@ are constants, ``MAX_TRACE_ORDER``, ``MAX_CYCLE_LENGTH`` and
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from itertools import accumulate
-from math import comb, lcm
+from math import comb
 from typing import Mapping, NamedTuple
 
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph, truncate
@@ -68,7 +62,7 @@ MAX_VISITED_PATHS = 10**6
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an oracle would exceed one of its hard search budgets."""
+    """Raised when an oracle search, a series or a power would exceed its hard budget."""
 
 
 def _finite(g: EdgeIndexedGraph | CuspidalGraph, m: int) -> EdgeIndexedGraph:
@@ -78,15 +72,11 @@ def _finite(g: EdgeIndexedGraph | CuspidalGraph, m: int) -> EdgeIndexedGraph:
     return truncate(g, m // 2 + 1) if g.cusps else g.core
 
 
-def _successor_rows(g: EdgeIndexedGraph) -> list[list[tuple[int, int | Fraction]]]:
-    """Sparse rows of T in canonical edge order; zero-weight moves are absent.
-
-    An integral weight is its ``int`` numerator, so integer-weight graphs (all
-    the builtin families) run on plain Python ints.
-    """
+def _successor_rows(g: EdgeIndexedGraph) -> list[list[tuple[int, int]]]:
+    """Sparse rows of T in canonical edge order; zero-weight moves are absent."""
     order = g.canonical_edge_order()
     pos = {eid: i for i, eid in enumerate(order)}
-    rows: list[list[tuple[int, int | Fraction]]] = []
+    rows: list[list[tuple[int, int]]] = []
     for eid in order:
         e = g.edges[eid]
         row = []
@@ -94,37 +84,30 @@ def _successor_rows(g: EdgeIndexedGraph) -> list[list[tuple[int, int | Fraction]
             succ = g.edges[sid]
             w = succ.weight - 1 if sid == e.inverse else succ.weight
             if w:
-                row.append((pos[sid], w.numerator if w.denominator == 1 else w))
+                row.append((pos[sid], w))
         rows.append(row)
     return rows
 
 
-def trace_powers(g: EdgeIndexedGraph | CuspidalGraph, up_to: int) -> list[Fraction]:
+def trace_powers(g: EdgeIndexedGraph | CuspidalGraph, up_to: int) -> list[int]:
     """Exact traces of T^m for m = 1..up_to, on one shared truncation.
 
-    Each row of (sT)^m, s the lcm of the weight denominators, is one packed
-    integer, and (sT)^(m+1) = (sT)(sT)^m is nnz(T) multiply-adds of them.
+    Each row of T^m is one packed integer, and T^(m+1) = T T^m is nnz(T)
+    multiply-adds of them.
     """
     if up_to < 1:
         raise ValueError("trace order must be >= 1")
     if up_to > MAX_TRACE_ORDER:
         raise BudgetExceededError(f"trace order {up_to} exceeds the cap {MAX_TRACE_ORDER}")
     rows = _successor_rows(_finite(g, up_to))
-    scale = lcm(*(w.denominator for row in rows for _, w in row))
-    scaled = [[(j, int(w * scale)) for j, w in row] for row in rows]
-    norm = max((sum(abs(w) for _, w in row) for row in scaled), default=0)
-    width = (norm**up_to).bit_length() + 1
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    # offsets[i] puts half in slots 0..i, so slots 0..i of row + offsets[i]
-    # hold e + half in [1, 2^width) with no borrow between them.
-    offsets = list(accumulate(half << (width * i) for i in range(len(rows))))
+    norm = max((sum(w for _, w in row) for row in rows), default=0)
+    width = (norm**up_to).bit_length()
+    mask = (1 << width) - 1
     power = [1 << (width * i) for i in range(len(rows))]  # the identity
     traces = []
     for m in range(1, up_to + 1):
-        power = [sum(w * power[k] for k, w in row) for row in scaled]
-        trace = sum((((row + offset) >> (width * i)) & mask) - half
-                    for i, (row, offset) in enumerate(zip(power, offsets)))
-        traces.append(Fraction(trace, scale**m))
+        power = [sum(w * power[k] for k, w in row) for row in rows]
+        traces.append(sum((row >> (width * i)) & mask for i, row in enumerate(power)))
     return traces
 
 
@@ -137,7 +120,7 @@ class CycleClass(NamedTuple):
     """
 
     length: int
-    weight: Fraction
+    weight: int
     primitive_length: int
 
 
@@ -179,7 +162,7 @@ def enumerate_primitive_cycles(
     for i, row in enumerate(weight_of):
         for j in row:
             predecessors[j].append(i)
-    counts: dict[tuple[int, int | Fraction, int], int] = {}
+    counts: dict[tuple[int, int, int], int] = {}
     path = [0] * max_length
     visited = 0
     for start in range(n):
@@ -208,13 +191,10 @@ def enumerate_primitive_cycles(
                     if depth + left[nxt] < max_length:
                         child_period = period if nxt == anchor else depth + 1
                         stack.append((nxt, depth, child_period, weight * w))
-    return Counter({CycleClass(length, Fraction(weight), primitive_length): count
-                    for (length, weight, primitive_length), count in counts.items()})
+    return Counter({CycleClass(*key): count for key, count in counts.items()})
 
 
-def euler_product_series(
-    classes: Mapping[CycleClass, int], order: int
-) -> tuple[Fraction, ...]:
+def euler_product_series(classes: Mapping[CycleClass, int], order: int) -> tuple[int, ...]:
     """Coefficients through u^order of prod over primitive classes of 1/(1 - w u^l).
 
     ``classes`` maps each class key to its count c, as
@@ -225,15 +205,13 @@ def euler_product_series(
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    integral = all(cls.weight.denominator == 1 for cls in classes)
     out = [0] * (order + 1)
     out[0] = 1
     for (length, weight, primitive_length), count in classes.items():
         if primitive_length != length or length > order:
             continue
-        w = weight.numerator if integral else weight
-        factor = [comb(count + j - 1, j) * w**j for j in range(order // length + 1)]
+        factor = [comb(count + j - 1, j) * weight**j for j in range(order // length + 1)]
         # Descending m reads only coefficients this factor has not updated yet.
         for m in range(order, length - 1, -1):
             out[m] += sum(factor[j] * out[m - j * length] for j in range(1, m // length + 1))
-    return tuple(map(Fraction, out))
+    return tuple(out)

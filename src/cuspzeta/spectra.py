@@ -75,7 +75,7 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     """
     result: list[tuple[complex, int]] = []
     for part, mult in square_free_parts(p):
-        coeffs = [c.numerator for c in part.coeffs]
+        coeffs = list(part.coeffs)
         if coeffs[0] == 0:  # u divides a square-free part at most once
             result.append((0j, mult))
             coeffs = coeffs[1:]

@@ -21,7 +21,6 @@ effective matrix is I - uT itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from cuspzeta.exact import (
@@ -33,9 +32,9 @@ from cuspzeta.exact import (
     log_derivative_series,
     poly_det,
     ratfunc_reduce,
-    rational_to_json,
 )
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
+from cuspzeta.oracle import BudgetExceededError
 
 __all__ = [
     "EffectiveMatrix",
@@ -47,6 +46,7 @@ __all__ = [
 ]
 
 MAX_SERIES_ORDER = 200  # cap on series orders asked for from outside; coefficients widen with M
+MAX_SELBERG_DEGREE = 800  # largest degree of an expanded Selberg power (well under a second)
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,17 @@ class ZetaResult:
 
     def selberg_expanded(self) -> RatFunc:
         """``bass_ihara`` to the power ``central_order``; powers of a reduced
-        num/den stay coprime, so no gcd is taken."""
+        num/den stay coprime, so no gcd is taken.
+
+        Raises :class:`BudgetExceededError` before any power once the
+        expanded degree would pass ``MAX_SELBERG_DEGREE``.
+        """
         f = self.bass_ihara
+        degree = self.central_order * max(f.num.degree, f.den.degree)
+        if degree > MAX_SELBERG_DEGREE:
+            raise BudgetExceededError(
+                f"Selberg degree {degree} exceeds the cap {MAX_SELBERG_DEGREE}"
+            )
         return RatFunc(f.num**self.central_order, f.den**self.central_order)
 
     def to_json(self) -> dict:
@@ -143,14 +152,11 @@ def bass_ihara_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> ZetaResult:
 class CountingSeries:
     """Exact geodesic-counting sequences N_m and R_m = c * N_m, m = 1..order."""
 
-    n_values: tuple[Fraction, ...]
-    r_values: tuple[Fraction, ...]
+    n_values: tuple[int, ...]
+    r_values: tuple[int, ...]
 
     def to_json(self) -> dict:
-        return {
-            "N": [rational_to_json(x) for x in self.n_values],
-            "R": [rational_to_json(x) for x in self.r_values],
-        }
+        return {"N": list(self.n_values), "R": list(self.r_values)}
 
 
 def counting_series(result: ZetaResult, order: int) -> CountingSeries:

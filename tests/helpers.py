@@ -4,7 +4,7 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 from cuspzeta.exact import (
@@ -38,9 +38,7 @@ def vertex_side_determinant(g: EdgeIndexedGraph) -> Poly:
     for i in range(n):
         row = []
         for j in range(n):
-            c0 = F(1) if i == j else F(0)
-            c2 = F(deg[i] - 1) if i == j else F(0)
-            row.append(Poly([c0, F(-adj[i][j]), c2]))
+            row.append(Poly([int(i == j), -adj[i][j], deg[i] - 1 if i == j else 0]))
         rows.append(row)
     return poly_det(PolyMatrix(rows))
 
@@ -59,15 +57,15 @@ def weighted_vertex_side_zeta(c: CuspidalGraph) -> RatFunc:
     verts = sorted(c.core.vertices)
     pos = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    adj = [[F(0)] * n for _ in range(n)]
-    shift = [F(-1)] * n
+    adj = [[0] * n for _ in range(n)]
+    shift = [-1] * n
     for e in c.core.edges:
         adj[pos[e.source]][pos[e.target]] += e.weight
         shift[pos[e.source]] += e.weight
     for cusp in c.cusps:
         shift[pos[cusp.vertex]] += cusp.alpha - cusp.alpha * cusp.ray_q
     rows = [
-        [Poly([F(i == j), -adj[i][j], shift[i] if i == j else F(0)]) for j in range(n)]
+        [Poly([int(i == j), -adj[i][j], shift[i] if i == j else 0]) for j in range(n)]
         for i in range(n)
     ]
     num, den = ONE, poly_det(PolyMatrix(rows))
@@ -85,7 +83,7 @@ def weighted_vertex_side_zeta(c: CuspidalGraph) -> RatFunc:
 def is_regular(c: CuspidalGraph, q: int) -> bool:
     """Whether every core vertex has weighted out-degree, plus the alpha of
     each cusp at it, equal to q + 1, and every cusp has ray weight q."""
-    degree = dict.fromkeys(c.core.vertices, F(0))
+    degree = dict.fromkeys(c.core.vertices, 0)
     for e in c.core.edges:
         degree[e.source] += e.weight
     for cusp in c.cusps:
@@ -112,22 +110,21 @@ def random_min_degree_two_graph(rng: random.Random, max_vertices: int = 10) -> E
 
 
 def random_dense_cuspidal_graph(rng: random.Random, n: int, cusps: int) -> CuspidalGraph:
-    """perfbench's dense graph, with one chord's weight a -> b made a half-integer.
+    """perfbench's dense graph, with one chord's weight a -> b redrawn from 4..6.
 
     The shape and draws are ``workloads.random_graph(rng, n, 3, cusps)``: an
     n-cycle plus a random 3-regular chord set, weights a shuffled balanced mix
     of 1..3, each cusp with alpha 1..3 and ray_q 2..5 on a distinct vertex.
-    Graph JSON carries integer weights only, so the fractional weight, which
-    makes rows get cleared of a denominator, is set here.
+    The one weight above 3 puts an entry outside that mix into the matrix.
     """
     graph = CuspidalGraph.from_json(random_graph(rng, n, 3, cusps))
     pairs = graph.core.edge_pairs()
     a, b, _, wb = pairs[n]
-    pairs[n] = (a, b, F(rng.choice([1, 3, 5]), 2), wb)
+    pairs[n] = (a, b, rng.choice([4, 5, 6]), wb)
     return replace(graph, core=EdgeIndexedGraph(graph.core.vertices, pairs))
 
 
-def transfer_rows(g: EdgeIndexedGraph) -> list[dict[int, F]]:
+def transfer_rows(g: EdgeIndexedGraph) -> list[dict[int, int]]:
     """Sparse rows of T in canonical edge order as {column: weight}, zero moves left out."""
     order = g.canonical_edge_order()
     pos = {eid: i for i, eid in enumerate(order)}
@@ -143,15 +140,15 @@ def transfer_rows(g: EdgeIndexedGraph) -> list[dict[int, F]]:
     return rows
 
 
-def reference_trace_powers(g: EdgeIndexedGraph, up_to: int) -> list[F]:
-    """Traces of T^m for m = 1..up_to by dense-row products in Fractions.
+def reference_trace_powers(g: EdgeIndexedGraph, up_to: int) -> list[int]:
+    """Traces of T^m for m = 1..up_to by dense-row products.
 
     The oracle's previous loop, kept as the reference for its packed rows:
     row i of T^(m+1) is the sum over k of T^m_ik times row k of T.
     """
     rows = transfer_rows(g)
     n = len(rows)
-    dense = [[F(0)] * n for _ in range(n)]
+    dense = [[0] * n for _ in range(n)]
     for i, row in enumerate(rows):
         for j, w in row.items():
             dense[i][j] += w
@@ -159,7 +156,7 @@ def reference_trace_powers(g: EdgeIndexedGraph, up_to: int) -> list[F]:
     for _ in range(up_to - 1):
         nxt = []
         for mrow in dense:
-            acc = [F(0)] * n
+            acc = [0] * n
             for k, coeff in enumerate(mrow):
                 if coeff:
                     for j, w in rows[k].items():
@@ -167,7 +164,7 @@ def reference_trace_powers(g: EdgeIndexedGraph, up_to: int) -> list[F]:
             nxt.append(acc)
         dense = nxt
         traces.append(sum(dense[i][i] for i in range(n)))
-    return [F(t) for t in traces]
+    return traces
 
 
 def reference_cycle_classes(
@@ -177,7 +174,7 @@ def reference_cycle_classes(
 
     The search walks every path whose edges are not below its start; every
     path is a fresh tuple, every closed walk goes into a set as its minimal
-    rotation, and class weights are Fraction products taken after sorting.
+    rotation, and class weights are products taken after sorting.
     None of the engine's shortcuts decide which classes come out.
 
     ``visited`` is the number of paths in the engine's pruned search tree,
@@ -218,7 +215,7 @@ def reference_cycle_classes(
     classes = []
     for cycle in sorted(canonical):
         length = len(cycle)
-        weight = F(1)
+        weight = 1
         for i in range(length):
             weight *= weight_of[cycle[i]][cycle[(i + 1) % length]]
         period = next(p for p in range(1, length + 1)
@@ -227,9 +224,9 @@ def reference_cycle_classes(
     return classes, visited
 
 
-def reference_euler_product(classes: list[CycleClass], order: int) -> tuple[F, ...]:
-    """prod over primitive classes of 1/(1 - w u^l) through u^order, in Fractions."""
-    out = [F(1)] + [F(0)] * order
+def reference_euler_product(classes: list[CycleClass], order: int) -> tuple[int, ...]:
+    """prod over primitive classes of 1/(1 - w u^l) through u^order, one class at a time."""
+    out = [1] + [0] * order
     for cls in classes:
         if cls.primitive_length == cls.length <= order:
             for m in range(cls.length, order + 1):
@@ -237,19 +234,32 @@ def reference_euler_product(classes: list[CycleClass], order: int) -> tuple[F, .
     return tuple(out)
 
 
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Long division over Q: (q, r) with a = q b + r and deg r < deg b."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = list(a.coeffs)
-    db, lead = b.degree, b.coeffs[-1]
+def _divmod_over_q(a, b) -> tuple[list[F], list[F]]:
+    """Long division of rational coefficient lists, in Fractions: (q, r), deg r < deg b."""
+    rem = [F(c) for c in a]
+    db, lead = len(b) - 1, b[-1]
     quot = [F(0)] * max(len(rem) - db, 0)
     for k in range(len(quot) - 1, -1, -1):
-        q = quot[k] = rem[db + k] / lead
+        q = quot[k] = F(rem[db + k], lead)
         if q:
-            for j, c in enumerate(b.coeffs):
+            for j, c in enumerate(b):
                 rem[k + j] -= q * c
-    return Poly(quot), Poly(rem[:db])
+    rem = rem[:db]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Long division over Q: (q, r) with a = q b + r and deg r < deg b.
+
+    Both must be integral, as they are whenever b's leading coefficient is
+    +-1 or divides the result exactly; otherwise ``Poly`` raises ValueError.
+    """
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    quot, rem = _divmod_over_q(a.coeffs, b.coeffs)
+    return Poly(quot), Poly(rem)
 
 
 def poly_quotient(a: Poly, b: Poly) -> Poly:
@@ -260,16 +270,41 @@ def poly_quotient(a: Poly, b: Poly) -> Poly:
     return q
 
 
+def _integer_multiple(cs) -> list[int]:
+    """Rationals cs times the lcm of their denominators, over the (positive)
+    gcd of the products."""
+    scale = lcm(*(F(c).denominator for c in cs))
+    ints = [int(c * scale) for c in cs]
+    content = gcd(*ints)
+    return [c // content for c in ints]
+
+
+def poly_primitive(p) -> Poly:
+    """The primitive integer polynomial with a positive lead and the roots of
+    p, a Poly or a list of rationals."""
+    ints = _integer_multiple(getattr(p, "coeffs", p))
+    return Poly(ints if not ints or ints[-1] > 0 else [-c for c in ints])
+
+
+def schoolbook_product(a: Poly, b: Poly) -> Poly:
+    """a b by the schoolbook convolution, the reference for Poly's packed product."""
+    return Poly(_zmul(list(a.coeffs), list(b.coeffs)))
+
+
+def schoolbook_power(p: Poly, n: int) -> Poly:
+    """p^n as n schoolbook products from the constant 1."""
+    out = [1]
+    for _ in range(n):
+        out = _zmul(out, list(p.coeffs))
+    return Poly(out)
+
+
 def poly_add(a: Poly, b: Poly) -> Poly:
     return Poly([a[i] + b[i] for i in range(max(len(a.coeffs), len(b.coeffs)))])
 
 
 def poly_sub(a: Poly, b: Poly) -> Poly:
     return poly_add(a, b * -1)
-
-
-def poly_monic(p: Poly) -> Poly:
-    return p * (1 / p.coeffs[-1])
 
 
 def poly_derivative(p: Poly) -> Poly:
@@ -289,41 +324,46 @@ def ratfunc_mul(f: RatFunc, g: RatFunc) -> RatFunc:
 
 
 def reference_poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by Euclid's algorithm over Q, with Fraction long division."""
+    """Euclid's gcd over Q, with Fraction long division, made primitive."""
+    a, b = list(a.coeffs), list(b.coeffs)
     while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return poly_monic(a)
+        a, b = b, _divmod_over_q(a, b)[1]
+    return poly_primitive(a)
 
 
 def reference_ratfunc_reduce(num: Poly, den: Poly) -> RatFunc:
-    """num/den in lowest terms with den(0) = 1, or a monic den when den(0) = 0.
+    """num/den in lowest terms in Z[u], by way of Q.
 
-    The reduction's previous Fraction route, kept as the reference for the
-    integer one: divide both by their monic gcd over Q, then by den(0) or by
-    den's leading coefficient.  The gcd here is Euclid's, not the engine's.
+    Divide both by their gcd over Q, then by den(0), or by den's leading
+    coefficient when den(0) = 0, all in Fractions; then clear the
+    denominators of both together and divide out their common content.
+    The gcd here is Euclid's, not the engine's.
     """
     if den.is_zero():
         raise ZeroDivisionError("rational function with zero denominator")
     if num.is_zero():
         return RatFunc(ZERO, ONE)
-    g = reference_poly_gcd(num, den)
-    num, den = poly_quotient(num, g), poly_quotient(den, g)
-    scale = den[0] or den.coeffs[-1]
-    return RatFunc(num * (1 / scale), den * (1 / scale))
+    g = reference_poly_gcd(num, den).coeffs
+    num, den = _divmod_over_q(num.coeffs, g)[0], _divmod_over_q(den.coeffs, g)[0]
+    lowest = den[0] or den[-1]
+    ints = _integer_multiple([c / lowest for c in num + den])
+    return RatFunc(Poly(ints[:len(num)]), Poly(ints[len(num):]))
 
 
 def reference_square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun decomposition in Fraction arithmetic, with monic parts.
+    """Yun decomposition with primitive parts, on :class:`Poly`.
 
-    The split's previous form, kept as the reference for the integer one:
-    every derivative, division and gcd runs on :class:`Poly`.
+    The split's previous form, kept as the reference for the one on integer
+    lists: every derivative, division and gcd runs on :class:`Poly`, each
+    division is the long division over Q above, and its quotient is
+    integral because every divisor is a primitive gcd (Gauss's lemma).
     """
     if p.degree < 1:
         return []
     dp = poly_derivative(p)
     g = poly_gcd(p, dp)
     if g.degree == 0:
-        return [(poly_monic(p), 1)]
+        return [(poly_primitive(p), 1)]
     w = poly_quotient(p, g)
     z = poly_sub(poly_quotient(dp, g), poly_derivative(w))
     parts = []
@@ -351,7 +391,7 @@ def reference_series_expand(f: RatFunc, order: int) -> tuple[F, ...]:
     rem = list(f.num.coeffs) + [F(0)] * (order + 1)
     out = []
     for m in range(order + 1):
-        c = rem[m] / d0
+        c = F(rem[m], d0)
         out.append(c)
         for i, d in enumerate(f.den.coeffs):
             if m + i < len(rem):
@@ -439,10 +479,7 @@ def reference_poly_det(matrix: PolyMatrix) -> Poly:
     remaining rows and columns.  So agreement also checks that the
     determinant does not depend on the pivot order.
 
-    Each row is first multiplied by the lcm of its coefficient denominators
-    so the elimination runs over integer polynomials; the final determinant
-    is divided by the accumulated row multipliers.  Rows are stored as maps
-    from column to nonzero entry.
+    Rows are stored as maps from column to nonzero entry.
 
     Write P_k for the pivot of step k and P_{-1} = 1.  Step k of Bareiss
     replaces a_ij by (P_k a_ij - a_ik a_kj) / P_{k-1}; a row with a_ik = 0
@@ -457,7 +494,7 @@ def reference_poly_det(matrix: PolyMatrix) -> Poly:
     row, is brought up to date by P_{k-1} / P_{s-1} alone.  Zero tests do not
     care about the missing nonzero factor, so the pivots and row swaps are
     those of dense Bareiss with first-nonzero pivots.  Every entry of an
-    up-to-date row is the same minor of the scaled matrix as in dense
+    up-to-date row is the same minor of the matrix as in dense
     Bareiss, and a stale row times P_{k-1} / P_{s-1} is that minor too, so
     each division is exact and the determinant is identical.  The update
     touches only columns where the row or the pivot row is nonzero.
@@ -465,15 +502,7 @@ def reference_poly_det(matrix: PolyMatrix) -> Poly:
     n = matrix.n
     if n == 0:
         return ONE
-    scale = 1
-    rows: list[dict[int, list[int]]] = []
-    for row in matrix.rows:
-        mult = 1
-        for p in row:
-            for c in p.coeffs:
-                mult = mult * c.denominator // gcd(mult, c.denominator)
-        scale *= mult
-        rows.append({j: [int(c * mult) for c in p.coeffs] for j, p in enumerate(row) if p})
+    rows = [{j: list(p.coeffs) for j, p in enumerate(row) if p} for row in matrix.rows]
     divisors: list[list[int]] = [[1]]  # divisors[k] = P_{k-1}, the divisor of step k
     step = [0] * n  # the step whose values each row holds
     sign = 1
@@ -513,4 +542,4 @@ def reference_poly_det(matrix: PolyMatrix) -> Poly:
     det = last.get(n - 1, [])
     if sign < 0:
         det = [-c for c in det]
-    return Poly(F(c, scale) for c in det)
+    return Poly(det)

@@ -238,7 +238,7 @@ def test_criterion_10_property_suites():
         z = bass_ihara_zeta(graph).bass_ihara
         assert z.num[0] == 1 and z.den[0] == 1, name
         for x in counting_series(bass_ihara_zeta(graph), 12).n_values:
-            assert x.denominator == 1 and x >= 0, name
+            assert type(x) is int and x >= 0, name
 
     # Bareiss elimination against cofactor expansion, one hundred trials
     from test_exact import cofactor_det
@@ -247,7 +247,7 @@ def test_criterion_10_property_suites():
         n = rng.randint(1, 5)
         rows = [
             [
-                Poly([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))])
+                Poly([rng.randint(-4, 4) for _ in range(rng.randint(0, 3))])
                 for _ in range(n)
             ]
             for _ in range(n)

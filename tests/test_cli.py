@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspzeta import cli, oracle, spectra
+from cuspzeta import cli, oracle, spectra, zeta
 from cuspzeta.exact import Poly
 from cuspzeta.families import chain, loop_family, pgl2
 from cuspzeta.graphs import CuspidalGraph
@@ -118,7 +118,7 @@ def test_zeta_selberg_past_the_budget_exits_1_before_the_power(capsys, tmp_path)
 
 
 def test_zeta_selberg_at_the_budget_expands_the_power(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_SELBERG_DEGREE", 6)
+    monkeypatch.setattr(zeta, "MAX_SELBERG_DEGREE", 6)
     graph = replace(chain(3, 4), central_order=3)
     data = json.loads(run_cli(capsys, "zeta", write_graph(tmp_path, graph), "--expand-selberg").out)
     assert data["selberg"] == bass_ihara_zeta(graph).selberg_expanded().to_json()

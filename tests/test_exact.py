@@ -2,11 +2,13 @@
 
 Expected values for the nontrivial cases are produced by independent
 oracles: a cofactor-expansion determinant here, and in ``helpers`` the
-previous sparse Bareiss, series by explicit long division, Euclid's gcd and
-the Fraction route of reduction.  ``Poly`` has no division; the long
-division those oracles use lives in ``helpers`` and is checked first.
+previous sparse Bareiss, series by explicit long division, Euclid's gcd,
+reduction by way of Q and schoolbook products.  ``Poly`` has no division;
+the long division over Q those oracles use lives in ``helpers`` and is
+checked first.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -25,7 +27,6 @@ from cuspzeta.exact import (
     poly_det,
     poly_gcd,
     ratfunc_reduce,
-    rational_to_json,
     series_expand,
 )
 from cuspzeta.zeta import MAX_SERIES_ORDER
@@ -34,7 +35,7 @@ from helpers import (
     poly_derivative,
     poly_divmod,
     poly_eval,
-    poly_monic,
+    poly_primitive,
     poly_sub,
     ratfunc_mul,
     reference_log_derivative_series,
@@ -42,6 +43,8 @@ from helpers import (
     reference_poly_gcd,
     reference_ratfunc_reduce,
     reference_series_expand,
+    schoolbook_power,
+    schoolbook_product,
 )
 
 # --- independent oracles -----------------------------------------------------
@@ -64,8 +67,8 @@ def cofactor_det(rows: list[list[Poly]]) -> Poly:
     return acc
 
 
-small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-polys = st.lists(small_rationals, max_size=6).map(Poly)
+small_ints = st.integers(-4, 4)
+polys = st.lists(small_ints, max_size=6).map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
 
@@ -74,6 +77,27 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
 def test_poly_product_difference_of_squares():
     assert Poly([1, -1]) * Poly([1, 1]) == Poly([1, 0, -1])
+
+
+# coefficients of both signs, small and near 2^70, and zeros
+packed_coeffs = st.one_of(st.integers(-4, 4), st.integers(2**70 - 2**10, 2**70 + 2**10),
+                          st.integers(-(2**70) - 2**10, -(2**70) + 2**10))
+packed_polys = st.lists(packed_coeffs, max_size=7).map(Poly)
+
+
+@given(a=packed_polys, b=packed_polys, n=st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_packed_product_and_power_match_schoolbook(a, b, n):
+    # the zero polynomial (an empty list) and power 0 occur
+    assert a * b == schoolbook_product(a, b)
+    assert a**n == schoolbook_power(a, n)
+    assert all(type(c) is int for c in (a * b).coeffs + (a**n).coeffs)
+
+
+def test_packed_power_edge_cases():
+    assert ZERO**0 == ONE and ZERO**3 == ZERO and Poly([-1])**5 == Poly([-1])
+    assert Poly([2**70, -(2**70)]) ** 0 == ONE
+    assert Poly([1, -1]) ** 9 == schoolbook_power(Poly([1, -1]), 9)
 
 
 def test_poly_divrem_factorization():
@@ -93,6 +117,9 @@ def test_poly_division_by_zero():
 
 @given(a=polys, b=nonzero_polys)
 def test_divrem_reconstruction(a, b):
+    # lead(b)^(deg a - deg b + 1) a has an integral quotient and remainder
+    # (pseudo-division), so the long division over Q stays in Z[u]
+    a = a * b.coeffs[-1] ** max(a.degree - b.degree + 1, 0)
     q, r = poly_divmod(a, b)
     assert poly_add(q * b, r) == a
     assert r.is_zero() or r.degree < b.degree
@@ -107,9 +134,9 @@ def test_poly_eval_and_derivative():
 # --- gcd ---------------------------------------------------------------------
 
 
-def test_gcd_common_factor_is_monic():
+def test_gcd_common_factor_is_primitive():
     a = Poly([1, 0, -4]) * Poly([1, 0, -9])
-    assert poly_gcd(a, Poly([1, 0, -4])) == Poly([F(-1, 4), 0, 1])
+    assert poly_gcd(a, Poly([1, 0, -4])) == Poly([-1, 0, 4])
 
 
 def test_gcd_coprime():
@@ -117,7 +144,7 @@ def test_gcd_coprime():
 
 
 def test_gcd_with_square():
-    assert poly_gcd(Poly([1, -2]) ** 2, Poly([1, -2])) == Poly([F(-1, 2), 1])
+    assert poly_gcd(Poly([1, -2]) ** 2, Poly([1, -2])) == Poly([-1, 2])
 
 
 def test_gcd_both_zero_rejected():
@@ -131,20 +158,21 @@ def test_gcd_divides_both(a, b, c):
     g = poly_gcd(a * c, b * c)
     assert poly_divmod(a * c, g)[1].is_zero()
     assert poly_divmod(b * c, g)[1].is_zero()
-    # the planted common factor must divide the gcd
-    assert poly_divmod(g, c)[1].is_zero()
+    # the planted common factor must divide the gcd, over Q; primitive, in Z[u]
+    assert poly_divmod(g, poly_primitive(c))[1].is_zero()
 
 
 @given(a=polys, b=nonzero_polys, c=nonzero_polys,
-       lead=small_rationals.filter(lambda x: x not in (0, 1)))
+       lead=small_ints.filter(lambda x: x not in (0, 1)))
 @settings(max_examples=60, deadline=None)
 def test_gcd_is_euclids_monic_gcd(a, b, c, lead):
-    # c times a fractional constant plants a common factor with a leading
-    # coefficient other than 1, which poly_gcd must scale away
+    # c times a constant other than 1 plants a common factor with a content
+    # or a sign, which poly_gcd must divide away: its gcd is Euclid's monic
+    # gcd over Q made primitive
     c = c * lead
     g = poly_gcd(a * c, b * c)
     assert g == reference_poly_gcd(a * c, b * c)
-    assert g.coeffs[-1] == 1 and poly_divmod(g, poly_monic(c))[1].is_zero()
+    assert g.coeffs[-1] > 0 and poly_divmod(g, poly_primitive(c))[1].is_zero()
 
 
 def test_gcd_retries_a_candidate_that_fails_the_division_check(monkeypatch):
@@ -188,6 +216,14 @@ def test_reduce_cancels_common_factor():
 
 def test_reduce_scales_constant_denominator():
     assert ratfunc_reduce(Poly([2, -2]), Poly([2])) == RatFunc(Poly([1, -1]), ONE)
+    assert ratfunc_reduce(Poly([2, -2]), Poly([-4])) == RatFunc(Poly([-1, 1]), Poly([2]))
+
+
+def test_reduce_content_and_sign_without_a_unit_constant_term():
+    # den(0) = -6 is no unit: num and den lose their content 2 and turn so
+    # that den(0) > 0; with den(0) = 0 the leading coefficient is positive
+    assert ratfunc_reduce(Poly([4, 2]), Poly([-6, 4])) == RatFunc(Poly([-2, -1]), Poly([3, -2]))
+    assert ratfunc_reduce(Poly([4]), Poly([0, -6])) == RatFunc(Poly([-2]), Poly([0, 3]))
 
 
 def test_reduce_partial_cancellation():
@@ -204,13 +240,13 @@ def test_reduce_zero_denominator():
 @given(num=polys, den=nonzero_polys, common=nonzero_polys, u_power=st.integers(0, 2))
 @settings(max_examples=100, deadline=None)
 def test_reduce_matches_the_fraction_route(num, den, common, u_power):
-    # planted common factors, fractional coefficients, num = 0 (empty lists)
-    # and den(0) = 0 (the monic branch, through u_power) all occur
+    # planted common factors, common content, num = 0 (empty lists) and
+    # den(0) = 0 (the leading-coefficient branch, through u_power) all occur
     den = den * Poly([0, 1]) ** u_power
     num, den = num * common, den * common
     f = ratfunc_reduce(num, den)
     assert f == reference_ratfunc_reduce(num, den)
-    assert all(type(c) is F for c in f.num.coeffs + f.den.coeffs)
+    assert all(type(c) is int for c in f.num.coeffs + f.den.coeffs)
 
 
 @given(a=nonzero_polys, b=nonzero_polys)
@@ -219,8 +255,8 @@ def test_reduce_idempotent_and_canonical(a, b):
     f = ratfunc_reduce(a, b)
     again = ratfunc_reduce(f.num, f.den)
     assert again == f
-    if f.den[0] != 0:
-        assert f.den[0] == 1
+    assert (f.den[0] or f.den.coeffs[-1]) > 0
+    assert math.gcd(*f.num.coeffs, *f.den.coeffs) == 1
     if not f.num.is_zero():
         assert poly_gcd(f.num, f.den) == ONE
 
@@ -242,7 +278,7 @@ def test_det_random_5x5_matches_cofactor(rng):
         n = rng.randint(1, 5)
         rows = [
             [
-                Poly([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))])
+                Poly([rng.randint(-4, 4) for _ in range(rng.randint(0, 3))])
                 for _ in range(n)
             ]
             for _ in range(n)
@@ -260,8 +296,7 @@ def sparse_matrices(draw):
     be replaced by a multiple of another (singular).
     """
     n = draw(st.integers(1, 7))
-    coeff = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
-    entry = st.lists(coeff, min_size=2, max_size=3).map(Poly)
+    entry = st.lists(st.integers(-4, 4), min_size=2, max_size=3).map(Poly)
     rows = []
     for _ in range(n):
         start = draw(st.integers(0, n - 1))
@@ -273,7 +308,7 @@ def sparse_matrices(draw):
         rows[i][i] = ZERO
     if n > 1 and draw(st.booleans()):
         i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        factor = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        factor = draw(st.integers(-3, 3))
         rows[i] = [p * factor for p in rows[j]]
     return draw(st.permutations(rows))
 
@@ -344,7 +379,7 @@ def test_det_row_skipped_for_several_steps():
     # P_2 / P_{-1} as the last pivot row
     rows = [
         [Poly([1, 2]), Poly([0, 1]), Poly([3]), ZERO],
-        [Poly([0, F(1, 2)]), Poly([2]), ZERO, ZERO],
+        [Poly([0, 3]), Poly([2]), ZERO, ZERO],
         [ZERO, Poly([1, -1]), Poly([0, 0, 1]), ZERO],
         [ZERO, ZERO, ZERO, Poly([5, 0, 0, 0, 0, 0, 1])],
     ]
@@ -399,13 +434,12 @@ def test_det_sign_from_the_pivot_columns_alone():
     assert reference_poly_det(PolyMatrix(rows)) == expected
 
 
-# Coefficients far past one machine word, of both signs, and fractions whose
-# denominators run up to 2^70, so row clearing and the packing width see
-# integers of a hundred bits and more.
+# Coefficients far past one machine word, of both signs, up to 110 bits, so
+# the packing width sees integers of a hundred bits and more.
 wide_coeffs = st.one_of(
     st.integers(-4, 4),
     st.sampled_from([2**64, -(2**64), 2**64 + 1, -(2**65) - 3, 3**50, -(7**40)]),
-    st.builds(F, st.integers(-(2**40), 2**40), st.integers(1, 2**70)),
+    st.integers(-(2**110), 2**110),
 )
 wide_entries = st.lists(wide_coeffs, min_size=1, max_size=4).map(Poly)
 
@@ -478,8 +512,9 @@ def test_det_meets_hadamard_bound(order, flip):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_det_mixed_integer_and_fractional_rows(seed):
-    # integer rows pack their numerators as they are, rows with a denominator
-    # are scaled by their lcm first; one Poly object fills many cells of both
+    # every third row's coefficients arrive as integral Fractions, as test
+    # references that compute in Fractions hand them over, and are stored as
+    # ints; one Poly object fills many cells of both kinds of row
     rng = random.Random(seed)
     n = 9
     shared = Poly([2, -3, 1]) if seed % 2 else Poly([-1, 0, 5])
@@ -494,13 +529,12 @@ def test_det_mixed_integer_and_fractional_rows(seed):
             elif pick == 1:
                 row.append(shared)
             elif fractional:
-                row.append(Poly([F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7]))
-                                 for _ in range(rng.randint(1, 3))]))
+                row.append(Poly([F(rng.randint(-9, 9) * d, d)
+                                 for d in [rng.choice([1, 2, 3, 5, 7])] * rng.randint(1, 3)]))
             else:
                 row.append(Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 3))]))
         rows.append(rng.sample(row, n))
-    denominators = [any(c.denominator > 1 for p in row for c in p.coeffs) for row in rows]
-    assert any(denominators) and not all(denominators)
+    assert all(type(c) is int for row in rows for p in row for c in p.coeffs)
     assert sum(p is shared for row in rows for p in row) >= n
     det = poly_det(PolyMatrix(rows))
     assert not det.is_zero()
@@ -536,27 +570,32 @@ def test_series_rejects_pole_at_zero():
         series_expand(RatFunc(ONE, Poly([0, 1])), 3)
 
 
-# Integer coefficients take the int path of the series loops, fractions the
-# Fraction path; both must give the long-division series exactly, as Fractions.
+# Small and wide integer coefficients; the series must be the long-division
+# series exactly, as ints.
 mixed_coeffs = st.one_of(
     st.integers(-5, 5),
     st.integers(-(2**70), 2**70),
-    st.fractions(min_value=-4, max_value=4, max_denominator=6),
 )
 mixed_polys = st.lists(mixed_coeffs, max_size=6).map(Poly)
 series_orders = st.one_of(st.integers(0, 12), st.integers(0, MAX_SERIES_ORDER),
                           st.just(MAX_SERIES_ORDER))
 
 
-@given(num=mixed_polys, tail=mixed_polys, d0=mixed_coeffs.filter(lambda c: c not in (0, 1)),
-       order=series_orders)
+@given(num=mixed_polys, tail=mixed_polys, d0=st.sampled_from([1, -1]), order=series_orders)
 @settings(max_examples=60, deadline=None)
 def test_series_expand_matches_long_division(num, tail, d0, order):
-    # den(0) is neither 0 nor 1: the function is not normalised first
+    # den(0) = -1 is a function that is not normalised first
     f = RatFunc(num, poly_add(Poly([d0]), Poly([0, 1]) * tail))
     series = series_expand(f, order)
     assert series == reference_series_expand(f, order)
-    assert len(series) == order + 1 and all(type(c) is F for c in series)
+    assert len(series) == order + 1 and all(type(c) is int for c in series)
+
+
+@pytest.mark.parametrize("d0", [2, -3])
+def test_series_rejects_a_constant_term_other_than_a_unit(d0):
+    # 1/(d0 - u) has the non-integral coefficients d0^-(m+1)
+    with pytest.raises(ValueError, match="den\\(0\\)"):
+        series_expand(RatFunc(ONE, Poly([d0, -1])), 3)
 
 
 @given(p=mixed_polys, q=mixed_polys, order=series_orders)
@@ -566,7 +605,7 @@ def test_log_derivative_matches_the_quotient_route(p, q, order):
     z = RatFunc(poly_add(ONE, u * p), poly_add(ONE, u * q))
     series = log_derivative_series(z, order)
     assert series == reference_log_derivative_series(z, order)
-    assert len(series) == order + 1 and all(type(c) is F for c in series)
+    assert len(series) == order + 1 and all(type(c) is int for c in series)
 
 
 @given(p=polys, q=polys, r=polys, s=polys)
@@ -618,10 +657,3 @@ def test_log_derivative_additivity(p, q, r, s):
     rhs = tuple(map(sum, zip(log_derivative_series(f, order), log_derivative_series(g, order))))
     assert lhs == rhs
 
-
-# --- serialization -----------------------------------------------------------
-
-
-def test_rational_json_round_trip():
-    assert rational_to_json(F(3)) == 3
-    assert rational_to_json(F(2, 3)) == "2/3"

@@ -1,7 +1,10 @@
 """Tests for the graph data model: weights, validation, truncation, signatures."""
 
+from fractions import Fraction
+
 import pytest
 
+from cuspzeta.exact import Poly
 from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.graphs import (
     Cusp,
@@ -114,6 +117,17 @@ def test_validate_nonpositive_weight():
         EdgeIndexedGraph(["x", "y"], [("x", "y", 0, 1)])
     with pytest.raises(ValueError, match="non-positive weight -1"):
         EdgeIndexedGraph(["x", "y"], [("x", "y", 2, -1)])
+
+
+def test_fractional_coefficients_and_weights_are_rejected():
+    # coefficients and weights are integers; an integral Fraction is stored as its int
+    with pytest.raises(ValueError, match="not an integer"):
+        Poly([Fraction(1, 2)])
+    assert [type(c) for c in Poly([Fraction(4, 2), 3]).coeffs] == [int, int]
+    with pytest.raises(ValueError, match="non-integer weight"):
+        EdgeIndexedGraph(["x", "y"], [("x", "y", Fraction(3, 2), 1)])
+    with pytest.raises(ValueError, match="non-integer weight"):
+        EdgeIndexedGraph(["x", "y"], [("x", "y", 2, 2.0)])
 
 
 def test_constructor_rejects_repeated_vertex_id():

@@ -1,6 +1,7 @@
 """Tests for the zeta engine: transfer matrices, cusp elimination, counting."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from cuspzeta.exact import ONE, Poly, RatFunc, poly_det, ratfunc_reduce, series_expand
 from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph, relabel, truncate
-from cuspzeta.oracle import _successor_rows, trace_powers
-from cuspzeta.zeta import bass_ihara_zeta, build_effective, counting_series
-from helpers import poly_add, poly_eval, poly_sub
+from cuspzeta.oracle import BudgetExceededError, _successor_rows, trace_powers
+from cuspzeta.zeta import MAX_SELBERG_DEGREE, bass_ihara_zeta, build_effective, counting_series
+from helpers import poly_add, poly_eval, poly_sub, schoolbook_power
 
 
 def rf(num, den) -> RatFunc:
@@ -212,6 +213,26 @@ def test_selberg_expansion_squares_the_base():
     assert expanded.den == result.bass_ihara.den ** 2
 
 
+def test_selberg_at_the_cap_expands_the_power():
+    # bass_ihara of chain(3, 4) is (1 - 3u^2) / (1 - 9u^2): order 400 is degree 800
+    assert MAX_SELBERG_DEGREE == 800
+    result = bass_ihara_zeta(replace(chain(3, 4), central_order=400))
+    expanded = result.selberg_expanded()
+    assert expanded.num == schoolbook_power(Poly([1, 0, -3]), 400)
+    assert expanded.den == schoolbook_power(Poly([1, 0, -9]), 400)
+
+
+def test_selberg_past_the_cap_raises_before_the_power(monkeypatch):
+    result = bass_ihara_zeta(replace(chain(3, 4), central_order=401))
+
+    def no_power(p, n):
+        raise AssertionError("the power was computed")
+
+    monkeypatch.setattr(Poly, "__pow__", no_power)
+    with pytest.raises(BudgetExceededError, match="Selberg degree 802 exceeds the cap 800"):
+        result.selberg_expanded()
+
+
 def test_central_order_zero_is_rejected():
     # selberg_expanded raises the base to central_order, so it must be >= 1
     with pytest.raises(ValueError, match="central_order"):
@@ -333,7 +354,7 @@ def test_exp_trace_identity_on_finite_graphs():
         det = poly_det(transfer(g).entries)
         lhs = series_expand(ratfunc_reduce(ONE, det), order)
         traces = trace_powers(g, order)
-        rhs = series_exp([F(0)] + [t / m for m, t in enumerate(traces, start=1)], order)
+        rhs = series_exp([F(0)] + [F(t, m) for m, t in enumerate(traces, start=1)], order)
         assert list(lhs) == rhs
 
 
