@@ -11,6 +11,7 @@ from cuspzeta.exact import (
     series_expand,
 )
 from cuspzeta.graphs import (
+    BudgetExceededError,
     Cusp,
     CuspidalGraph,
     EdgeIndexedGraph,
@@ -32,7 +33,6 @@ from cuspzeta.zeta import (
     counting_series,
 )
 from cuspzeta.oracle import (
-    BudgetExceededError,
     CycleClass,
     enumerate_primitive_cycles,
     euler_product_series,
@@ -43,7 +43,6 @@ from cuspzeta.spectra import (
     RamanujanVerdict,
     RootFindingError,
     complex_roots,
-    pole_gap_sweep,
     pole_report,
     ramanujan_check,
 )

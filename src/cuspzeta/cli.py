@@ -23,15 +23,13 @@ import time
 
 from cuspzeta.exact import Poly, ratfunc_reduce, series_expand
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import CuspidalGraph, GraphFormatError, relabel, validate
-from cuspzeta.oracle import (
-    MAX_CYCLE_LENGTH,
-    BudgetExceededError,
-    enumerate_primitive_cycles,
-    euler_product_series,
-    trace_powers,
+from cuspzeta.graphs import (
+    BudgetExceededError, CuspidalGraph, GraphFormatError, relabel, validate,
 )
-from cuspzeta.spectra import RootFindingError, pole_gap_sweep, pole_report
+from cuspzeta.oracle import (
+    MAX_CYCLE_LENGTH, enumerate_primitive_cycles, euler_product_series, trace_powers,
+)
+from cuspzeta.spectra import RootFindingError, pole_report, ramanujan_check
 from cuspzeta.zeta import (
     MAX_SERIES_ORDER, CountingSeries, ZetaResult, bass_ihara_zeta, counting_series,
 )
@@ -152,23 +150,34 @@ def cmd_poles(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_row(q: int, n: int) -> str:
+    """The CSV row of loop_family(q, n): N, the radius, the second pole modulus
+    (empty if there is none) and the Ramanujan verdict.
+
+    The radius stays pinned at 1/q while the second modulus decreases
+    towards it as N grows, shrinking the pole-free annulus.
+    """
+    report = pole_report(bass_ihara_zeta(loop_family(q, n)).bass_ihara)
+    moduli = report.moduli_clusters
+    second = f"{moduli[1]:.15g}" if len(moduli) > 1 else ""
+    ramanujan = str(ramanujan_check(report, q).is_ramanujan).lower()
+    return f"{n},{report.radius:.15g},{second},{ramanujan}"
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.family != "loops":
-        return _fail_usage(f"unknown sweep family {args.family!r}")
     ns = args.n_range
-    if ns and ns[-1] > MAX_LOOP_N:
+    if not ns:
+        return _fail_usage("sweep needs a nonempty range of N values")
+    if ns[-1] > MAX_LOOP_N:
         raise BudgetExceededError(f"loop family N {ns[-1]} exceeds the cap {MAX_LOOP_N}")
-    total = len(ns) * (ns[0] + ns[-1]) // 2 if ns else 0  # sum of the range in closed form
+    total = len(ns) * (ns[0] + ns[-1]) // 2  # sum of the range in closed form
     if total > MAX_SWEEP_N_SUM:
         raise BudgetExceededError(f"loop family N sum {total} exceeds the cap {MAX_SWEEP_N_SUM}")
     try:
-        rows = pole_gap_sweep(args.q, ns)
+        rows = [_sweep_row(args.q, n) for n in ns]  # all rows first: an error prints no CSV
     except ValueError as exc:
         return _fail_usage(str(exc))
-    print("N,R,second_modulus,ramanujan")
-    for row in rows:
-        second = "" if row.second_modulus is None else f"{row.second_modulus:.15g}"
-        print(f"{row.n},{row.radius:.15g},{second},{str(row.is_ramanujan).lower()}")
+    print("N,R,second_modulus,ramanujan", *rows, sep="\n")
     return 0
 
 

@@ -117,8 +117,6 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
             return self._coeffs == other._coeffs
-        if isinstance(other, int):
-            return self == Poly([other])
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -12,7 +12,9 @@ approximations on demand.
 
 The constructors enforce the invariants (unique vertex ids, known endpoints
 and cusp vertices, positive integer weights) by raising ``ValueError``;
-:func:`validate` checks only connectivity.
+:func:`validate` checks only connectivity.  :class:`BudgetExceededError`,
+the error of every hard budget in the package, is defined here too, so the
+engine and the oracles share it without importing each other.
 
 Vertex ids are opaque strings.  Matrix row order everywhere in the package
 is fixed by the lexicographic order of vertex ids, so identical inputs give
@@ -32,6 +34,7 @@ __all__ = [
     "Cusp",
     "CuspidalGraph",
     "GraphFormatError",
+    "BudgetExceededError",
     "weights_from_groups",
     "validate",
     "truncate",
@@ -42,6 +45,10 @@ __all__ = [
 
 class GraphFormatError(ValueError):
     """Raised when graph JSON violates the documented schema."""
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when a graph, an oracle search, a series or a power would exceed its hard budget."""
 
 
 @dataclass(frozen=True)

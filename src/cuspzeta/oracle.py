@@ -1,6 +1,8 @@
 """Brute-force cross-checks: exact trace powers, cycle enumeration, Euler products.
 
-Everything here is deliberately independent of the determinant engine.
+Everything here is deliberately independent of the determinant engine: the
+module imports nothing from the package but :mod:`cuspzeta.graphs`, and a CI
+step fails on any other package import.
 
 Traces of transfer-operator powers are exact sparse matrix products on
 packed integer rows.  Every weight is a positive integer, so every move of
@@ -46,11 +48,10 @@ from collections import Counter
 from math import comb
 from typing import Mapping, NamedTuple
 
-from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph, truncate
+from cuspzeta.graphs import BudgetExceededError, CuspidalGraph, EdgeIndexedGraph, truncate
 
 __all__ = [
     "CycleClass",
-    "BudgetExceededError",
     "trace_powers",
     "enumerate_primitive_cycles",
     "euler_product_series",
@@ -59,10 +60,6 @@ __all__ = [
 MAX_CYCLE_LENGTH = 14
 MAX_TRACE_ORDER = 200
 MAX_VISITED_PATHS = 10**6
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when an oracle search, a series or a power would exceed its hard budget."""
 
 
 def _finite(g: EdgeIndexedGraph | CuspidalGraph, m: int) -> EdgeIndexedGraph:

@@ -33,18 +33,14 @@ from typing import Sequence
 # No src/ path calls poly_gcd any more; the name stays here for the public API
 # and because perfbench's tracer test rebinds it in this namespace.
 from cuspzeta.exact import Poly, RatFunc, poly_gcd, square_free_parts  # noqa: F401
-from cuspzeta.families import loop_family
-from cuspzeta.zeta import bass_ihara_zeta
 
 __all__ = [
     "PoleReport",
     "RamanujanVerdict",
-    "SweepRow",
     "RootFindingError",
     "complex_roots",
     "pole_report",
     "ramanujan_check",
-    "pole_gap_sweep",
 ]
 
 MAX_ITERATIONS = 400
@@ -247,28 +243,3 @@ def ramanujan_check(report: PoleReport, q: int) -> RamanujanVerdict:
         else:
             offending.append(value)
     return RamanujanVerdict(not offending, tuple(trivial), tuple(critical), tuple(offending))
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    radius: float
-    second_modulus: float | None
-    is_ramanujan: bool
-
-
-def pole_gap_sweep(q: int, n_values: Sequence[int]) -> list[SweepRow]:
-    """Radius and second pole modulus of the loop family across N.
-
-    The radius stays pinned at 1/q while the second modulus decreases
-    towards it, shrinking the pole-free annulus.
-    """
-    if not n_values:
-        raise ValueError("sweep needs a nonempty range of N values")
-    rows = []
-    for n in n_values:
-        z = bass_ihara_zeta(loop_family(q, n)).bass_ihara
-        report = pole_report(z)
-        second = report.moduli_clusters[1] if len(report.moduli_clusters) > 1 else None
-        rows.append(SweepRow(n, report.radius, second, ramanujan_check(report, q).is_ramanujan))
-    return rows

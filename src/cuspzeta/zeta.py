@@ -33,8 +33,7 @@ from cuspzeta.exact import (
     poly_det,
     ratfunc_reduce,
 )
-from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
-from cuspzeta.oracle import BudgetExceededError
+from cuspzeta.graphs import BudgetExceededError, CuspidalGraph, EdgeIndexedGraph
 
 __all__ = [
     "EffectiveMatrix",

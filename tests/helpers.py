@@ -14,7 +14,6 @@ from cuspzeta.exact import (
     PolyMatrix,
     RatFunc,
     poly_det,
-    poly_gcd,
     ratfunc_reduce,
 )
 from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
@@ -357,11 +356,12 @@ def reference_square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
     lists: every derivative, division and gcd runs on :class:`Poly`, each
     division is the long division over Q above, and its quotient is
     integral because every divisor is a primitive gcd (Gauss's lemma).
+    Every gcd is Euclid's (:func:`reference_poly_gcd`), not the engine's.
     """
     if p.degree < 1:
         return []
     dp = poly_derivative(p)
-    g = poly_gcd(p, dp)
+    g = reference_poly_gcd(p, dp)
     if g.degree == 0:
         return [(poly_primitive(p), 1)]
     w = poly_quotient(p, g)
@@ -369,7 +369,7 @@ def reference_square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
     parts = []
     m = 1
     while w.degree > 0:
-        f = poly_gcd(w, z)
+        f = reference_poly_gcd(w, z)
         if f.degree > 0:
             parts.append((f, m))
             w = poly_quotient(w, f)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspzeta import cli, oracle, spectra, zeta
-from cuspzeta.exact import Poly
+from cuspzeta import cli, oracle, zeta
+from cuspzeta.exact import Poly, RatFunc
 from cuspzeta.families import chain, loop_family, pgl2
 from cuspzeta.graphs import CuspidalGraph
 from cuspzeta.zeta import MAX_SERIES_ORDER, CountingSeries, bass_ihara_zeta
@@ -82,6 +82,23 @@ def test_family_invalid_parameters_exit_2(capsys):
     capsys.readouterr()
     assert cli.main(["family", "chain", "--q", "3"]) == 2
     capsys.readouterr()
+
+
+# argparse rejects a malformed --parts or --N itself: exit 2 with its usage line
+@pytest.mark.parametrize("argv, message", [
+    (["family", "star", "--q", "3", "--parts", "1,a"],
+     "parts must be comma-separated integers: '1,a'"),
+    (["sweep", "loops", "--q", "3", "--N", "3..x"], "bad range: '3..x'"),
+    (["sweep", "loops", "--q", "3", "--N", "x"], "bad range: 'x'"),
+])
+def test_malformed_arguments_exit_2_through_argparse(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 # --- zeta --------------------------------------------------------------------
@@ -274,6 +291,15 @@ def test_count_with_oracle(capsys, tmp_path):
     assert data["match"] is True
 
 
+def test_count_rejects_m_zero_before_the_determinant(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "bass_ihara_zeta", no_determinant)
+    path = write_graph(tmp_path, pgl2(2))
+    assert cli.main(["count", path, "--m", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --m must be >= 1\n"
+
+
 # --- poles -------------------------------------------------------------------
 
 
@@ -375,10 +401,38 @@ def test_sweep_csv_shape(capsys):
     out = run_cli(capsys, "sweep", "loops", "--q", "3", "--N", "1..4").out
     lines = out.strip().splitlines()
     assert lines[0] == "N,R,second_modulus,ramanujan"
-    assert len(lines) == 5
-    seconds = [float(line.split(",")[2]) for line in lines[1:]]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == [1, 2, 3, 4]
+    # the radius stays at 1/q while the second modulus falls towards it
+    for row in rows:
+        assert float(row[1]) == pytest.approx(1 / 3, abs=1e-9)
+        assert 1 / 3 < float(row[2]) < 1 / 3**0.5
+    seconds = [float(row[2]) for row in rows]
     assert all(a > b for a, b in zip(seconds, seconds[1:]))
-    assert all(line.split(",")[3] == "false" for line in lines[1:])
+    assert all(row[3] == "false" for row in rows)
+
+
+def test_sweep_requires_values(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "loop_family", no_graph)
+    assert cli.main(["sweep", "loops", "--q", "3", "--N", "5..3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweep needs a nonempty range of N values\n"
+
+
+def test_sweep_error_at_a_later_n_prints_no_rows(capsys, monkeypatch):
+    real = cli.loop_family
+
+    def fails_at_3(q, n):
+        if n == 3:
+            raise ValueError("no loop graph at N = 3")
+        return real(q, n)
+
+    monkeypatch.setattr(cli, "loop_family", fails_at_3)
+    assert cli.main(["sweep", "loops", "--q", "3", "--N", "1..4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no loop graph at N = 3\n"
 
 
 # the last range has 10^12 values: it must be walked lazily, never made a list
@@ -396,7 +450,7 @@ def test_sweep_invalid_parameters_exit_2(capsys, argv):
 @pytest.mark.parametrize("n_range", [f"1..{cli.MAX_LOOP_N + 1}", "1..100000",
                                      str(cli.MAX_LOOP_N + 1), "1..49", "30..60"])
 def test_sweep_past_the_budget_exits_1_before_any_graph(capsys, monkeypatch, n_range):
-    monkeypatch.setattr(spectra, "loop_family", no_graph)
+    monkeypatch.setattr(cli, "loop_family", no_graph)
     assert cli.main(["sweep", "loops", "--q", "3", "--N", n_range]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -404,13 +458,13 @@ def test_sweep_past_the_budget_exits_1_before_any_graph(capsys, monkeypatch, n_r
 
 
 def test_sweep_at_the_budget_passes_the_check(capsys, monkeypatch):
-    # pole_gap_sweep is replaced, so only the budget checks see N = MAX_LOOP_N alone
-    # and 1..48, whose sum is MAX_SWEEP_N_SUM
+    # each row is replaced by its N, so only the budget checks see N = MAX_LOOP_N
+    # alone and 1..48, whose sum is MAX_SWEEP_N_SUM
     assert sum(range(1, 49)) == cli.MAX_SWEEP_N_SUM
-    monkeypatch.setattr(cli, "pole_gap_sweep", lambda q, ns: [])
-    for n_range in (str(cli.MAX_LOOP_N), "1..48"):
+    monkeypatch.setattr(cli, "_sweep_row", lambda q, n: str(n))
+    for n_range, ns in ((str(cli.MAX_LOOP_N), [cli.MAX_LOOP_N]), ("1..48", range(1, 49))):
         out = run_cli(capsys, "sweep", "loops", "--q", "3", "--N", n_range).out
-        assert out == "N,R,second_modulus,ramanujan\n"
+        assert out.splitlines() == ["N,R,second_modulus,ramanujan", *map(str, ns)]
 
 
 def test_sweep_rejects_unknown_family(capsys):
@@ -458,6 +512,32 @@ def test_verify_reports_first_failing_m(capsys, tmp_path, monkeypatch):
     assert failing["pass"] is False
     assert failing["first_failing_m"] == 2
     assert report["ok"] is False
+
+
+def test_verify_flags_a_relabeling_that_changes_the_zeta(capsys, tmp_path, monkeypatch):
+    # negative control: every call after the first, which is on the input graph,
+    # is on a relabelled copy, and gets a zeta with an extra pole at u = 1/2
+    real = cli.bass_ihara_zeta
+    calls = []
+
+    def relabel_sensitive(graph):
+        calls.append(graph)
+        result = real(graph)
+        if len(calls) == 1:
+            return result
+        f = result.bass_ihara
+        return replace(result, bass_ihara=RatFunc(f.num, f.den * Poly([1, -2])))
+
+    monkeypatch.setattr(cli, "bass_ihara_zeta", relabel_sensitive)
+    path = write_graph(tmp_path, loop_family(3, 1))
+    assert cli.main(["verify", path, "--max-m", "6"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["ok"] is False
+    failing = next(c for c in report["checks"] if c["name"] == "relabeling_invariance")
+    assert failing["pass"] is False
+    assert "FAIL relabeling_invariance" in captured.err.splitlines()
+    assert len(calls) == 2  # the first mismatch ends the relabelings
 
 
 def test_verify_max_m_bounds(capsys, tmp_path):

@@ -110,6 +110,11 @@ def test_poly_addition_cancellation():
     assert poly_add(Poly([1, 0, -3]), Poly([0, 0, 3])) == ONE
 
 
+def test_poly_equals_only_polys():
+    assert Poly([3]) == Poly([3])
+    assert Poly([3]) != 3 and ZERO != 0
+
+
 def test_poly_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         poly_divmod(Poly([1, 2]), ZERO)

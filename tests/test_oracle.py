@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from cuspzeta.exact import ONE, ratfunc_reduce, series_expand, Poly, poly_det
 from cuspzeta import oracle
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import Cusp, CuspidalGraph, EdgeIndexedGraph, truncate
+from cuspzeta.graphs import BudgetExceededError, Cusp, CuspidalGraph, EdgeIndexedGraph, truncate
 from cuspzeta.oracle import (
     MAX_TRACE_ORDER,
-    BudgetExceededError,
     enumerate_primitive_cycles,
     euler_product_series,
     trace_powers,

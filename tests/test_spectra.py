@@ -1,4 +1,4 @@
-"""Tests for root finding, pole reports, Ramanujan classification, pole sweeps."""
+"""Tests for root finding, pole reports and Ramanujan classification."""
 
 import math
 from fractions import Fraction as F
@@ -13,7 +13,6 @@ from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.spectra import (
     RootFindingError,
     complex_roots,
-    pole_gap_sweep,
     pole_report,
     ramanujan_check,
 )
@@ -277,15 +276,16 @@ def test_verdicts_stable_under_tolerance_doubling(monkeypatch):
     assert first == second
 
 
-# --- pole sweep --------------------------------------------------------------
+# --- loop family poles -------------------------------------------------------
 
 
 def test_sweep_radius_and_monotone_gap():
-    rows = pole_gap_sweep(3, range(1, 5))
-    for row in rows:
-        assert row.radius == pytest.approx(1 / 3, abs=1e-9)
-        assert not row.is_ramanujan
-    seconds = [row.second_modulus for row in rows]
+    # the loop-family sweep's rows, read off the pole layer directly
+    reports = [pole_report(zeta_of(loop_family(3, n))) for n in range(1, 5)]
+    for report in reports:
+        assert report.radius == pytest.approx(1 / 3, abs=1e-9)
+        assert not ramanujan_check(report, 3).is_ramanujan
+    seconds = [report.moduli_clusters[1] for report in reports]
     assert all(a > b for a, b in zip(seconds, seconds[1:]))
 
 
@@ -377,11 +377,6 @@ def test_newton_polygon_starts_one_per_circle():
     assert len(moduli) == 3
     for modulus, true in zip(moduli, (1e-6, 1.0, 1e6)):
         assert true / 2 <= modulus <= 2 * true
-
-
-def test_sweep_requires_values():
-    with pytest.raises(ValueError):
-        pole_gap_sweep(3, [])
 
 
 # --- pole / counting consistency ---------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 
 from cuspzeta.exact import ONE, Poly, RatFunc, poly_det, ratfunc_reduce, series_expand
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph, relabel, truncate
-from cuspzeta.oracle import BudgetExceededError, _successor_rows, trace_powers
+from cuspzeta.graphs import BudgetExceededError, CuspidalGraph, EdgeIndexedGraph, relabel, truncate
+from cuspzeta.oracle import _successor_rows, trace_powers
 from cuspzeta.zeta import MAX_SELBERG_DEGREE, bass_ihara_zeta, build_effective, counting_series
 from helpers import poly_add, poly_eval, poly_sub, schoolbook_power
 
