@@ -25,32 +25,9 @@ square-free split (:func:`square_free_parts`) and :func:`ratfunc_reduce` run
 on the same primitive coefficient lists, so their derivatives, exact
 divisions and gcds are int operations.
 
-The elimination keeps rows sparse and skips every row whose pivot-column
-entry is zero, since Bareiss would only rescale it by P_k / P_{k-1} (P_k
-the pivot of step k).  A skipped row remembers the step its values belong
-to; the factors it missed telescope to one quotient of two pivots, which
-is folded into the row's next update, or applied when the row becomes the
-pivot row.  Pivoting is complete: step k pivots on the shortest up-to-date
-entry of all remaining rows and columns (ties to the highest row), and
-each row caches its own shortest entry.  Neither rows nor columns move:
-the pivot row is used where it sits and then dropped, the determinant is
-the last pivot, and its sign is the parity of the permutation taking each
-row to its pivot column.  Bareiss is exact for any order of nonzero
-pivots: an up-to-date entry is a minor of the row- and column-permuted
-matrix (Sylvester's identity), so every division stays exact and the
-determinant is unchanged, while short pivots keep every later minor
-short.  On the banded edge-side matrices of the loop family most rows sit
-out most steps, and the work drops accordingly.
-
-Inside the elimination, the gcd and :class:`Poly`'s products and powers,
-each polynomial is one integer, its value at u = 2^B (Kronecker
-substitution, :func:`_pack`), so every product, power, exact division and
-gcd is a single big-integer operation in CPython's C code, and results are
-read back as balanced base-2^B digits (:func:`_unpack`).  B comes from a
-proven bound on the coefficients of every value read back (the 1-norm of
-a product or power; in the elimination, Hadamard's inequality on |u| = 1
-with Cauchy's estimate), so packing is injective on them: zero tests,
-pivots and quotients are those over Z[u].
+Sparse rows, complete pivoting and the packing of each polynomial into one
+integer (its value at u = 2^B) are described at :func:`poly_det`,
+:func:`_pack` and :func:`_zgcd`.
 """
 
 from __future__ import annotations

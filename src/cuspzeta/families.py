@@ -48,7 +48,7 @@ def star(q: int, parts: Sequence[int]) -> CuspidalGraph:
     """Hub vertex with one cusp per part; parts must sum to at most q+1."""
     if q < 2:
         raise ValueError("star requires q >= 2")
-    parts = tuple(int(a) for a in parts)
+    parts = tuple(parts)
     if not parts:
         raise ValueError("star requires at least one part")
     if any(a < 1 for a in parts):

@@ -11,10 +11,11 @@ inward weight ``ray_q``) is stored, and :func:`truncate` produces finite
 approximations on demand.
 
 The constructors enforce the invariants (unique vertex ids, known endpoints
-and cusp vertices, positive integer weights) by raising ``ValueError``;
-:func:`validate` checks only connectivity.  :class:`BudgetExceededError`,
-the error of every hard budget in the package, is defined here too, so the
-engine and the oracles share it without importing each other.
+and cusp vertices, positive integer weights, q and central order) by
+raising ``ValueError``; :func:`validate` checks only connectivity.
+:class:`BudgetExceededError`, the error of every hard budget in the
+package, is defined here too, so the engine and the oracles share it
+without importing each other.
 
 Vertex ids are opaque strings.  Matrix row order everywhere in the package
 is fixed by the lexicographic order of vertex ids, so identical inputs give
@@ -168,6 +169,8 @@ class Cusp:
     ray_q: int
 
     def __post_init__(self):
+        if not (isinstance(self.alpha, int) and isinstance(self.ray_q, int)):
+            raise ValueError(f"non-integer cusp alpha {self.alpha!r} or ray_q {self.ray_q!r}")
         if self.alpha < 1:
             raise ValueError("cusp attachment weight alpha must be >= 1")
         if self.ray_q < 2:
@@ -184,6 +187,8 @@ class CuspidalGraph:
     central_order: int = 1
 
     def __post_init__(self):
+        if not (isinstance(self.q, int) and isinstance(self.central_order, int)):
+            raise ValueError(f"non-integer q {self.q!r} or central_order {self.central_order!r}")
         if self.q < 1:
             raise ValueError("q must be a positive integer")
         if self.central_order < 1:

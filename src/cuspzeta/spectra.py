@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-# No src/ path calls poly_gcd any more; the name stays here for the public API
-# and because perfbench's tracer test rebinds it in this namespace.
+# No src/ path calls poly_gcd; only perfbench's test_restore_puts_originals_back
+# pins the name here, by rebinding it in this namespace.
 from cuspzeta.exact import Poly, RatFunc, poly_gcd, square_free_parts  # noqa: F401
 
 __all__ = [

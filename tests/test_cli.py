@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import shlex
 import sys
 from dataclasses import replace
@@ -206,6 +207,10 @@ def _graph_with(**fields):
     "content",
     [
         pytest.param(_graph_with(edges=5), id="edges-int"),
+        pytest.param(_graph_with(vertices=["a", 1]), id="vertex-int"),
+        pytest.param(_graph_with(edges=[5]), id="edge-entry-int"),
+        pytest.param(_graph_with(cusps=[5]), id="cusp-entry-int"),
+        pytest.param(_graph_with(cusps=[{"vertex": 1, "alpha": 1}]), id="cusp-vertex-int"),
         pytest.param(_graph_with(cusps=None), id="cusps-null"),
         pytest.param(_graph_with(cusps=[{"vertex": "a", "alpha": 1, "ray_q": 1}]), id="ray-q-1"),
         pytest.param(_graph_with(vertices=["a", "b", "c"]), id="disconnected"),
@@ -312,6 +317,24 @@ def test_poles_star_clusters(capsys, tmp_path):
     assert data["moduli"] == pytest.approx([1 / 3, 1.0], abs=1e-9)
     assert data["R"] == pytest.approx(1 / 3, abs=1e-9)
     assert all(len(p["value"]) == 2 for p in data["poles"])
+
+
+@pytest.mark.parametrize(
+    "constant, value, pattern",
+    [
+        ("MAX_ITERATIONS", 1, r"error: Aberth iteration did not converge within 1 steps"),
+        ("RESIDUAL_BOUND", 0.0, r"error: root candidate \S+ failed the residual check"),
+    ],
+)
+def test_poles_root_finding_failure_exit_1(capsys, tmp_path, monkeypatch, constant, value, pattern):
+    from cuspzeta import spectra
+    from cuspzeta.families import star
+
+    monkeypatch.setattr(spectra, constant, value)
+    path = write_graph(tmp_path, star(3, (1, 1, 1)))
+    captured = run_cli(capsys, "poles", path, expect=1)
+    assert captured.out == ""
+    assert re.fullmatch(pattern, captured.err.strip())
 
 
 def test_poles_underflowed_coefficient_exit_1(capsys, tmp_path):
@@ -630,6 +653,17 @@ def test_readme_command_lines_exit_0(capsys, tmp_path, monkeypatch):
             captured = capsys.readouterr()
             assert code == 0, (line, captured.err)
             stdout = captured.out
+
+
+def test_package_exports_every_library_module_all():
+    import importlib
+
+    import cuspzeta
+
+    for name in ("exact", "graphs", "families", "zeta", "oracle", "spectra"):
+        module = importlib.import_module(f"cuspzeta.{name}")
+        for public in module.__all__:
+            assert getattr(cuspzeta, public) is getattr(module, public), (name, public)
 
 
 def test_readme_library_usage_runs(capsys):

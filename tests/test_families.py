@@ -77,6 +77,14 @@ def test_star_rejects_empty_or_nonpositive_parts():
         star(3, (2, 0))
 
 
+def test_star_and_chain_reject_fractional_weights_when_built():
+    # a part is an index [G_v : G_e], so 1.5 is refused, not truncated to 1
+    with pytest.raises(ValueError, match="non-integer cusp alpha 1.5"):
+        star(3, (1.5, 1.5))
+    with pytest.raises(ValueError, match="non-integer cusp alpha 2.5"):
+        chain(3, 2.5)
+
+
 def test_star_regularity_at_full_sum():
     assert is_regular(star(5, (3, 2, 1)), 5)
 

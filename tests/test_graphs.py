@@ -338,3 +338,16 @@ def test_cusp_rejects_ray_weight_one():
 def test_cusp_rejects_zero_alpha():
     with pytest.raises(ValueError):
         Cusp("x", 0, 3)
+
+
+@pytest.mark.parametrize("alpha, ray_q", [(2.5, 3), (2, 3.0), (Fraction(4, 2), 3)])
+def test_cusp_rejects_non_integer_weights(alpha, ray_q):
+    with pytest.raises(ValueError, match="non-integer cusp alpha"):
+        Cusp("x", alpha, ray_q)
+
+
+@pytest.mark.parametrize("q, central_order", [(3.0, 1), (3, 1.5)])
+def test_cuspidal_graph_rejects_non_integer_q_and_central_order(q, central_order):
+    # a central order of 1.5 would give float R_m values and fail late, in selberg_expanded
+    with pytest.raises(ValueError, match="non-integer q"):
+        CuspidalGraph(EdgeIndexedGraph(["x"], []), (), q, central_order)
