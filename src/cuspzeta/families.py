@@ -39,8 +39,6 @@ def chain(q: int, k: int) -> CuspidalGraph:
     """Half-line with attachment weight k on the base vertex; central order 1."""
     if q < 2:
         raise ValueError("chain requires q >= 2")
-    if k < 1:
-        raise ValueError("chain requires k >= 1")
     return CuspidalGraph(EdgeIndexedGraph(["v0"], []), (Cusp("v0", k, q),), q, central_order=1)
 
 
@@ -51,11 +49,9 @@ def star(q: int, parts: Sequence[int]) -> CuspidalGraph:
     parts = tuple(parts)
     if not parts:
         raise ValueError("star requires at least one part")
-    if any(a < 1 for a in parts):
-        raise ValueError("star parts must be >= 1")
+    cusps = tuple(Cusp("v0", a, q) for a in parts)
     if sum(parts) > q + 1:
         raise ValueError(f"star parts sum to {sum(parts)}, exceeding q + 1 = {q + 1}")
-    cusps = tuple(Cusp("v0", a, q) for a in parts)
     return CuspidalGraph(EdgeIndexedGraph(["v0"], []), cusps, q, central_order=1)
 
 

@@ -11,8 +11,9 @@ inward weight ``ray_q``) is stored, and :func:`truncate` produces finite
 approximations on demand.
 
 The constructors enforce the invariants (unique vertex ids, known endpoints
-and cusp vertices, positive integer weights, q and central order) by
-raising ``ValueError``; :func:`validate` checks only connectivity.
+and cusp vertices, and every graph number valid by one rule,
+:func:`_check_number`) by raising ``ValueError``; :func:`validate` checks
+only connectivity.
 :class:`BudgetExceededError`, the error of every hard budget in the
 package, is defined here too, so the engine and the oracles share it
 without importing each other.
@@ -42,6 +43,16 @@ __all__ = [
     "relabel",
     "invariant_signature",
 ]
+
+
+def _check_number(value, what: str, floor: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is an ``int``, never a ``bool``, and >= ``floor``.
+
+    The one rule for every graph number: edge weights, cusp ``alpha`` and
+    ``ray_q`` (floor 2), ``q``, ``central_order`` and group orders.
+    """
+    if type(value) is not int or value < floor:
+        raise ValueError(f"{what} must be an integer >= {floor}, got {value!r}")
 
 
 class GraphFormatError(ValueError):
@@ -82,16 +93,14 @@ class EdgeIndexedGraph:
         for a, b, wa, wb in pairs:
             if a not in out or b not in out:
                 raise ValueError(f"edge ({a!r}, {b!r}) references an unknown vertex")
+            _check_number(wa, "edge weight")
+            _check_number(wb, "edge weight")
             i = len(edges)
             edges.append(OrientedEdge(i, a, b, i + 1, wa))
             edges.append(OrientedEdge(i + 1, b, a, i, wb))
+            out[a].append(i)
+            out[b].append(i + 1)
         self.edges: tuple[OrientedEdge, ...] = tuple(edges)
-        for e in self.edges:
-            if not isinstance(e.weight, int):
-                raise ValueError(f"edge {e.id} has non-integer weight {e.weight!r}")
-            if e.weight <= 0:
-                raise ValueError(f"edge {e.id} has non-positive weight {e.weight}")
-            out[e.source].append(e.id)
         self._out = {v: tuple(ids) for v, ids in out.items()}
 
     def out_edges(self, vertex: str) -> tuple[int, ...]:
@@ -136,8 +145,8 @@ class GraphOfGroups:
         missing = {v for pair in self.edge_pairs for v in pair} - set(self.vertex_order)
         if missing:
             raise ValueError(f"no vertex group order for {sorted(missing)}")
-        if any(n < 1 for n in (*self.vertex_order.values(), *self.edge_order)):
-            raise ValueError("group orders must be >= 1")
+        for n in (*self.vertex_order.values(), *self.edge_order):
+            _check_number(n, "group order")
 
 
 def weights_from_groups(g: GraphOfGroups) -> EdgeIndexedGraph:
@@ -169,12 +178,8 @@ class Cusp:
     ray_q: int
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, int) and isinstance(self.ray_q, int)):
-            raise ValueError(f"non-integer cusp alpha {self.alpha!r} or ray_q {self.ray_q!r}")
-        if self.alpha < 1:
-            raise ValueError("cusp attachment weight alpha must be >= 1")
-        if self.ray_q < 2:
-            raise ValueError("cusp ray weight ray_q must be >= 2")
+        _check_number(self.alpha, "cusp alpha")
+        _check_number(self.ray_q, "cusp ray_q", 2)
 
 
 @dataclass(frozen=True)
@@ -187,12 +192,8 @@ class CuspidalGraph:
     central_order: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.q, int) and isinstance(self.central_order, int)):
-            raise ValueError(f"non-integer q {self.q!r} or central_order {self.central_order!r}")
-        if self.q < 1:
-            raise ValueError("q must be a positive integer")
-        if self.central_order < 1:
-            raise ValueError("central_order must be a positive integer")
+        _check_number(self.q, "q")
+        _check_number(self.central_order, "central_order")
         core = set(self.core.vertices)
         for c in self.cusps:
             if c.vertex not in core:
@@ -214,12 +215,16 @@ class CuspidalGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> CuspidalGraph:
-        """Parse graph JSON; any schema violation raises :class:`GraphFormatError`."""
+        """Parse graph JSON; any schema violation raises :class:`GraphFormatError`.
+
+        Only the JSON's shape is checked here; its numbers go to the
+        constructors as they are, so JSON and library accept the same numbers
+        (``q`` is judged first, as a missing ``ray_q`` defaults to it).
+        """
         if not isinstance(data, dict):
             raise GraphFormatError("graph JSON must be an object")
         _require_keys(data, {"q", "vertices", "edges"}, {"central_order", "cusps"}, "graph")
-        q = _positive_int(data["q"], "q")
-        central = _positive_int(data.get("central_order", 1), "central_order")
+        q = data["q"]
         vertices = data["vertices"]
         if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
             raise GraphFormatError("vertices must be a list of strings")
@@ -233,7 +238,7 @@ class CuspidalGraph:
                 raise GraphFormatError(f"edge ({a!r}, {b!r}) references an unknown vertex")
             if a == b:
                 raise GraphFormatError(f"self-loop at {a!r} is not supported")
-            pairs.append((a, b, _positive_int(entry["wa"], "wa"), _positive_int(entry["wb"], "wb")))
+            pairs.append((a, b, entry["wa"], entry["wb"]))
         cusps = []
         for entry in _list_field(data, "cusps"):
             if not isinstance(entry, dict):
@@ -242,11 +247,11 @@ class CuspidalGraph:
             v = entry["vertex"]
             if not isinstance(v, str):
                 raise GraphFormatError(f"cusp attached to unknown vertex {v!r}")
-            cusps.append((v, _positive_int(entry["alpha"], "alpha"),
-                          _positive_int(entry.get("ray_q", q), "ray_q")))
+            cusps.append((v, entry["alpha"], entry.get("ray_q", q)))
         try:
+            _check_number(q, "q")  # before it stands in for a missing ray_q
             core = EdgeIndexedGraph(vertices, pairs)
-            return cls(core, tuple(Cusp(*c) for c in cusps), q, central)
+            return cls(core, tuple(Cusp(*c) for c in cusps), q, data.get("central_order", 1))
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from exc
 
@@ -259,12 +264,6 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
     missing = required - keys
     if missing:
         raise GraphFormatError(f"missing field(s) {sorted(missing)} in {where}")
-
-
-def _positive_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise GraphFormatError(f"{where} must be a positive integer, got {value!r}")
-    return value
 
 
 def _list_field(obj: dict, key: str) -> list:

@@ -1,9 +1,14 @@
 """Tests for the graph data model: weights, validation, truncation, signatures."""
 
+import json
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cuspzeta import cli
 from cuspzeta.exact import Poly
 from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.graphs import (
@@ -62,13 +67,13 @@ def test_graph_of_groups_rejects_endpoint_without_vertex_order():
 
 
 def test_graph_of_groups_rejects_edge_group_of_order_zero():
-    with pytest.raises(ValueError, match="group orders must be >= 1"):
+    with pytest.raises(ValueError, match="group order must be an integer >= 1"):
         two_vertex_gog(4, 4, 0)
 
 
 @pytest.mark.parametrize("order_a, edge_order", [(0, 1), (-2, 1), (4, -1)])
 def test_graph_of_groups_rejects_group_order_below_one(order_a, edge_order):
-    with pytest.raises(ValueError, match="group orders must be >= 1"):
+    with pytest.raises(ValueError, match="group order must be an integer >= 1"):
         two_vertex_gog(order_a, 2, edge_order)
 
 
@@ -113,9 +118,9 @@ def test_validate_detects_disconnected_graph():
 
 
 def test_validate_nonpositive_weight():
-    with pytest.raises(ValueError, match="non-positive weight 0"):
+    with pytest.raises(ValueError, match="edge weight must be an integer >= 1, got 0"):
         EdgeIndexedGraph(["x", "y"], [("x", "y", 0, 1)])
-    with pytest.raises(ValueError, match="non-positive weight -1"):
+    with pytest.raises(ValueError, match="edge weight must be an integer >= 1, got -1"):
         EdgeIndexedGraph(["x", "y"], [("x", "y", 2, -1)])
 
 
@@ -124,9 +129,9 @@ def test_fractional_coefficients_and_weights_are_rejected():
     with pytest.raises(ValueError, match="not an integer"):
         Poly([Fraction(1, 2)])
     assert [type(c) for c in Poly([Fraction(4, 2), 3]).coeffs] == [int, int]
-    with pytest.raises(ValueError, match="non-integer weight"):
+    with pytest.raises(ValueError, match=r"edge weight .* got Fraction\(3, 2\)"):
         EdgeIndexedGraph(["x", "y"], [("x", "y", Fraction(3, 2), 1)])
-    with pytest.raises(ValueError, match="non-integer weight"):
+    with pytest.raises(ValueError, match="edge weight must be an integer >= 1, got 2.0"):
         EdgeIndexedGraph(["x", "y"], [("x", "y", 2, 2.0)])
 
 
@@ -322,6 +327,13 @@ def test_json_ray_q_defaults_to_graph_q():
     assert c.central_order == 1
 
 
+@pytest.mark.parametrize("q, field", [(2.5, "q"), (True, "q"), (1, "cusp ray_q")])
+def test_json_bad_q_is_named_even_where_ray_q_defaults_to_it(q, field):
+    data = {"q": q, "vertices": ["x"], "edges": [], "cusps": [{"vertex": "x", "alpha": 2}]}
+    with pytest.raises(GraphFormatError, match=f"^{field} must be an integer"):
+        CuspidalGraph.from_json(data)
+
+
 def test_json_rejects_missing_required_field():
     with pytest.raises(GraphFormatError, match="missing"):
         CuspidalGraph.from_json({"vertices": [], "edges": []})
@@ -342,12 +354,101 @@ def test_cusp_rejects_zero_alpha():
 
 @pytest.mark.parametrize("alpha, ray_q", [(2.5, 3), (2, 3.0), (Fraction(4, 2), 3)])
 def test_cusp_rejects_non_integer_weights(alpha, ray_q):
-    with pytest.raises(ValueError, match="non-integer cusp alpha"):
+    bad = "ray_q" if type(alpha) is int else "alpha"
+    with pytest.raises(ValueError, match=f"^cusp {bad} must be an integer"):
         Cusp("x", alpha, ray_q)
 
 
 @pytest.mark.parametrize("q, central_order", [(3.0, 1), (3, 1.5)])
 def test_cuspidal_graph_rejects_non_integer_q_and_central_order(q, central_order):
     # a central order of 1.5 would give float R_m values and fail late, in selberg_expanded
-    with pytest.raises(ValueError, match="non-integer q"):
+    bad, value = ("central_order", central_order) if type(q) is int else ("q", q)
+    with pytest.raises(ValueError, match=rf"^{bad} must be an integer >= 1, got {value}$"):
         CuspidalGraph(EdgeIndexedGraph(["x"], []), (), q, central_order)
+
+
+# --- one number rule ---------------------------------------------------------
+
+
+@st.composite
+def _family_graph(draw):
+    q = draw(st.integers(3, 9))
+    kind = draw(st.sampled_from(["pgl2", "chain", "star", "loop_family"]))
+    if kind == "pgl2":
+        return pgl2(q)
+    if kind == "chain":
+        return chain(q, draw(st.integers(1, q + 1)))
+    if kind == "star":
+        parts = [draw(st.integers(1, q + 1))]
+        while sum(parts) < q + 1 and draw(st.booleans()):
+            parts.append(draw(st.integers(1, q + 1 - sum(parts))))
+        return star(q, parts)
+    return loop_family(q, draw(st.integers(1, 6)))
+
+
+@st.composite
+def _valid_graph_json(draw):
+    """Distinct string ids, edges between distinct known vertices, valid numbers."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    number = st.integers(1, 5)
+    ends = list(permutations(names, 2))
+    q = draw(number)
+    cusps = []
+    for _ in range(draw(st.integers(0, 3))):
+        cusp = {"vertex": draw(st.sampled_from(names)), "alpha": draw(number)}
+        if q < 2 or draw(st.booleans()):  # ray_q defaults to q and must be >= 2
+            cusp["ray_q"] = draw(st.integers(2, 5))
+        cusps.append(cusp)
+    pairs = draw(st.lists(st.sampled_from(ends), max_size=5)) if ends else []
+    data = {"q": q, "vertices": names, "cusps": cusps,
+            "edges": [{"a": a, "b": b, "wa": draw(number), "wb": draw(number)}
+                      for a, b in pairs]}
+    if draw(st.booleans()):
+        data["central_order"] = draw(number)
+    return data
+
+
+@given(graph=_family_graph() | _valid_graph_json().map(CuspidalGraph.from_json))
+@settings(max_examples=150, deadline=None)
+def test_every_valid_graph_round_trips_through_json(graph):
+    assert CuspidalGraph.from_json(graph.to_json()) == graph
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EdgeIndexedGraph(["x", "y"], [("x", "y", True, 2)]),
+    lambda: EdgeIndexedGraph(["x", "y"], [("x", "y", 2, True)]),
+    lambda: Cusp("x", True, 3),
+    lambda: Cusp("x", 2, True),
+    lambda: CuspidalGraph(EdgeIndexedGraph(["x"], []), (), True),
+    lambda: CuspidalGraph(EdgeIndexedGraph(["x"], []), (), 3, True),
+    lambda: two_vertex_gog(True, 2, 1),
+    lambda: two_vertex_gog(2, 2, True),
+    lambda: star(3, (True, 2)),
+], ids=["wa", "wb", "alpha", "ray_q", "q", "central_order", "vertex_order", "edge_order",
+        "star_part"])
+def test_bool_is_not_a_graph_number(build):
+    # isinstance(True, int) holds, yet True is no group index
+    with pytest.raises(ValueError, match=r"must be an integer >= \d, got True$"):
+        build()
+
+
+@pytest.mark.parametrize("path", [
+    ("q",), ("central_order",), ("edges", 0, "wa"), ("edges", 0, "wb"),
+    ("cusps", 0, "alpha"), ("cusps", 0, "ray_q"),
+], ids=lambda path: path[-1])
+def test_bool_in_graph_json_is_a_format_error(path, tmp_path, capsys):
+    data = {"q": 3, "central_order": 1, "vertices": ["x", "y"],
+            "edges": [{"a": "x", "b": "y", "wa": 2, "wb": 2}],
+            "cusps": [{"vertex": "x", "alpha": 2, "ray_q": 3}]}
+    CuspidalGraph.from_json(data)  # valid until one number becomes True
+    obj = data
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = True
+    with pytest.raises(GraphFormatError, match=r"must be an integer >= \d, got True$"):
+        CuspidalGraph.from_json(data)
+    file = tmp_path / "graph.json"
+    file.write_text(json.dumps(data))
+    assert cli.main(["zeta", str(file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")

@@ -77,7 +77,7 @@ def test_trace_power_fractional_weights():
                            ("x", "x", 1, 2)]),
         (["x", "y", "z"], [("x", "y", F(1, 2), 2), ("y", "z", 2, F(1, 3)), ("z", "x", 3, 3)]),
     ]:
-        with pytest.raises(ValueError, match="non-integer weight"):
+        with pytest.raises(ValueError, match="edge weight must be an integer >= 1"):
             EdgeIndexedGraph(vertices, pairs)
 
 

@@ -351,6 +351,26 @@ def test_loop_second_pole_follows_the_gap_law(q, n):
     assert poly_eval(deflated, -inner) * poly_eval(deflated, -outer) < 0
 
 
+def loop_critical_factor(q: int, n: int) -> Poly:
+    """(1 - u)(1 - qu) E(u), E = (1 + u) sum_{k<N} q^k u^2k + q^N u^2N (loop_family's docstring)."""
+    e = [0] * (2 * n + 1)
+    for k in range(n):
+        e[2 * k] += q**k
+        e[2 * k + 1] += q**k
+    e[2 * n] = q**n
+    return Poly([1, -1]) * Poly([1, -q]) * Poly(e)
+
+
+@pytest.mark.parametrize("q, n", [(q, n) for q in range(3, 8) for n in (1, 4, 12, 24)])
+def test_loop_critical_circle_factor_is_the_gcd_with_the_reflection(q, n):
+    # p(u) = (qu)^deg den(1/(qu)) maps each root r to 1/(q r); the roots fixed
+    # up to conjugation lie on |u| = 1/sqrt(q), and with 1 <-> 1/q they make up
+    # gcd(den, p), exactly, in Z[u]
+    den = zeta_of(loop_family(q, n)).den
+    reflected = Poly(den[den.degree - j] * q**j for j in range(den.degree + 1))
+    assert poly_gcd(den, reflected) == loop_critical_factor(q, n)
+
+
 @pytest.mark.parametrize("q, n", OLD_EDGE_CASES)
 def test_loop_poles_past_the_old_edge(q, n):
     report = pole_report(zeta_of(loop_family(q, n)))
