@@ -21,7 +21,7 @@ import random
 import sys
 import time
 
-from cuspzeta.exact import Poly, ratfunc_reduce, series_expand
+from cuspzeta.exact import Poly, RatFunc, ratfunc_reduce, series_expand
 from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.graphs import (
     BudgetExceededError, CuspidalGraph, GraphFormatError, relabel, validate,
@@ -29,7 +29,7 @@ from cuspzeta.graphs import (
 from cuspzeta.oracle import (
     MAX_CYCLE_LENGTH, enumerate_primitive_cycles, euler_product_series, trace_powers,
 )
-from cuspzeta.spectra import RootFindingError, pole_report, ramanujan_check
+from cuspzeta.spectra import PoleReport, RootFindingError, pole_report, ramanujan_check
 from cuspzeta.zeta import (
     MAX_SERIES_ORDER, CountingSeries, ZetaResult, bass_ihara_zeta, counting_series,
 )
@@ -142,10 +142,15 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0 if payload.get("match", True) else FAILURE
 
 
+def _pole_report(graph: CuspidalGraph, z: RatFunc) -> PoleReport:
+    """pole_report of z, with the poles +-1/c at the graph's q and at every
+    cusp's ray_q divided out exactly."""
+    return pole_report(z, (graph.q, *(cusp.ray_q for cusp in graph.cusps)))
+
+
 def cmd_poles(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    z = bass_ihara_zeta(graph).bass_ihara
-    report = pole_report(z)
+    report = _pole_report(graph, bass_ihara_zeta(graph).bass_ihara)
     print(json.dumps(report.to_json(), indent=2))
     return 0
 
@@ -157,7 +162,8 @@ def _sweep_row(q: int, n: int) -> str:
     The radius stays pinned at 1/q while the second modulus decreases
     towards it as N grows, shrinking the pole-free annulus.
     """
-    report = pole_report(bass_ihara_zeta(loop_family(q, n)).bass_ihara)
+    graph = loop_family(q, n)
+    report = _pole_report(graph, bass_ihara_zeta(graph).bass_ihara)
     moduli = report.moduli_clusters
     second = f"{moduli[1]:.15g}" if len(moduli) > 1 else ""
     ramanujan = str(ramanujan_check(report, q).is_ramanujan).lower()
@@ -269,7 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         },
         "zeta": result.to_json(),
         "counting": series.to_json(),
-        "poles": pole_report(result.bass_ihara).to_json(),
+        "poles": _pole_report(graph, result.bass_ihara).to_json(),
         "checks": checks,
         "elapsed_s": round(elapsed, 6),
         "ok": ok,

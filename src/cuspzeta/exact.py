@@ -23,7 +23,8 @@ Polynomial gcds use the heuristic gcd: one integer gcd of the packed inputs,
 read back and kept once it divides both (see :func:`_zgcd`).  Yun's
 square-free split (:func:`square_free_parts`) and :func:`ratfunc_reduce` run
 on the same primitive coefficient lists, so their derivatives, exact
-divisions and gcds are int operations.
+divisions and gcds are int operations, as is :func:`divide_out_root`, which
+divides out a rational root as often as it recurs.
 
 Sparse rows, complete pivoting and the packing of each polynomial into one
 integer (its value at u = 2^B) are described at :func:`poly_det`,
@@ -42,6 +43,7 @@ __all__ = [
     "PolyMatrix",
     "poly_gcd",
     "square_free_parts",
+    "divide_out_root",
     "poly_det",
     "ratfunc_reduce",
     "series_expand",
@@ -287,6 +289,25 @@ def square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
         z = _zsub(z, _zderivative(w))
         m += 1
     return parts
+
+
+def divide_out_root(p: Poly, a: int, b: int) -> tuple[Poly, int]:
+    """(p / (b u - a)^m, m), with m the multiplicity of the rational root a/b of p,
+    for coprime a and b > 0.
+
+    p vanishes at a/b iff b^n p(a/b) = sum c_k a^k b^(n-k) = 0, an int test;
+    b u - a is then primitive and divides p over Q, so it divides p in Z[u]
+    (Gauss's lemma).
+    """
+    coeffs, m = p.coeffs, 0
+    while len(coeffs) > 1:
+        value, power = 0, 1
+        for c in reversed(coeffs):
+            value, power = value * a + c * power, power * b
+        if value:
+            break
+        coeffs, m = _zquo(coeffs, [-a, b]), m + 1
+    return Poly(coeffs), m
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Brute-force cross-checks: exact trace powers, cycle enumeration, Euler products.
 
 Everything here is deliberately independent of the determinant engine: the
-module imports nothing from the package but :mod:`cuspzeta.graphs`, and a CI
-step fails on any other package import.
+module imports nothing from the package but :mod:`cuspzeta.graphs`, and the
+layout test (``tests/test_layout.py``) fails on any other package import.
 
 Traces of transfer-operator powers are exact sparse matrix products on
 packed integer rows.  Every weight is a positive integer, so every move of

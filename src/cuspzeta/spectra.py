@@ -1,11 +1,15 @@
 """Numerical pole analysis of exactly computed zeta functions.
 
-Roots are located by Aberth-Ehrlich simultaneous iteration in double
-precision as in Bini, "Numerical computation of polynomial zeros by means of
-Aberth's method", Numer. Algorithms 13 (1996): the iteration starts from the
-circles of the Newton polygon of p, and a root stops once |p(z)| is within
-rounding noise of sum |c_k| |z|**k, the size of the terms of p(z).  The
-polynomial is first split into square-free parts by Yun's algorithm
+The rational poles +-1 and +-1/c, for the c the caller names (the CLI names
+the graph's q and each cusp's ray_q), are divided out of the denominator
+first, in integers (:func:`pole_report`), and reported as the nearest
+doubles to their values.  The other roots are located by Aberth-Ehrlich
+simultaneous iteration in double precision as in Bini, "Numerical
+computation of polynomial zeros by means of Aberth's method", Numer.
+Algorithms 13 (1996): the iteration starts from the circles of the Newton
+polygon of p, and a root stops once |p(z)| is within rounding noise of
+sum |c_k| |z|**k, the size of the terms of p(z).  The quotient is first
+split into square-free parts by Yun's algorithm
 (:func:`square_free_parts`, which runs in integers in :mod:`cuspzeta.exact`),
 so the iteration only ever sees simple roots (a multiple root would cap
 double precision at eps**(1/m) accuracy, far coarser than the deliberately
@@ -19,8 +23,10 @@ root at 0 is read off the exact constant term.
 Four constants fix the precision: Aberth gives up after ``MAX_ITERATIONS``
 sweeps and stops when no root moves by more than ``SHIFT_TOL`` (relative);
 a polished root fails unless |p(z)| is within ``RESIDUAL_BOUND`` of
-sum |c_k| |z|**k; and ``MODULUS_TOL`` is the tolerance for clustering
-moduli and for classifying poles in the Ramanujan test.
+sum |c_k| |z|**k; and ``MODULUS_TOL`` is the tolerance for clustering the
+moduli of those numeric roots and for the critical circle of the Ramanujan
+test.  No tolerance touches an exact pole: it never clusters with a numeric
+one, and the trivial poles of the Ramanujan test are exact ones.
 """
 
 from __future__ import annotations
@@ -28,11 +34,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # No src/ path calls poly_gcd; only perfbench's test_restore_puts_originals_back
 # pins the name here, by rebinding it in this namespace.
-from cuspzeta.exact import Poly, RatFunc, poly_gcd, square_free_parts  # noqa: F401
+from cuspzeta.exact import (  # noqa: F401
+    Poly, RatFunc, divide_out_root, poly_gcd, square_free_parts,
+)
 
 __all__ = [
     "PoleReport",
@@ -60,6 +68,10 @@ def _horner(coeffs: Sequence[float], z: complex) -> complex:
     return acc
 
 
+def _pole_order(pole: tuple[complex, int]) -> tuple[float, float, float]:
+    return abs(pole[0]), pole[0].real, pole[0].imag
+
+
 def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     """All complex roots of p with multiplicities, as (value, multiplicity).
 
@@ -82,7 +94,7 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
         if floats[0] == 0.0:
             raise RootFindingError("a nonzero constant term underflows to 0.0")
         result.extend((value, mult) for value in _aberth(floats))
-    result.sort(key=lambda pair: (abs(pair[0]), pair[0].real, pair[0].imag))
+    result.sort(key=_pole_order)
     return result
 
 
@@ -175,12 +187,24 @@ def _polish(monic: Sequence[float], deriv: Sequence[float], z: complex) -> compl
 
 @dataclass(frozen=True)
 class PoleReport:
-    """Poles of a zeta function with clustered moduli and the spectral gap."""
+    """Poles of a zeta function with their moduli and the spectral gap.
 
-    poles: tuple[tuple[complex, int], ...]
+    ``exact`` holds the rational poles divided out of the denominator
+    exactly, each as the nearest double to its value; ``numeric`` holds the
+    roots that Aberth found, and ``poles`` all of them, ordered by modulus.
+    ``q_values`` are the c whose poles +-1/c were tried exactly.
+    """
+
+    exact: tuple[tuple[complex, int], ...]
+    numeric: tuple[tuple[complex, int], ...]
     moduli_clusters: tuple[float, ...]
     radius: float
     gap: float | None
+    q_values: tuple[int, ...]
+
+    @property
+    def poles(self) -> tuple[tuple[complex, int], ...]:
+        return tuple(sorted(self.exact + self.numeric, key=_pole_order))
 
     def to_json(self) -> dict:
         return {
@@ -193,25 +217,37 @@ class PoleReport:
         }
 
 
-def pole_report(z: RatFunc) -> PoleReport:
+def pole_report(z: RatFunc, q_values: Iterable[int] = ()) -> PoleReport:
     """Locate the poles (denominator roots) and cluster their moduli.
 
-    Moduli within ``MODULUS_TOL`` relative form one cluster; a zeta function
+    First the rational poles +-1 and +-1/c, for each c in ``q_values``, are
+    divided out of the denominator exactly, each as often as it recurs
+    (:func:`divide_out_root`); only the quotient goes to
+    :func:`complex_roots`.  Each exact modulus is its own cluster, and
+    numeric moduli within ``MODULUS_TOL`` relative form one, so an exact
+    pole never merges with a numeric one however close.  A zeta function
     without poles reports an infinite radius of convergence.
     """
+    q_values = tuple(sorted(set(q_values)))
     if z.den.degree < 1:
-        return PoleReport((), (), math.inf, None)
-    poles = tuple(complex_roots(z.den))
+        return PoleReport((), (), (), math.inf, None, q_values)
+    den, exact = z.den, []
+    for c in sorted({1, *q_values}):
+        for a in (1, -1):
+            den, mult = divide_out_root(den, a, c)
+            if mult:
+                exact.append((complex(a / c), mult))
+    numeric = complex_roots(den)
     clusters: list[list[float]] = []
-    for v in sorted(abs(value) for value, _ in poles):
+    for v in sorted(abs(value) for value, _ in numeric):
         if clusters and v - clusters[-1][-1] <= MODULUS_TOL * max(v, clusters[-1][-1]):
             clusters[-1].append(v)
         else:
             clusters.append([v])
-    moduli = [sum(c) / len(c) for c in clusters]
+    moduli = sorted([*{abs(value) for value, _ in exact}, *(sum(c) / len(c) for c in clusters)])
     radius = moduli[0]
     gap = moduli[1] - moduli[0] if len(moduli) > 1 else None
-    return PoleReport(poles, tuple(moduli), radius, gap)
+    return PoleReport(tuple(exact), tuple(numeric), tuple(moduli), radius, gap, q_values)
 
 
 @dataclass(frozen=True)
@@ -227,19 +263,23 @@ class RamanujanVerdict:
 def ramanujan_check(report: PoleReport, q: int) -> RamanujanVerdict:
     """Flag the graph Ramanujan iff every nontrivial pole has |u| = 1/sqrt(q).
 
-    Poles with |u| = 1 or |u| = 1/q (within ``MODULUS_TOL``) are the trivial
-    ones; this matches the factor structure (1 - u), (1 + u), (1 - qu) of
-    the regular families and is a convention of this package.
+    The trivial poles are the exact poles at |u| = 1 or 1/q, so q must be
+    among the report's ``q_values``; this matches the factor structure
+    (1 - u), (1 + u), (1 - qu) of the regular families and is a convention
+    of this package.  A numeric pole is never trivial, however close to 1/q.
     """
     if q < 2:
         raise ValueError("ramanujan check requires q >= 2")
+    if q not in report.q_values:
+        raise ValueError(f"the pole report did not try the poles +-1/{q} exactly")
     trivial, critical, offending = [], [], []
-    for value, _mult in report.poles:
-        m = abs(value)
-        if abs(m - 1.0) <= MODULUS_TOL or abs(m - 1.0 / q) <= MODULUS_TOL:
-            trivial.append(value)
-        elif abs(m - 1.0 / math.sqrt(q)) < MODULUS_TOL:
-            critical.append(value)
-        else:
-            offending.append(value)
+    for poles, exact in ((report.exact, True), (report.numeric, False)):
+        for value, _mult in poles:
+            m = abs(value)
+            if exact and m in (1.0, 1.0 / q):
+                trivial.append(value)
+            elif abs(m - 1.0 / math.sqrt(q)) < MODULUS_TOL:
+                critical.append(value)
+            else:
+                offending.append(value)
     return RamanujanVerdict(not offending, tuple(trivial), tuple(critical), tuple(offending))

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from math import gcd, lcm
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from cuspzeta.exact import (
     ONE,
     ZERO,
@@ -16,11 +18,29 @@ from cuspzeta.exact import (
     poly_det,
     ratfunc_reduce,
 )
-from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
+from cuspzeta.graphs import Cusp, CuspidalGraph, EdgeIndexedGraph, truncate
 from cuspzeta.oracle import CycleClass
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import random_graph  # noqa: E402
+
+
+@st.composite
+def small_graphs(draw) -> EdgeIndexedGraph:
+    """Up to four vertices with loops and multi-edges; weight 1 makes a zero-weight backtrack.
+
+    Half the draws attach cusps and cut their rays at depth 1..3.
+    """
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    vertex = st.sampled_from(names)
+    weight = st.sampled_from([1, 1, 2, 3])
+    pairs = draw(st.lists(st.tuples(vertex, vertex, weight, weight), min_size=1, max_size=3))
+    core = EdgeIndexedGraph(names, pairs)
+    cusps = draw(st.lists(st.builds(Cusp, vertex, st.integers(1, 3), st.integers(2, 4)),
+                          max_size=2))
+    if not cusps:
+        return core
+    return truncate(CuspidalGraph(core, tuple(cusps), q=2), draw(st.integers(1, 3)))
 
 
 def vertex_side_determinant(g: EdgeIndexedGraph) -> Poly:

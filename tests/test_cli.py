@@ -435,6 +435,21 @@ def test_sweep_csv_shape(capsys):
     assert all(row[3] == "false" for row in rows)
 
 
+@pytest.mark.parametrize("q, n_range, ns", [(3, "18..20", range(18, 21)), (7, "10..11", (10, 11))])
+def test_sweep_keeps_1_over_q_apart_from_its_neighbour(capsys, q, n_range, ns):
+    # the second pole is at 1/q + delta, delta = 2(q-1)/((q+1) q^(N+2)) to
+    # 1 + o(1) (loop_family's docstring); here delta < 1e-9/q, so a tolerance
+    # would merge it with the exact pole 1/q
+    out = run_cli(capsys, "sweep", "loops", "--q", str(q), "--N", n_range).out
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(ns)
+    for n, radius, second, ramanujan in rows:
+        delta = 2 * (q - 1) / ((q + 1) * q ** (int(n) + 2))
+        assert radius == f"{1 / q:.15g}"
+        assert (float(second) - 1 / q) / delta == pytest.approx(1, rel=1e-3)
+        assert ramanujan == "false"
+
+
 def test_sweep_requires_values(capsys, monkeypatch):
     monkeypatch.setattr(cli, "loop_family", no_graph)
     assert cli.main(["sweep", "loops", "--q", "3", "--N", "5..3"]) == 2
@@ -653,17 +668,6 @@ def test_readme_command_lines_exit_0(capsys, tmp_path, monkeypatch):
             captured = capsys.readouterr()
             assert code == 0, (line, captured.err)
             stdout = captured.out
-
-
-def test_package_exports_every_library_module_all():
-    import importlib
-
-    import cuspzeta
-
-    for name in ("exact", "graphs", "families", "zeta", "oracle", "spectra"):
-        module = importlib.import_module(f"cuspzeta.{name}")
-        for public in module.__all__:
-            assert getattr(cuspzeta, public) is getattr(module, public), (name, public)
 
 
 def test_readme_library_usage_runs(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cuspzeta.exact import ONE, ratfunc_reduce, series_expand, Poly, poly_det
 from cuspzeta import oracle
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import BudgetExceededError, Cusp, CuspidalGraph, EdgeIndexedGraph, truncate
+from cuspzeta.graphs import BudgetExceededError, CuspidalGraph, EdgeIndexedGraph, truncate
 from cuspzeta.oracle import (
     MAX_TRACE_ORDER,
     enumerate_primitive_cycles,
@@ -19,7 +19,9 @@ from cuspzeta.oracle import (
     trace_powers,
 )
 from cuspzeta.zeta import bass_ihara_zeta, build_effective
-from helpers import reference_cycle_classes, reference_euler_product, reference_trace_powers
+from helpers import (
+    reference_cycle_classes, reference_euler_product, reference_trace_powers, small_graphs,
+)
 
 
 def enumerate_within(g, max_length, budget):
@@ -150,24 +152,6 @@ def test_enumeration_rejects_large_bound():
 def test_enumeration_rejects_exhausted_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_within(complete_graph(5), 10, 50)
-
-
-@st.composite
-def small_graphs(draw) -> EdgeIndexedGraph:
-    """Up to four vertices with loops and multi-edges; weight 1 makes a zero-weight backtrack.
-
-    Half the draws attach cusps and cut their rays at depth 1..3.
-    """
-    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
-    vertex = st.sampled_from(names)
-    weight = st.sampled_from([1, 1, 2, 3])
-    pairs = draw(st.lists(st.tuples(vertex, vertex, weight, weight), min_size=1, max_size=3))
-    core = EdgeIndexedGraph(names, pairs)
-    cusps = draw(st.lists(st.builds(Cusp, vertex, st.integers(1, 3), st.integers(2, 4)),
-                          max_size=2))
-    if not cusps:
-        return core
-    return truncate(CuspidalGraph(core, tuple(cusps), q=2), draw(st.integers(1, 3)))
 
 
 @given(g=small_graphs(), max_length=st.integers(1, 6))

@@ -23,6 +23,7 @@ from helpers import (
     poly_eval,
     poly_primitive,
     reference_square_free_parts,
+    small_graphs,
 )
 
 
@@ -242,20 +243,20 @@ def test_pole_report_of_constant_one():
 
 
 def test_pgl2_is_ramanujan():
-    verdict = ramanujan_check(pole_report(zeta_of(pgl2(3))), 3)
+    verdict = ramanujan_check(pole_report(zeta_of(pgl2(3)), (3,)), 3)
     assert verdict.is_ramanujan
     assert verdict.offending == ()
     assert len(verdict.trivial) == 2
 
 
 def test_star_with_full_attachment_is_ramanujan():
-    verdict = ramanujan_check(pole_report(zeta_of(star(3, (2, 2)))), 3)
+    verdict = ramanujan_check(pole_report(zeta_of(star(3, (2, 2))), (3,)), 3)
     assert verdict.is_ramanujan
     assert verdict.offending == ()
 
 
 def test_loop_family_is_not_ramanujan():
-    verdict = ramanujan_check(pole_report(zeta_of(loop_family(3, 4))), 3)
+    verdict = ramanujan_check(pole_report(zeta_of(loop_family(3, 4)), (3,)), 3)
     assert not verdict.is_ramanujan
     assert any(1 / 3 < abs(z) < 1 / math.sqrt(3) for z in verdict.offending)
 
@@ -270,9 +271,9 @@ def test_verdicts_stable_under_tolerance_doubling(monkeypatch):
         (loop_family(3, 1), 3),
         (loop_family(3, 3), 3),
     ]
-    first = [ramanujan_check(pole_report(zeta_of(c)), q).is_ramanujan for c, q in cases]
+    first = [ramanujan_check(pole_report(zeta_of(c), (q,)), q).is_ramanujan for c, q in cases]
     monkeypatch.setattr(spectra, "MODULUS_TOL", 2e-9)
-    second = [ramanujan_check(pole_report(zeta_of(c)), q).is_ramanujan for c, q in cases]
+    second = [ramanujan_check(pole_report(zeta_of(c), (q,)), q).is_ramanujan for c, q in cases]
     assert first == second
 
 
@@ -281,7 +282,7 @@ def test_verdicts_stable_under_tolerance_doubling(monkeypatch):
 
 def test_sweep_radius_and_monotone_gap():
     # the loop-family sweep's rows, read off the pole layer directly
-    reports = [pole_report(zeta_of(loop_family(3, n))) for n in range(1, 5)]
+    reports = [pole_report(zeta_of(loop_family(3, n)), (3,)) for n in range(1, 5)]
     for report in reports:
         assert report.radius == pytest.approx(1 / 3, abs=1e-9)
         assert not ramanujan_check(report, 3).is_ramanujan
@@ -371,12 +372,45 @@ def test_loop_critical_circle_factor_is_the_gcd_with_the_reflection(q, n):
     assert poly_gcd(den, reflected) == loop_critical_factor(q, n)
 
 
-@pytest.mark.parametrize("q, n", OLD_EDGE_CASES)
+# delta < 1e-9/q: a modulus tolerance would merge the second pole with 1/q
+MERGE_CASES = [(3, 18), (3, 19), (3, 20), (7, 10), (7, 11)]
+
+
+@pytest.mark.parametrize("q, n", OLD_EDGE_CASES + MERGE_CASES)
 def test_loop_poles_past_the_old_edge(q, n):
-    report = pole_report(zeta_of(loop_family(q, n)))
+    report = pole_report(zeta_of(loop_family(q, n)), (q,))
     inner, outer = second_pole_bracket(q, n)
-    assert abs(report.radius * q - 1) <= 1e-12
+    assert report.radius == 1 / q
     assert float(inner) < report.moduli_clusters[1] < float(outer)
+
+
+def test_ramanujan_check_never_calls_a_numeric_pole_trivial():
+    # -1/3 - delta is within MODULUS_TOL of 1/3 in modulus, but not a pole at 1/3
+    verdict = ramanujan_check(pole_report(zeta_of(loop_family(3, 18)), (3,)), 3)
+    inner, outer = second_pole_bracket(3, 18)
+    assert sorted({abs(z) for z in verdict.trivial}) == [1 / 3, 1.0]
+    assert any(-float(outer) < z.real < -float(inner) for z in verdict.offending)
+
+
+def test_ramanujan_check_needs_q_tried_exactly():
+    with pytest.raises(ValueError, match="did not try the poles"):
+        ramanujan_check(pole_report(zeta_of(pgl2(3))), 3)
+
+
+@given(g=small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_exact_poles_are_roots_and_multiplicities_add_up(g):
+    z = zeta_of(g)
+    den, report = z.den, pole_report(z, (2, 3, 4))
+    assert sum(m for _, m in report.exact + report.numeric) == den.degree
+    for value, m in report.exact:
+        root = F(1, round(1 / value.real))
+        assert value == complex(float(root))
+        # den and its first m - 1 derivatives vanish at the root, the m-th does not
+        derivatives = [den]
+        for _ in range(m):
+            derivatives.append(poly_derivative(derivatives[-1]))
+        assert [poly_eval(d, root) == 0 for d in derivatives] == [True] * m + [False]
 
 
 def test_widely_spread_roots_are_relatively_accurate():
