@@ -72,17 +72,11 @@ def _parse_parts(text: str) -> tuple[int, ...]:
 
 
 def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
-            return range(int(lo), int(hi) + 1)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad range: {text!r}")
+    lo, sep, hi = text.partition("..")
     try:
-        n = int(text)
+        return range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range: {text!r}")
-    return range(n, n + 1)
 
 
 def cmd_family(args: argparse.Namespace) -> int:

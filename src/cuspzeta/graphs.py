@@ -1,13 +1,14 @@
-"""Edge-indexed weighted graphs, graphs of finite groups, and cuspidal graphs.
+"""Edge-indexed weighted graphs and cuspidal graphs.
 
 A graph is built from undirected edge pairs (a, b, w(a->b), w(b->a)); pair k
 becomes the oriented edges 2k (a->b) and 2k+1 (b->a), which are each
 other's inverse by construction, and each carries its own positive integer
-weight.  In a graph of finite groups the weight of an edge is the index
-[G_source : G_edge], and every weight is taken to be such an index.  A
-cuspidal graph is a finite core plus finitely many standard rays; a ray is
-never materialized, only its attachment data (outward weight ``alpha`` and
-inward weight ``ray_q``) is stored, and :func:`truncate` produces finite
+weight.  A pair with a == b is a loop, which gives two oriented edges at one
+vertex.  A weight stands for the index [G_source : G_edge] of a graph of
+finite groups; the groups themselves are never needed.  A cuspidal graph is
+a finite core plus finitely many standard rays; a ray is never
+materialized, only its attachment data (outward weight ``alpha`` and inward
+weight ``ray_q``) is stored, and :func:`truncate` produces finite
 approximations on demand.
 
 The constructors enforce the invariants (unique vertex ids, known endpoints
@@ -32,16 +33,13 @@ from typing import Iterable, Mapping
 __all__ = [
     "OrientedEdge",
     "EdgeIndexedGraph",
-    "GraphOfGroups",
     "Cusp",
     "CuspidalGraph",
     "GraphFormatError",
     "BudgetExceededError",
-    "weights_from_groups",
     "validate",
     "truncate",
     "relabel",
-    "invariant_signature",
 ]
 
 
@@ -49,7 +47,7 @@ def _check_number(value, what: str, floor: int = 1) -> None:
     """Raise ``ValueError`` unless ``value`` is an ``int``, never a ``bool``, and >= ``floor``.
 
     The one rule for every graph number: edge weights, cusp ``alpha`` and
-    ``ray_q`` (floor 2), ``q``, ``central_order`` and group orders.
+    ``ray_q`` (floor 2), ``q`` and ``central_order``.
     """
     if type(value) is not int or value < floor:
         raise ValueError(f"{what} must be an integer >= {floor}, got {value!r}")
@@ -127,44 +125,6 @@ class EdgeIndexedGraph:
 
 
 @dataclass(frozen=True)
-class GraphOfGroups:
-    """Finite graph with group orders attached to vertices and edges.
-
-    ``edge_order[i]`` is the order of the group on the i-th undirected pair.
-    The groups themselves are never needed, only their orders.
-    """
-
-    vertices: tuple[str, ...]
-    edge_pairs: tuple[tuple[str, str], ...]
-    vertex_order: Mapping[str, int]
-    edge_order: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.edge_order) != len(self.edge_pairs):
-            raise ValueError("edge_order needs one group order per edge pair")
-        missing = {v for pair in self.edge_pairs for v in pair} - set(self.vertex_order)
-        if missing:
-            raise ValueError(f"no vertex group order for {sorted(missing)}")
-        for n in (*self.vertex_order.values(), *self.edge_order):
-            _check_number(n, "group order")
-
-
-def weights_from_groups(g: GraphOfGroups) -> EdgeIndexedGraph:
-    """Weight each oriented edge by |G_source| / |G_edge| (always an integer)."""
-    pairs = []
-    for i, (a, b) in enumerate(g.edge_pairs):
-        n_e = g.edge_order[i]
-        for v in (a, b):
-            if g.vertex_order[v] % n_e:
-                raise ValueError(
-                    f"edge group order {n_e} of pair ({a}, {b}) does not divide "
-                    f"vertex group order {g.vertex_order[v]} at {v}"
-                )
-        pairs.append((a, b, g.vertex_order[a] // n_e, g.vertex_order[b] // n_e))
-    return EdgeIndexedGraph(g.vertices, pairs)
-
-
-@dataclass(frozen=True)
 class Cusp:
     """Standard infinite ray: outward attachment weight alpha, inward ray_q.
 
@@ -236,8 +196,6 @@ class CuspidalGraph:
             a, b = entry["a"], entry["b"]
             if not isinstance(a, str) or not isinstance(b, str):
                 raise GraphFormatError(f"edge ({a!r}, {b!r}) references an unknown vertex")
-            if a == b:
-                raise GraphFormatError(f"self-loop at {a!r} is not supported")
             pairs.append((a, b, entry["wa"], entry["wb"]))
         cusps = []
         for entry in _list_field(data, "cusps"):
@@ -333,38 +291,4 @@ def relabel(g: EdgeIndexedGraph | CuspidalGraph, mapping: Mapping[str, str]):
     return EdgeIndexedGraph(
         [mapping[v] for v in g.vertices],
         [(mapping[a], mapping[b], wa, wb) for a, b, wa, wb in g.edge_pairs()],
-    )
-
-
-def invariant_signature(c: CuspidalGraph):
-    """Canonical tuple of isomorphism invariants of a cuspidal graph's presentation.
-
-    Equal signatures are necessary for two presentations (core plus cusps)
-    to be isomorphic, and distinct signatures certify that they are not.
-    They do not certify that the infinite graphs presented differ.  With
-    q = 2, one vertex with three cusps of alpha 1, and the path v0-v1 with
-    w(v0->v1) = 1, w(v1->v0) = 2 and cusps of alpha 1 (two at v0, one at
-    v1), have distinct signatures; yet v1 is the first vertex of a standard
-    ray, so both present one graph.  The components are the sorted degree
-    sequence (cusps count as pendant edges), the multiset of unoriented
-    core weight pairs, the multiset of cusp parameters, and the canonically
-    aggregated per-vertex outgoing-weight multisets.
-    """
-    graph = c.core
-    degree_seq = []
-    profiles = []
-    for v in graph.vertices:
-        out = [graph.edges[i].weight for i in graph.out_edges(v)]
-        alphas = [x.alpha for x in c.cusps if x.vertex == v]
-        degree_seq.append(len(out) + len(alphas))
-        profiles.append(tuple(sorted(out + alphas)))
-    weight_pairs = sorted(
-        (min(wa, wb), max(wa, wb)) for _, _, wa, wb in graph.edge_pairs()
-    )
-    cusp_params = sorted((x.alpha, x.ray_q) for x in c.cusps)
-    return (
-        tuple(sorted(degree_seq)),
-        tuple(weight_pairs),
-        tuple(cusp_params),
-        tuple(sorted(profiles)),
     )

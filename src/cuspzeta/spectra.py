@@ -217,7 +217,7 @@ class PoleReport:
         }
 
 
-def pole_report(z: RatFunc, q_values: Iterable[int] = ()) -> PoleReport:
+def pole_report(z: RatFunc, q_values: Iterable[int]) -> PoleReport:
     """Locate the poles (denominator roots) and cluster their moduli.
 
     First the rational poles +-1 and +-1/c, for each c in ``q_values``, are
@@ -225,8 +225,10 @@ def pole_report(z: RatFunc, q_values: Iterable[int] = ()) -> PoleReport:
     (:func:`divide_out_root`); only the quotient goes to
     :func:`complex_roots`.  Each exact modulus is its own cluster, and
     numeric moduli within ``MODULUS_TOL`` relative form one, so an exact
-    pole never merges with a numeric one however close.  A zeta function
-    without poles reports an infinite radius of convergence.
+    pole never merges with a numeric one however close.  Pass a graph's q
+    and every cusp's ``ray_q``, as the CLI does; a pole +-1/c with c left
+    out goes to Aberth, which may merge it with a neighbour.  A zeta
+    function without poles reports an infinite radius of convergence.
     """
     q_values = tuple(sorted(set(q_values)))
     if z.den.degree < 1:

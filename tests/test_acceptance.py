@@ -18,7 +18,7 @@ from cuspzeta.exact import (
     ONE, Poly, PolyMatrix, RatFunc, poly_det, ratfunc_reduce, series_expand,
 )
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import CuspidalGraph, invariant_signature, relabel, truncate
+from cuspzeta.graphs import CuspidalGraph, relabel, truncate
 from cuspzeta.oracle import (
     enumerate_primitive_cycles,
     euler_product_series,
@@ -150,7 +150,13 @@ def test_criterion_4_isospectral_pairs():
         pairs.append((star(q, (q, 1)), star(q, (q - 1, 2))))
     for left, right in pairs:
         assert bass_ihara_zeta(left).bass_ihara == bass_ihara_zeta(right).bass_ihara
-        assert invariant_signature(left) != invariant_signature(right)
+        # one vertex and no core edge each, so the presentations differ
+        # exactly when their (alpha, ray_q) cusp multisets do
+        cusps = []
+        for graph in (left, right):
+            assert len(graph.core.vertices) == 1 and not graph.core.edges
+            cusps.append(sorted((c.alpha, c.ray_q) for c in graph.cusps))
+        assert cusps[0] != cusps[1]
 
 
 @criterion(5, "counting series equals trace oracle")
@@ -191,7 +197,7 @@ def test_criterion_8_pole_free_convergence():
     for n in range(1, 9):
         z = bass_ihara_zeta(loop_family(3, n)).bass_ihara
         assert poly_eval(z.den, F(1, 3)) == 0, n  # exact pole at 1/q
-        report = pole_report(z)
+        report = pole_report(z, (3,))
         assert abs(report.radius - 1 / 3) <= 1e-9, n
         seconds[n] = report.moduli_clusters[1]
         assert abs(seconds[n] - SECOND_MODULUS_FIXTURES[n]) <= 1e-9, n
@@ -207,7 +213,7 @@ def test_criterion_9_growth_rate():
     # exact counting data at m = 60 with no fit
     result = bass_ihara_zeta(loop_family(3, 3))
     error = abs(counting_series(result, 60).n_values[59] - 3**60)
-    second = pole_report(result.bass_ihara).moduli_clusters[1]
+    second = pole_report(result.bass_ihara, (3,)).moduli_clusters[1]
     assert abs(float(error) ** (1 / 60) * second - 1.0) <= 1e-9
 
 

@@ -1,8 +1,8 @@
-"""Tests for the graph data model: weights, validation, truncation, signatures."""
+"""Tests for the graph data model: validation, truncation, relabeling, JSON."""
 
 import json
 from fractions import Fraction
-from itertools import permutations
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,75 +16,12 @@ from cuspzeta.graphs import (
     CuspidalGraph,
     EdgeIndexedGraph,
     GraphFormatError,
-    GraphOfGroups,
-    invariant_signature,
     relabel,
     truncate,
     validate,
-    weights_from_groups,
 )
+from cuspzeta.zeta import bass_ihara_zeta
 from helpers import is_regular
-
-
-def two_vertex_gog(order_a, order_b, edge_order):
-    return GraphOfGroups(
-        vertices=("x", "y"),
-        edge_pairs=(("x", "y"),),
-        vertex_order={"x": order_a, "y": order_b},
-        edge_order=(edge_order,),
-    )
-
-
-# --- weights_from_groups -----------------------------------------------------
-
-
-def test_weights_trivial_edge_group():
-    g = weights_from_groups(two_vertex_gog(4, 3, 1))
-    (a, b, wa, wb) = g.edge_pairs()[0]
-    assert (wa, wb) == (4, 3)
-
-
-def test_weights_edge_group_equal_to_vertex_groups():
-    g = weights_from_groups(two_vertex_gog(6, 6, 6))
-    (_, _, wa, wb) = g.edge_pairs()[0]
-    assert (wa, wb) == (1, 1)
-
-
-def test_weights_mixed_orders():
-    g = weights_from_groups(two_vertex_gog(6, 2, 2))
-    (_, _, wa, wb) = g.edge_pairs()[0]
-    assert (wa, wb) == (3, 1)
-
-
-def test_weights_require_divisibility():
-    with pytest.raises(ValueError, match="does not divide"):
-        weights_from_groups(two_vertex_gog(5, 3, 2))
-
-
-def test_graph_of_groups_rejects_endpoint_without_vertex_order():
-    with pytest.raises(ValueError, match=r"no vertex group order for \['z'\]"):
-        GraphOfGroups(("x", "z"), (("x", "z"),), {"x": 2}, (1,))
-
-
-def test_graph_of_groups_rejects_edge_group_of_order_zero():
-    with pytest.raises(ValueError, match="group order must be an integer >= 1"):
-        two_vertex_gog(4, 4, 0)
-
-
-@pytest.mark.parametrize("order_a, edge_order", [(0, 1), (-2, 1), (4, -1)])
-def test_graph_of_groups_rejects_group_order_below_one(order_a, edge_order):
-    with pytest.raises(ValueError, match="group order must be an integer >= 1"):
-        two_vertex_gog(order_a, 2, edge_order)
-
-
-def test_graph_of_groups_rejects_edge_order_shorter_than_edge_pairs():
-    with pytest.raises(ValueError, match="one group order per edge pair"):
-        GraphOfGroups(("x", "y"), (("x", "y"), ("y", "x")), {"x": 2, "y": 2}, (1,))
-
-
-def test_weights_output_validates():
-    g = weights_from_groups(two_vertex_gog(6, 2, 2))
-    validate(g)
 
 
 # --- validate ----------------------------------------------------------------
@@ -246,33 +183,6 @@ def test_relabel_rejects_non_bijection():
         relabel(c, mapping)
 
 
-# --- invariant signature -----------------------------------------------------
-
-
-def test_signature_distinguishes_star_partitions():
-    assert invariant_signature(star(3, (3, 1))) != invariant_signature(star(3, (2, 2)))
-
-
-def test_signature_equal_for_arm_swap():
-    s = star(3, (2, 2))
-    swapped = CuspidalGraph(s.core, (s.cusps[1], s.cusps[0]), s.q, s.central_order)
-    assert invariant_signature(s) == invariant_signature(swapped)
-
-
-def test_signature_ignores_central_order():
-    assert invariant_signature(chain(3, 4)) == invariant_signature(pgl2(3))
-
-
-def test_signature_invariant_under_relabel(rng):
-    for c in (loop_family(3, 2), star(5, (2, 3)), chain(4, 2)):
-        base = invariant_signature(c)
-        for _ in range(10):
-            names = list(c.core.vertices)
-            shuffled = names[:]
-            rng.shuffle(shuffled)
-            assert invariant_signature(relabel(c, dict(zip(names, shuffled)))) == base
-
-
 # --- JSON --------------------------------------------------------------------
 
 
@@ -305,14 +215,17 @@ def test_json_requires_positive_integer_weights():
         CuspidalGraph.from_json(data)
 
 
-def test_json_rejects_self_loop():
-    data = {
-        "q": 3,
-        "vertices": ["x"],
-        "edges": [{"a": "x", "b": "x", "wa": 1, "wb": 1}],
-    }
-    with pytest.raises(GraphFormatError, match="self-loop"):
-        CuspidalGraph.from_json(data)
+def test_json_round_trips_a_loop_and_cli_zeta_equals_the_library(tmp_path, capsys):
+    # a loop (a pair with a == b) is two oriented edges at one vertex
+    core = EdgeIndexedGraph(["x", "y"], [("x", "x", 1, 2), ("x", "y", 2, 1)])
+    c = CuspidalGraph(core, (Cusp("y", 2, 3),), 3)
+    data = c.to_json()
+    assert {"a": "x", "b": "x", "wa": 1, "wb": 2} in data["edges"]
+    assert CuspidalGraph.from_json(data) == c
+    file = tmp_path / "graph.json"
+    file.write_text(json.dumps(data))
+    assert cli.main(["zeta", str(file)]) == 0
+    assert json.loads(capsys.readouterr().out) == bass_ihara_zeta(c).to_json()
 
 
 def test_json_ray_q_defaults_to_graph_q():
@@ -388,10 +301,10 @@ def _family_graph(draw):
 
 @st.composite
 def _valid_graph_json(draw):
-    """Distinct string ids, edges between distinct known vertices, valid numbers."""
+    """Distinct string ids, edges (loops too) between known vertices, valid numbers."""
     names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
     number = st.integers(1, 5)
-    ends = list(permutations(names, 2))
+    ends = list(product(names, repeat=2))
     q = draw(number)
     cusps = []
     for _ in range(draw(st.integers(0, 3))):
@@ -399,7 +312,7 @@ def _valid_graph_json(draw):
         if q < 2 or draw(st.booleans()):  # ray_q defaults to q and must be >= 2
             cusp["ray_q"] = draw(st.integers(2, 5))
         cusps.append(cusp)
-    pairs = draw(st.lists(st.sampled_from(ends), max_size=5)) if ends else []
+    pairs = draw(st.lists(st.sampled_from(ends), max_size=5))
     data = {"q": q, "vertices": names, "cusps": cusps,
             "edges": [{"a": a, "b": b, "wa": draw(number), "wb": draw(number)}
                       for a, b in pairs]}
@@ -421,11 +334,8 @@ def test_every_valid_graph_round_trips_through_json(graph):
     lambda: Cusp("x", 2, True),
     lambda: CuspidalGraph(EdgeIndexedGraph(["x"], []), (), True),
     lambda: CuspidalGraph(EdgeIndexedGraph(["x"], []), (), 3, True),
-    lambda: two_vertex_gog(True, 2, 1),
-    lambda: two_vertex_gog(2, 2, True),
     lambda: star(3, (True, 2)),
-], ids=["wa", "wb", "alpha", "ray_q", "q", "central_order", "vertex_order", "edge_order",
-        "star_part"])
+], ids=["wa", "wb", "alpha", "ray_q", "q", "central_order", "star_part"])
 def test_bool_is_not_a_graph_number(build):
     # isinstance(True, int) holds, yet True is no group index
     with pytest.raises(ValueError, match=r"must be an integer >= \d, got True$"):

@@ -217,7 +217,7 @@ def test_roots_reject_zero_polynomial():
 
 
 def test_pole_report_pgl2_3():
-    report = pole_report(zeta_of(pgl2(3)))
+    report = pole_report(zeta_of(pgl2(3)), (3,))
     assert report.moduli_clusters == pytest.approx([1 / 3], abs=1e-12)
     assert report.radius == pytest.approx(1 / 3, abs=1e-12)
     assert report.gap is None
@@ -225,7 +225,7 @@ def test_pole_report_pgl2_3():
 
 
 def test_pole_report_star_clusters_and_gap():
-    report = pole_report(zeta_of(star(3, (2, 2))))
+    report = pole_report(zeta_of(star(3, (2, 2))), (3,))
     assert len(report.moduli_clusters) == 2
     assert report.moduli_clusters[0] == pytest.approx(1 / 3, abs=1e-12)
     assert report.moduli_clusters[1] == pytest.approx(1.0, abs=1e-12)
@@ -233,10 +233,18 @@ def test_pole_report_star_clusters_and_gap():
 
 
 def test_pole_report_of_constant_one():
-    report = pole_report(RatFunc(ONE, ONE))
+    report = pole_report(RatFunc(ONE, ONE), ())
     assert report.poles == ()
     assert math.isinf(report.radius)
     assert report.gap is None
+
+
+def test_pole_report_needs_the_q_values():
+    # with () the pole 1/3 of loop_family(3, 18) merges with -1/3 - delta
+    z = zeta_of(loop_family(3, 18))
+    with pytest.raises(TypeError):
+        pole_report(z)
+    assert pole_report(z, (3,)).radius == 1 / 3
 
 
 # --- ramanujan_check ---------------------------------------------------------
@@ -295,7 +303,7 @@ def test_loop_family_poles_up_to_benchmark_edge(q, last):
     previous = None
     for n in range(1, last + 1):
         z = zeta_of(loop_family(q, n))
-        report = pole_report(z)
+        report = pole_report(z, (q,))
         assert abs(report.radius * q - 1) <= 1e-6, n
         second = report.moduli_clusters[1]
         assert 1 / q < second < 1 / math.sqrt(q), n
@@ -322,7 +330,8 @@ def test_loop_4_10_second_pole_is_just_past_minus_a_quarter():
 
 
 def test_loop_4_10_pole_report_finds_the_second_pole():
-    second = pole_report(zeta_of(loop_family(4, 10))).moduli_clusters[1]
+    # no q values, so Aberth itself must separate 1/4 from its neighbour
+    second = pole_report(zeta_of(loop_family(4, 10)), ()).moduli_clusters[1]
     inner, outer = SECOND_POLE_BRACKET
     assert float(inner) < second < float(outer)
 
@@ -394,7 +403,7 @@ def test_ramanujan_check_never_calls_a_numeric_pole_trivial():
 
 def test_ramanujan_check_needs_q_tried_exactly():
     with pytest.raises(ValueError, match="did not try the poles"):
-        ramanujan_check(pole_report(zeta_of(pgl2(3))), 3)
+        ramanujan_check(pole_report(zeta_of(pgl2(3)), ()), 3)
 
 
 @given(g=small_graphs())
@@ -441,7 +450,7 @@ def test_radius_matches_counting_growth():
     # converge like q * const^(1/m), so a deep window is needed for 2%
     for c in (pgl2(2), chain(3, 4), star(3, (2, 2)), loop_family(3, 1)):
         z = zeta_of(c)
-        report = pole_report(z)
+        report = pole_report(z, (c.q,))
         series = counting_series(bass_ihara_zeta(c), 120)
         rate = max(
             float(series.n_values[m - 1]) ** (1.0 / m)

@@ -1,13 +1,15 @@
-"""Lines and code lines of the package source, in the tree or at a git revision.
+"""Lines, code lines and public names of the package source, in the tree or at a git revision.
 
     python3 tools/source_size.py [REV]
 
 Run from the root of a source checkout.  Without REV the files under
 ``src/cuspzeta/`` are read from the working tree, with REV from that commit
-(through ``git ls-tree`` and ``git show``).  Prints ``LINES CODE_LINES``.  A
-code line holds a token other than a comment or a line break and is not part
-of a docstring (the string that opens a module, class or function body), so
-blank lines, comment lines and docstrings do not count.
+(through ``git ls-tree`` and ``git show``).  Prints ``LINES CODE_LINES NAMES``.
+A code line holds a token other than a comment or a line break and is not
+part of a docstring (the string that opens a module, class or function body),
+so blank lines, comment lines and docstrings do not count.  NAMES counts the
+public API: the union of the names in the modules' ``__all__`` lists, which
+the package re-exports.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ def code_lines(source: str) -> int:
     return len(code - docstrings)
 
 
+def public_names(source: str) -> set[str]:
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def sources(rev: str | None) -> list[str]:
     if rev is None:
         return [path.read_text(encoding="utf-8") for path in sorted(Path(PACKAGE).glob("*.py"))]
@@ -53,7 +63,8 @@ def main(argv: list[str]) -> int:
     texts = sources(argv[1] if len(argv) > 1 else None)
     if not texts:
         sys.exit(f"no Python files under {PACKAGE}")
-    print(sum(text.count("\n") for text in texts), sum(map(code_lines, texts)))
+    names = set().union(*map(public_names, texts))
+    print(sum(text.count("\n") for text in texts), sum(map(code_lines, texts)), len(names))
     return 0
 
 
