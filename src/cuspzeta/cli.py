@@ -11,6 +11,8 @@ verify   engine-versus-oracle consistency checks with pass/fail lines
 
 Graphs are passed as file paths or "-" for standard input.  Exit codes:
 0 success, 1 verification or computation failure, 2 usage or parse error.
+Commands raise; :func:`main` alone maps an exception to an exit code: a
+``ValueError`` (bad input) to 2, a budget or computation failure to 1.
 """
 
 from __future__ import annotations
@@ -23,12 +25,8 @@ import time
 
 from cuspzeta.exact import Poly, RatFunc, ratfunc_reduce, series_expand
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import (
-    BudgetExceededError, CuspidalGraph, GraphFormatError, relabel, validate,
-)
-from cuspzeta.oracle import (
-    MAX_CYCLE_LENGTH, enumerate_primitive_cycles, euler_product_series, trace_powers,
-)
+from cuspzeta.graphs import BudgetExceededError, CuspidalGraph, relabel, validate
+from cuspzeta.oracle import enumerate_primitive_cycles, euler_product_series, trace_powers
 from cuspzeta.spectra import PoleReport, RootFindingError, pole_report, ramanujan_check
 from cuspzeta.zeta import (
     MAX_SERIES_ORDER, CountingSeries, ZetaResult, bass_ihara_zeta, counting_series,
@@ -40,11 +38,6 @@ MAX_LOOP_N = 128  # largest N that `family loops` and `sweep` build; covers loop
 MAX_SWEEP_N_SUM = 1176  # largest sum of N over a sweep's range, that of 1..48 (a few seconds)
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
-
-
 def _load_graph(path: str) -> CuspidalGraph:
     try:
         if path == "-":
@@ -53,11 +46,11 @@ def _load_graph(path: str) -> CuspidalGraph:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise GraphFormatError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, int digit limit
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
+        raise ValueError(f"invalid JSON: {exc}") from exc
     graph = CuspidalGraph.from_json(data)
     validate(graph)
     return graph
@@ -79,36 +72,39 @@ def _parse_range(text: str) -> range:
         raise argparse.ArgumentTypeError(f"bad range: {text!r}")
 
 
+def _check_order(order: int, flag: str) -> None:
+    """A series order below 1 is bad input; one above ``MAX_SERIES_ORDER`` is over budget."""
+    if order < 1:
+        raise ValueError(f"{flag} must be >= 1")
+    if order > MAX_SERIES_ORDER:
+        raise BudgetExceededError(f"series order {order} exceeds the cap {MAX_SERIES_ORDER}")
+
+
 def cmd_family(args: argparse.Namespace) -> int:
-    try:
-        if args.name == "pgl2":
-            graph = pgl2(args.q)
-        elif args.name == "chain":
-            if args.k is None:
-                return _fail_usage("family chain requires --k")
-            graph = chain(args.q, args.k)
-        elif args.name == "star":
-            if args.parts is None:
-                return _fail_usage("family star requires --parts")
-            graph = star(args.q, args.parts)
-        else:
-            if args.n is None:
-                return _fail_usage("family loops requires --N")
-            if args.n > MAX_LOOP_N:
-                raise BudgetExceededError(f"loop family N {args.n} exceeds the cap {MAX_LOOP_N}")
-            graph = loop_family(args.q, args.n)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    if args.name == "pgl2":
+        graph = pgl2(args.q)
+    elif args.name == "chain":
+        if args.k is None:
+            raise ValueError("family chain requires --k")
+        graph = chain(args.q, args.k)
+    elif args.name == "star":
+        if args.parts is None:
+            raise ValueError("family star requires --parts")
+        graph = star(args.q, args.parts)
+    else:
+        if args.n is None:
+            raise ValueError("family loops requires --N")
+        if args.n > MAX_LOOP_N:
+            raise BudgetExceededError(f"loop family N {args.n} exceeds the cap {MAX_LOOP_N}")
+        graph = loop_family(args.q, args.n)
     print(json.dumps(graph.to_json(), indent=2))
     return 0
 
 
 def cmd_zeta(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    if args.series is not None and args.series < 1:
-        return _fail_usage("--series must be >= 1")
-    if args.series is not None and args.series > MAX_SERIES_ORDER:
-        raise BudgetExceededError(f"series order {args.series} exceeds the cap {MAX_SERIES_ORDER}")
+    if args.series is not None:
+        _check_order(args.series, "--series")
     result = bass_ihara_zeta(graph)
     payload = result.to_json()
     if args.expand_selberg:
@@ -121,10 +117,7 @@ def cmd_zeta(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    if args.m < 1:
-        return _fail_usage("--m must be >= 1")
-    if args.m > MAX_SERIES_ORDER:
-        raise BudgetExceededError(f"series order {args.m} exceeds the cap {MAX_SERIES_ORDER}")
+    _check_order(args.m, "--m")
     # The trace oracle runs before the determinant, so a cap below the series cap fails first.
     traces = trace_powers(graph, args.m) if args.oracle else None
     series = counting_series(bass_ihara_zeta(graph), args.m)
@@ -167,16 +160,13 @@ def _sweep_row(q: int, n: int) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     ns = args.n_range
     if not ns:
-        return _fail_usage("sweep needs a nonempty range of N values")
+        raise ValueError("sweep needs a nonempty range of N values")
     if ns[-1] > MAX_LOOP_N:
         raise BudgetExceededError(f"loop family N {ns[-1]} exceeds the cap {MAX_LOOP_N}")
     total = len(ns) * (ns[0] + ns[-1]) // 2  # sum of the range in closed form
     if total > MAX_SWEEP_N_SUM:
         raise BudgetExceededError(f"loop family N sum {total} exceeds the cap {MAX_SWEEP_N_SUM}")
-    try:
-        rows = [_sweep_row(args.q, n) for n in ns]  # all rows first: an error prints no CSV
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    rows = [_sweep_row(args.q, n) for n in ns]  # all rows first: an error prints no CSV
     print("N,R,second_modulus,ramanujan", *rows, sep="\n")
     return 0
 
@@ -250,8 +240,7 @@ def _fixture_checks() -> list[dict]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    if not 1 <= args.max_m <= MAX_CYCLE_LENGTH:
-        return _fail_usage(f"--max-m must be between 1 and {MAX_CYCLE_LENGTH}")
+    _check_order(args.max_m, "--max-m")
     started = time.monotonic()
     result = bass_ihara_zeta(graph)
     series = counting_series(result, args.max_m)
@@ -332,8 +321,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
-        return _fail_usage(str(exc))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except BudgetExceededError as exc:
         print(f"FAIL budget: {exc}", file=sys.stderr)
         return FAILURE

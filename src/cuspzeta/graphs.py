@@ -13,8 +13,9 @@ approximations on demand.
 
 The constructors enforce the invariants (unique vertex ids, known endpoints
 and cusp vertices, and every graph number valid by one rule,
-:func:`_check_number`) by raising ``ValueError``; :func:`validate` checks
-only connectivity.
+:func:`_check_number`) by raising ``ValueError``, and so do
+:meth:`CuspidalGraph.from_json`, which checks only the JSON's shape, and
+:func:`validate`, which checks only connectivity.
 :class:`BudgetExceededError`, the error of every hard budget in the
 package, is defined here too, so the engine and the oracles share it
 without importing each other.
@@ -35,7 +36,6 @@ __all__ = [
     "EdgeIndexedGraph",
     "Cusp",
     "CuspidalGraph",
-    "GraphFormatError",
     "BudgetExceededError",
     "validate",
     "truncate",
@@ -51,10 +51,6 @@ def _check_number(value, what: str, floor: int = 1) -> None:
     """
     if type(value) is not int or value < floor:
         raise ValueError(f"{what} must be an integer >= {floor}, got {value!r}")
-
-
-class GraphFormatError(ValueError):
-    """Raised when graph JSON violates the documented schema."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -175,64 +171,61 @@ class CuspidalGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> CuspidalGraph:
-        """Parse graph JSON; any schema violation raises :class:`GraphFormatError`.
+        """Parse graph JSON; any schema violation raises ``ValueError``.
 
-        Only the JSON's shape is checked here; its numbers go to the
-        constructors as they are, so JSON and library accept the same numbers
-        (``q`` is judged first, as a missing ``ray_q`` defaults to it).
+        Only the JSON's shape is checked here; its numbers go as they are to
+        the constructors, whose errors pass through, so JSON and library
+        accept the same numbers (``q`` is judged first: a missing ``ray_q`` defaults to it).
         """
         if not isinstance(data, dict):
-            raise GraphFormatError("graph JSON must be an object")
+            raise ValueError("graph JSON must be an object")
         _require_keys(data, {"q", "vertices", "edges"}, {"central_order", "cusps"}, "graph")
         q = data["q"]
         vertices = data["vertices"]
         if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-            raise GraphFormatError("vertices must be a list of strings")
+            raise ValueError("vertices must be a list of strings")
         pairs = []
         for entry in _list_field(data, "edges"):
             if not isinstance(entry, dict):
-                raise GraphFormatError("each edge must be an object")
+                raise ValueError("each edge must be an object")
             _require_keys(entry, {"a", "b", "wa", "wb"}, set(), "edge")
             a, b = entry["a"], entry["b"]
             if not isinstance(a, str) or not isinstance(b, str):
-                raise GraphFormatError(f"edge ({a!r}, {b!r}) references an unknown vertex")
+                raise ValueError(f"edge ({a!r}, {b!r}) references an unknown vertex")
             pairs.append((a, b, entry["wa"], entry["wb"]))
         cusps = []
         for entry in _list_field(data, "cusps"):
             if not isinstance(entry, dict):
-                raise GraphFormatError("each cusp must be an object")
+                raise ValueError("each cusp must be an object")
             _require_keys(entry, {"vertex", "alpha"}, {"ray_q"}, "cusp")
             v = entry["vertex"]
             if not isinstance(v, str):
-                raise GraphFormatError(f"cusp attached to unknown vertex {v!r}")
+                raise ValueError(f"cusp attached to unknown vertex {v!r}")
             cusps.append((v, entry["alpha"], entry.get("ray_q", q)))
-        try:
-            _check_number(q, "q")  # before it stands in for a missing ray_q
-            core = EdgeIndexedGraph(vertices, pairs)
-            return cls(core, tuple(Cusp(*c) for c in cusps), q, data.get("central_order", 1))
-        except ValueError as exc:
-            raise GraphFormatError(str(exc)) from exc
+        _check_number(q, "q")  # before it stands in for a missing ray_q
+        core = EdgeIndexedGraph(vertices, pairs)
+        return cls(core, tuple(Cusp(*c) for c in cusps), q, data.get("central_order", 1))
 
 
 def _require_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
     keys = set(obj)
     unknown = keys - required - optional
     if unknown:
-        raise GraphFormatError(f"unknown field(s) {sorted(unknown)} in {where}")
+        raise ValueError(f"unknown field(s) {sorted(unknown)} in {where}")
     missing = required - keys
     if missing:
-        raise GraphFormatError(f"missing field(s) {sorted(missing)} in {where}")
+        raise ValueError(f"missing field(s) {sorted(missing)} in {where}")
 
 
 def _list_field(obj: dict, key: str) -> list:
     value = obj.get(key, [])
     if not isinstance(value, list):
-        raise GraphFormatError(f"{key} must be a list, got {value!r}")
+        raise ValueError(f"{key} must be a list, got {value!r}")
     return value
 
 
 def validate(g: EdgeIndexedGraph | CuspidalGraph) -> None:
-    """Raise :class:`GraphFormatError` unless the core graph is connected.
+    """Raise ``ValueError`` unless the core graph is connected.
 
     The constructors already enforce every other invariant.
     """
@@ -248,7 +241,7 @@ def validate(g: EdgeIndexedGraph | CuspidalGraph) -> None:
                     seen.add(t)
                     stack.append(t)
         if len(seen) != len(graph.vertices):
-            raise GraphFormatError("graph is not connected")
+            raise ValueError("graph is not connected")
 
 
 def truncate(c: CuspidalGraph, depth: int) -> EdgeIndexedGraph:

@@ -284,6 +284,24 @@ def test_zeta_random_json_keeps_exit_code_contract(data):
         assert err.getvalue().startswith("error:")
 
 
+def raises_boom(graph):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("command, options", [("zeta", ()), ("count", ("--m", "4")),
+                                              ("poles", ()), ("verify", ())])
+def test_value_error_inside_a_command_exits_2_without_a_traceback(
+    capsys, tmp_path, monkeypatch, command, options
+):
+    monkeypatch.setattr(cli, "bass_ihara_zeta", raises_boom)
+    path = write_graph(tmp_path, pgl2(2))
+    assert cli.main([command, path, *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: boom\n"
+    assert "Traceback" not in captured.err
+
+
 # --- count -------------------------------------------------------------------
 
 
@@ -435,10 +453,11 @@ def test_sweep_csv_shape(capsys):
     assert all(row[3] == "false" for row in rows)
 
 
-@pytest.mark.parametrize("q, n_range, ns", [(3, "18..20", range(18, 21)), (7, "10..11", (10, 11))])
+@pytest.mark.parametrize("q, n_range, ns", [(3, "16..20", range(16, 21)),
+                                            (7, "9..11", range(9, 12))])
 def test_sweep_keeps_1_over_q_apart_from_its_neighbour(capsys, q, n_range, ns):
     # the second pole is at 1/q + delta, delta = 2(q-1)/((q+1) q^(N+2)) to
-    # 1 + o(1) (loop_family's docstring); here delta < 1e-9/q, so a tolerance
+    # 1 + o(1) (loop_family's docstring); here delta < 1e-8/q, so a tolerance
     # would merge it with the exact pole 1/q
     out = run_cli(capsys, "sweep", "loops", "--q", str(q), "--N", n_range).out
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
@@ -578,10 +597,23 @@ def test_verify_flags_a_relabeling_that_changes_the_zeta(capsys, tmp_path, monke
     assert len(calls) == 2  # the first mismatch ends the relabelings
 
 
-def test_verify_max_m_bounds(capsys, tmp_path):
+def test_verify_max_m_bounds(capsys, tmp_path, monkeypatch):
+    # --max-m follows the series rule of zeta --series and count --m, not the
+    # cycle cap: the Euler check stops at order 10 whatever --max-m is
     path = write_graph(tmp_path, pgl2(2))
-    assert cli.main(["verify", path, "--max-m", "15"]) == 2
-    capsys.readouterr()
+    assert cli.main(["verify", path, "--max-m", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-m must be >= 1\n"
+    max_m = oracle.MAX_CYCLE_LENGTH + 1
+    report = json.loads(run_cli(capsys, "verify", path, "--max-m", str(max_m)).out)
+    assert report["ok"] is True and len(report["counting"]["N"]) == max_m
+    monkeypatch.setattr(cli, "bass_ihara_zeta", no_determinant)
+    over = MAX_SERIES_ORDER + 1
+    assert cli.main(["verify", path, "--max-m", str(over)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"FAIL budget: series order {over} exceeds the cap {MAX_SERIES_ORDER}\n"
 
 
 # --- round trip through stdin ------------------------------------------------

@@ -15,7 +15,6 @@ from cuspzeta.graphs import (
     Cusp,
     CuspidalGraph,
     EdgeIndexedGraph,
-    GraphFormatError,
     relabel,
     truncate,
     validate,
@@ -47,7 +46,7 @@ def test_validate_small_attachment_warns_only():
 
 def test_validate_detects_disconnected_graph():
     g = EdgeIndexedGraph(["x", "y", "z"], [("x", "y", 1, 1)])
-    with pytest.raises(GraphFormatError, match="graph is not connected"):
+    with pytest.raises(ValueError, match="graph is not connected"):
         validate(g)
 
 
@@ -94,7 +93,7 @@ def test_from_json_reports_constructor_errors_as_format_errors():
         ({"edges": [{"a": "x", "b": "z", "wa": 1, "wb": 1}]}, "unknown vertex"),
         ({"cusps": [{"vertex": "z", "alpha": 1}]}, "unknown vertex 'z'"),
     ]:
-        with pytest.raises(GraphFormatError, match=message):
+        with pytest.raises(ValueError, match=message):
             CuspidalGraph.from_json({**base, **fields})
 
 
@@ -197,21 +196,21 @@ def test_json_round_trip():
 def test_json_rejects_unknown_fields():
     data = chain(3, 2).to_json()
     data["extra"] = 1
-    with pytest.raises(GraphFormatError, match="unknown"):
+    with pytest.raises(ValueError, match="unknown"):
         CuspidalGraph.from_json(data)
 
 
 def test_json_rejects_unknown_edge_fields():
     data = loop_family(3, 1).to_json()
     data["edges"][0]["color"] = "red"
-    with pytest.raises(GraphFormatError, match="unknown"):
+    with pytest.raises(ValueError, match="unknown"):
         CuspidalGraph.from_json(data)
 
 
 def test_json_requires_positive_integer_weights():
     data = loop_family(3, 1).to_json()
     data["edges"][0]["wa"] = 0
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(ValueError):
         CuspidalGraph.from_json(data)
 
 
@@ -243,12 +242,12 @@ def test_json_ray_q_defaults_to_graph_q():
 @pytest.mark.parametrize("q, field", [(2.5, "q"), (True, "q"), (1, "cusp ray_q")])
 def test_json_bad_q_is_named_even_where_ray_q_defaults_to_it(q, field):
     data = {"q": q, "vertices": ["x"], "edges": [], "cusps": [{"vertex": "x", "alpha": 2}]}
-    with pytest.raises(GraphFormatError, match=f"^{field} must be an integer"):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         CuspidalGraph.from_json(data)
 
 
 def test_json_rejects_missing_required_field():
-    with pytest.raises(GraphFormatError, match="missing"):
+    with pytest.raises(ValueError, match="missing"):
         CuspidalGraph.from_json({"vertices": [], "edges": []})
 
 
@@ -355,7 +354,7 @@ def test_bool_in_graph_json_is_a_format_error(path, tmp_path, capsys):
     for key in path[:-1]:
         obj = obj[key]
     obj[path[-1]] = True
-    with pytest.raises(GraphFormatError, match=r"must be an integer >= \d, got True$"):
+    with pytest.raises(ValueError, match=r"must be an integer >= \d, got True$"):
         CuspidalGraph.from_json(data)
     file = tmp_path / "graph.json"
     file.write_text(json.dumps(data))
