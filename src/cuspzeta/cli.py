@@ -23,17 +23,16 @@ import random
 import sys
 import time
 
-from cuspzeta.exact import Poly, RatFunc, ratfunc_reduce, series_expand
+from cuspzeta.exact import Poly, RatFunc, log_derivative_series, ratfunc_reduce, series_expand
 from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.graphs import BudgetExceededError, CuspidalGraph, relabel, validate
 from cuspzeta.oracle import enumerate_primitive_cycles, euler_product_series, trace_powers
 from cuspzeta.spectra import PoleReport, RootFindingError, pole_report, ramanujan_check
-from cuspzeta.zeta import (
-    MAX_SERIES_ORDER, CountingSeries, ZetaResult, bass_ihara_zeta, counting_series,
-)
+from cuspzeta.zeta import bass_ihara_zeta, selberg_zeta
 
 USAGE_ERROR = 2
 FAILURE = 1
+MAX_SERIES_ORDER = 200  # cap on series orders asked for from outside; coefficients widen with M
 MAX_LOOP_N = 128  # largest N that `family loops` and `sweep` build; covers loop_family(3, 96)
 MAX_SWEEP_N_SUM = 1176  # largest sum of N over a sweep's range, that of 1..48 (a few seconds)
 
@@ -53,6 +52,10 @@ def _load_graph(path: str) -> CuspidalGraph:
         raise ValueError(f"invalid JSON: {exc}") from exc
     graph = CuspidalGraph.from_json(data)
     validate(graph)
+    # The input is parsed under CPython's int-to-str digit limit, but an exact
+    # result may print longer integers; main restores the limit on return.
+    if hasattr(sys, "set_int_max_str_digits"):  # CPython >= 3.10.7
+        sys.set_int_max_str_digits(0)
     return graph
 
 
@@ -80,6 +83,16 @@ def _check_order(order: int, flag: str) -> None:
         raise BudgetExceededError(f"series order {order} exceeds the cap {MAX_SERIES_ORDER}")
 
 
+def _zeta_json(graph: CuspidalGraph, z: RatFunc) -> dict:
+    """Z(u) with the graph's central order c_Gamma and cusp count."""
+    return {"bass_ihara": z.to_json(), "c_gamma": graph.central_order, "cusps": len(graph.cusps)}
+
+
+def _counting_json(graph: CuspidalGraph, n_values: tuple[int, ...]) -> dict:
+    """N_m and R_m = c_Gamma * N_m for m = 1..len(n_values)."""
+    return {"N": list(n_values), "R": [graph.central_order * x for x in n_values]}
+
+
 def cmd_family(args: argparse.Namespace) -> int:
     if args.name == "pgl2":
         graph = pgl2(args.q)
@@ -105,12 +118,12 @@ def cmd_zeta(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     if args.series is not None:
         _check_order(args.series, "--series")
-    result = bass_ihara_zeta(graph)
-    payload = result.to_json()
+    z = bass_ihara_zeta(graph)
+    payload = _zeta_json(graph, z)
     if args.expand_selberg:
-        payload["selberg"] = result.selberg_expanded().to_json()
+        payload["selberg"] = selberg_zeta(z, graph.central_order).to_json()
     if args.series is not None:
-        payload["series"] = counting_series(result, args.series).to_json()
+        payload["series"] = _counting_json(graph, log_derivative_series(z, args.series)[1:])
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -120,11 +133,11 @@ def cmd_count(args: argparse.Namespace) -> int:
     _check_order(args.m, "--m")
     # The trace oracle runs before the determinant, so a cap below the series cap fails first.
     traces = trace_powers(graph, args.m) if args.oracle else None
-    series = counting_series(bass_ihara_zeta(graph), args.m)
-    payload = series.to_json()
+    n_values = log_derivative_series(bass_ihara_zeta(graph), args.m)[1:]
+    payload = _counting_json(graph, n_values)
     if traces is not None:
         payload["oracle_N"] = traces
-        payload["match"] = list(series.n_values) == traces
+        payload["match"] = list(n_values) == traces
     print(json.dumps(payload, indent=2))
     return 0 if payload.get("match", True) else FAILURE
 
@@ -137,7 +150,7 @@ def _pole_report(graph: CuspidalGraph, z: RatFunc) -> PoleReport:
 
 def cmd_poles(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    report = _pole_report(graph, bass_ihara_zeta(graph).bass_ihara)
+    report = _pole_report(graph, bass_ihara_zeta(graph))
     print(json.dumps(report.to_json(), indent=2))
     return 0
 
@@ -150,7 +163,7 @@ def _sweep_row(q: int, n: int) -> str:
     towards it as N grows, shrinking the pole-free annulus.
     """
     graph = loop_family(q, n)
-    report = _pole_report(graph, bass_ihara_zeta(graph).bass_ihara)
+    report = _pole_report(graph, bass_ihara_zeta(graph))
     moduli = report.moduli_clusters
     second = f"{moduli[1]:.15g}" if len(moduli) > 1 else ""
     ramanujan = str(ramanujan_check(report, q).is_ramanujan).lower()
@@ -176,20 +189,19 @@ def _check(name: str, ok: bool, lhs, rhs) -> dict:
 
 
 def _verify_checks(
-    graph: CuspidalGraph, result: ZetaResult, series: CountingSeries, max_m: int
+    graph: CuspidalGraph, z: RatFunc, n_values: tuple[int, ...], max_m: int
 ) -> list[dict]:
     checks = []
     traces = trace_powers(graph, max_m)
-    engine = [str(x) for x in series.n_values]
+    engine = [str(x) for x in n_values]
     oracle = [str(t) for t in traces]
-    mismatch = next((m for m in range(max_m) if series.n_values[m] != traces[m]), None)
+    mismatch = next((m for m in range(max_m) if n_values[m] != traces[m]), None)
     entry = _check("counting_vs_trace", mismatch is None, engine, oracle)
     if mismatch is not None:
         entry["first_failing_m"] = mismatch + 1
     checks.append(entry)
 
     euler_order = min(max_m, 10)
-    z = result.bass_ihara
     classes = enumerate_primitive_cycles(graph, euler_order)
     product = euler_product_series(classes, euler_order)
     expansion = series_expand(z, euler_order)
@@ -203,17 +215,16 @@ def _verify_checks(
     )
 
     rng = random.Random(20260808)
-    base = result.bass_ihara
     ok = True
     for _ in range(5):
         names = list(graph.core.vertices)
         shuffled = names[:]
         rng.shuffle(shuffled)
         permuted = relabel(graph, dict(zip(names, shuffled)))
-        if bass_ihara_zeta(permuted).bass_ihara != base:
+        if bass_ihara_zeta(permuted) != z:
             ok = False
             break
-    checks.append(_check("relabeling_invariance", ok, str(base), "5 random relabelings"))
+    checks.append(_check("relabeling_invariance", ok, str(z), "5 random relabelings"))
     return checks
 
 
@@ -233,7 +244,7 @@ def _fixture_checks() -> list[dict]:
     ]
     checks = []
     for name, graph, expected in golden:
-        got = bass_ihara_zeta(graph).bass_ihara
+        got = bass_ihara_zeta(graph)
         checks.append(_check(f"fixture:{name}", got == expected, repr(got), repr(expected)))
     return checks
 
@@ -242,9 +253,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     _check_order(args.max_m, "--max-m")
     started = time.monotonic()
-    result = bass_ihara_zeta(graph)
-    series = counting_series(result, args.max_m)
-    checks = _verify_checks(graph, result, series, args.max_m)
+    z = bass_ihara_zeta(graph)
+    n_values = log_derivative_series(z, args.max_m)[1:]
+    checks = _verify_checks(graph, z, n_values, args.max_m)
     if args.fixtures:
         checks.extend(_fixture_checks())
     elapsed = time.monotonic() - started
@@ -256,9 +267,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "q": graph.q,
             "central_order": graph.central_order,
         },
-        "zeta": result.to_json(),
-        "counting": series.to_json(),
-        "poles": _pole_report(graph, result.bass_ihara).to_json(),
+        "zeta": _zeta_json(graph, z),
+        "counting": _counting_json(graph, n_values),
+        "poles": _pole_report(graph, z).to_json(),
         "checks": checks,
         "elapsed_s": round(elapsed, 6),
         "ok": ok,
@@ -319,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         return args.func(args)
     except ValueError as exc:
@@ -330,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RootFindingError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

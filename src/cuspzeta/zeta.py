@@ -16,6 +16,9 @@ so det(I - uT) equals det(EffectiveMatrix) divided by one factor
 an (o, i) pair per cusp) and exact, so no limit of truncations is ever
 taken numerically.  A graph without cusps is the zero-cusp case: its
 effective matrix is I - uT itself.
+
+:func:`bass_ihara_zeta` returns Z(u) as a reduced ``RatFunc`` and
+:func:`selberg_zeta` its power Z(u)^c; c and the cusps stay on the graph.
 """
 
 from __future__ import annotations
@@ -29,22 +32,13 @@ from cuspzeta.exact import (
     PolyMatrix,
     RatFunc,
     ZERO,
-    log_derivative_series,
     poly_det,
     ratfunc_reduce,
 )
 from cuspzeta.graphs import BudgetExceededError, CuspidalGraph, EdgeIndexedGraph
 
-__all__ = [
-    "EffectiveMatrix",
-    "ZetaResult",
-    "CountingSeries",
-    "build_effective",
-    "bass_ihara_zeta",
-    "counting_series",
-]
+__all__ = ["EffectiveMatrix", "build_effective", "bass_ihara_zeta", "selberg_zeta"]
 
-MAX_SERIES_ORDER = 200  # cap on series orders asked for from outside; coefficients widen with M
 MAX_SELBERG_DEGREE = 800  # largest degree of an expanded Selberg power (well under a second)
 
 
@@ -96,45 +90,11 @@ def build_effective(c: CuspidalGraph) -> EffectiveMatrix:
     return EffectiveMatrix(PolyMatrix(rows))
 
 
-@dataclass(frozen=True)
-class ZetaResult:
-    """Weighted-graph zeta function with its group-level power form.
+def bass_ihara_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> RatFunc:
+    """Weighted-graph zeta function, reduced: prod_c (1 - ray_q u^2) / det(effective).
 
-    The group-level (Selberg) zeta function is ``bass_ihara`` to the power
-    ``central_order``; it is expanded only when asked.
-    """
-
-    bass_ihara: RatFunc
-    central_order: int
-    cusp_count: int
-
-    def selberg_expanded(self) -> RatFunc:
-        """``bass_ihara`` to the power ``central_order``; powers of a reduced
-        num/den stay coprime, so no gcd is taken.
-
-        Raises :class:`BudgetExceededError` before any power once the
-        expanded degree would pass ``MAX_SELBERG_DEGREE``.
-        """
-        f = self.bass_ihara
-        degree = self.central_order * max(f.num.degree, f.den.degree)
-        if degree > MAX_SELBERG_DEGREE:
-            raise BudgetExceededError(
-                f"Selberg degree {degree} exceeds the cap {MAX_SELBERG_DEGREE}"
-            )
-        return RatFunc(f.num**self.central_order, f.den**self.central_order)
-
-    def to_json(self) -> dict:
-        return {
-            "bass_ihara": self.bass_ihara.to_json(),
-            "c_gamma": self.central_order,
-            "cusps": self.cusp_count,
-        }
-
-
-def bass_ihara_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> ZetaResult:
-    """Weighted-graph zeta function: prod_c (1 - ray_q u^2) / det(effective).
-
-    A plain finite graph is the cuspidal graph without cusps.
+    A plain finite graph is the cuspidal graph without cusps.  N_m is the
+    u^m coefficient of ``log_derivative_series(z, m)``.
     """
     if isinstance(c, EdgeIndexedGraph):
         c = CuspidalGraph(c, (), 1, 1)
@@ -144,30 +104,17 @@ def bass_ihara_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> ZetaResult:
     prefactor = ONE
     for cusp in c.cusps:
         prefactor = prefactor * Poly([1, 0, -cusp.ray_q])
-    return ZetaResult(ratfunc_reduce(prefactor, det), c.central_order, len(c.cusps))
+    return ratfunc_reduce(prefactor, det)
 
 
-@dataclass(frozen=True)
-class CountingSeries:
-    """Exact geodesic-counting sequences N_m and R_m = c * N_m, m = 1..order."""
+def selberg_zeta(z: RatFunc, central_order: int) -> RatFunc:
+    """The group-level (Selberg) zeta function: ``z`` to the power ``central_order``.
 
-    n_values: tuple[int, ...]
-    r_values: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {"N": list(self.n_values), "R": list(self.r_values)}
-
-
-def counting_series(result: ZetaResult, order: int) -> CountingSeries:
-    """N_m as coefficients of u Z'/Z; R_m multiplies in the central order.
-
-    Takes the :class:`ZetaResult` of :func:`bass_ihara_zeta`, which carries
-    both Z and the central order, so a caller that already holds it pays
-    for no second determinant.
+    Powers of a reduced num/den stay coprime, so no gcd is taken.  Raises
+    :class:`BudgetExceededError` before any power once the expanded degree
+    would pass ``MAX_SELBERG_DEGREE``.
     """
-    if order < 1:
-        raise ValueError("counting order must be >= 1")
-    series = log_derivative_series(result.bass_ihara, order)
-    n_values = series[1:]
-    r_values = tuple(result.central_order * x for x in n_values)
-    return CountingSeries(n_values, r_values)
+    degree = central_order * max(z.num.degree, z.den.degree)
+    if degree > MAX_SELBERG_DEGREE:
+        raise BudgetExceededError(f"Selberg degree {degree} exceeds the cap {MAX_SELBERG_DEGREE}")
+    return RatFunc(z.num**central_order, z.den**central_order)

@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspzeta import cli, oracle, zeta
+from cuspzeta.cli import MAX_SERIES_ORDER
 from cuspzeta.exact import Poly, RatFunc
 from cuspzeta.families import chain, loop_family, pgl2
-from cuspzeta.graphs import CuspidalGraph
-from cuspzeta.zeta import MAX_SERIES_ORDER, CountingSeries, bass_ihara_zeta
+from cuspzeta.graphs import CuspidalGraph, EdgeIndexedGraph
+from cuspzeta.zeta import bass_ihara_zeta, selberg_zeta
 from helpers import poly_divmod
 
 
@@ -110,7 +111,7 @@ def test_zeta_round_trip_matches_library(capsys, tmp_path):
     path = write_graph(tmp_path, graph)
     out = run_cli(capsys, "zeta", path).out
     data = json.loads(out)
-    assert data == bass_ihara_zeta(graph).to_json()
+    assert data["bass_ihara"] == bass_ihara_zeta(graph).to_json()
     assert data["bass_ihara"] == {"num": [1, 0, -2], "den": [1, 0, -4]}
     assert data["c_gamma"] == 1
     assert data["cusps"] == 1
@@ -123,7 +124,7 @@ def test_zeta_series_and_selberg_flags(capsys, tmp_path):
     assert data["c_gamma"] == 2
     assert data["series"]["N"] == [0, 12, 0, 144]
     assert data["series"]["R"] == [0, 24, 0, 288]
-    expected = bass_ihara_zeta(pgl2(3)).selberg_expanded()
+    expected = selberg_zeta(bass_ihara_zeta(pgl2(3)), 2)
     assert data["selberg"] == expected.to_json()
 
 
@@ -139,7 +140,7 @@ def test_zeta_selberg_at_the_budget_expands_the_power(capsys, tmp_path, monkeypa
     monkeypatch.setattr(zeta, "MAX_SELBERG_DEGREE", 6)
     graph = replace(chain(3, 4), central_order=3)
     data = json.loads(run_cli(capsys, "zeta", write_graph(tmp_path, graph), "--expand-selberg").out)
-    assert data["selberg"] == bass_ihara_zeta(graph).selberg_expanded().to_json()
+    assert data["selberg"] == selberg_zeta(bass_ihara_zeta(graph), 3).to_json()
     assert len(data["selberg"]["den"]) == 7
 
 
@@ -420,7 +421,7 @@ def test_poles_on_dense_seed_203_graph(capsys, tmp_path):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(DENSE_SEED_203))
     data = json.loads(run_cli(capsys, "poles", str(path)).out)
-    den = bass_ihara_zeta(CuspidalGraph.from_json(DENSE_SEED_203)).bass_ihara.den
+    den = bass_ihara_zeta(CuspidalGraph.from_json(DENSE_SEED_203)).den
     assert den.degree == 62
     assert sum(p["multiplicity"] for p in data["poles"]) == den.degree
     for root in (1, -1):
@@ -553,15 +554,14 @@ def test_verify_passes_on_builtin_family(capsys, tmp_path):
 def test_verify_reports_first_failing_m(capsys, tmp_path, monkeypatch):
     # negative control: corrupt one counting value and expect the mismatch
     # to be flagged with the first failing index
-    real = cli.counting_series
+    real = cli.log_derivative_series
 
-    def corrupted(result, order):
-        series = real(result, order)
-        values = list(series.n_values)
-        values[1] += 1
-        return CountingSeries(tuple(values), series.r_values)
+    def corrupted(z, order):
+        values = list(real(z, order))
+        values[2] += 1
+        return tuple(values)
 
-    monkeypatch.setattr(cli, "counting_series", corrupted)
+    monkeypatch.setattr(cli, "log_derivative_series", corrupted)
     path = write_graph(tmp_path, pgl2(2))
     assert cli.main(["verify", str(path), "--max-m", "6"]) == 1
     report = json.loads(capsys.readouterr().out)
@@ -579,11 +579,10 @@ def test_verify_flags_a_relabeling_that_changes_the_zeta(capsys, tmp_path, monke
 
     def relabel_sensitive(graph):
         calls.append(graph)
-        result = real(graph)
+        z = real(graph)
         if len(calls) == 1:
-            return result
-        f = result.bass_ihara
-        return replace(result, bass_ihara=RatFunc(f.num, f.den * Poly([1, -2])))
+            return z
+        return RatFunc(z.num, z.den * Poly([1, -2]))
 
     monkeypatch.setattr(cli, "bass_ihara_zeta", relabel_sensitive)
     path = write_graph(tmp_path, loop_family(3, 1))
@@ -614,6 +613,25 @@ def test_verify_max_m_bounds(capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"FAIL budget: series order {over} exceeds the cap {MAX_SERIES_ORDER}\n"
+
+
+# --- the three views of one graph -------------------------------------------
+
+
+@pytest.mark.parametrize("graph", [pgl2(3), replace(chain(3, 4), central_order=3)],
+                         ids=["pgl2(3)", "chain(3,4)-c3"])
+def test_zeta_count_and_verify_agree_when_c_gamma_is_not_1(capsys, tmp_path, graph):
+    path = write_graph(tmp_path, graph)
+    c = graph.central_order
+    assert c > 1
+    zeta_out = json.loads(run_cli(capsys, "zeta", path, "--series", "8").out)
+    count = json.loads(run_cli(capsys, "count", path, "--m", "8", "--oracle").out)
+    report = json.loads(run_cli(capsys, "verify", path, "--max-m", "8").out)
+    assert zeta_out["c_gamma"] == c and zeta_out["cusps"] == len(graph.cusps)
+    assert report["zeta"] == {k: zeta_out[k] for k in ("bass_ihara", "c_gamma", "cusps")}
+    for counting in (zeta_out["series"], count, report["counting"]):
+        assert counting["N"] == count["oracle_N"]
+        assert counting["R"] == [c * n for n in counting["N"]]
 
 
 # --- round trip through stdin ------------------------------------------------
@@ -666,6 +684,22 @@ def test_count_past_the_series_budget_exits_1_before_the_determinant(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("FAIL budget")
+
+
+def test_results_past_the_int_digit_limit_print(capsys, tmp_path):
+    # N_50 of a loop weighted 10**100 has over 4,300 digits, past CPython's
+    # default int-to-str limit; main lifts the limit only while a command runs
+    loop = EdgeIndexedGraph(["a"], [("a", "a", 10**100, 10**100)])
+    path = write_graph(tmp_path, CuspidalGraph(loop, (), 3))
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = digit_limit()
+    for argv, line in [(("count", path, "--m", "50", "--oracle"), '  "match": true'),
+                       (("zeta", path, "--series", "50"), '  "c_gamma": 1,'),
+                       (("verify", path, "--max-m", "50"), '  "ok": true')]:
+        out = run_cli(capsys, *argv).out
+        assert line in out.splitlines(), argv
+        assert re.search(r"\d{4301}", out), argv
+        assert digit_limit() == before
 
 
 # --- README ------------------------------------------------------------------

@@ -30,7 +30,7 @@ from cuspzeta.exact import (
     ratfunc_reduce,
     series_expand,
 )
-from cuspzeta.zeta import MAX_SERIES_ORDER
+from cuspzeta.cli import MAX_SERIES_ORDER
 from helpers import (
     poly_add,
     poly_derivative,

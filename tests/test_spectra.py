@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspzeta import spectra
-from cuspzeta.exact import ONE, Poly, RatFunc, poly_gcd, square_free_parts
+from cuspzeta.exact import (
+    ONE, Poly, RatFunc, log_derivative_series, poly_gcd, square_free_parts,
+)
 from cuspzeta.families import chain, loop_family, pgl2, star
 from cuspzeta.spectra import (
     RootFindingError,
@@ -16,7 +18,7 @@ from cuspzeta.spectra import (
     pole_report,
     ramanujan_check,
 )
-from cuspzeta.zeta import bass_ihara_zeta, counting_series
+from cuspzeta.zeta import bass_ihara_zeta
 from helpers import (
     poly_derivative,
     poly_divmod,
@@ -25,10 +27,6 @@ from helpers import (
     reference_square_free_parts,
     small_graphs,
 )
-
-
-def zeta_of(c) -> RatFunc:
-    return bass_ihara_zeta(c).bass_ihara
 
 
 # --- complex_roots -----------------------------------------------------------
@@ -164,13 +162,13 @@ def test_integer_yun_matches_fraction_yun(factors, u_power, scale):
 
 def test_loop_denominators_are_square_free():
     for n in (1, 4, 8):
-        den = zeta_of(loop_family(3, n)).den
+        den = bass_ihara_zeta(loop_family(3, n)).den
         assert square_free_parts(den) == [(poly_primitive(den), 1)]
 
 
 def test_reduced_loop_zeta_functions_are_coprime():
     for n in (1, 4, 8):
-        z = zeta_of(loop_family(3, n))
+        z = bass_ihara_zeta(loop_family(3, n))
         assert poly_gcd(z.num, z.den) == ONE
 
 
@@ -217,7 +215,7 @@ def test_roots_reject_zero_polynomial():
 
 
 def test_pole_report_pgl2_3():
-    report = pole_report(zeta_of(pgl2(3)), (3,))
+    report = pole_report(bass_ihara_zeta(pgl2(3)), (3,))
     assert report.moduli_clusters == pytest.approx([1 / 3], abs=1e-12)
     assert report.radius == pytest.approx(1 / 3, abs=1e-12)
     assert report.gap is None
@@ -225,7 +223,7 @@ def test_pole_report_pgl2_3():
 
 
 def test_pole_report_star_clusters_and_gap():
-    report = pole_report(zeta_of(star(3, (2, 2))), (3,))
+    report = pole_report(bass_ihara_zeta(star(3, (2, 2))), (3,))
     assert len(report.moduli_clusters) == 2
     assert report.moduli_clusters[0] == pytest.approx(1 / 3, abs=1e-12)
     assert report.moduli_clusters[1] == pytest.approx(1.0, abs=1e-12)
@@ -241,7 +239,7 @@ def test_pole_report_of_constant_one():
 
 def test_pole_report_needs_the_q_values():
     # with () the pole 1/3 of loop_family(3, 18) merges with -1/3 - delta
-    z = zeta_of(loop_family(3, 18))
+    z = bass_ihara_zeta(loop_family(3, 18))
     with pytest.raises(TypeError):
         pole_report(z)
     assert pole_report(z, (3,)).radius == 1 / 3
@@ -251,20 +249,20 @@ def test_pole_report_needs_the_q_values():
 
 
 def test_pgl2_is_ramanujan():
-    verdict = ramanujan_check(pole_report(zeta_of(pgl2(3)), (3,)), 3)
+    verdict = ramanujan_check(pole_report(bass_ihara_zeta(pgl2(3)), (3,)), 3)
     assert verdict.is_ramanujan
     assert verdict.offending == ()
     assert len(verdict.trivial) == 2
 
 
 def test_star_with_full_attachment_is_ramanujan():
-    verdict = ramanujan_check(pole_report(zeta_of(star(3, (2, 2))), (3,)), 3)
+    verdict = ramanujan_check(pole_report(bass_ihara_zeta(star(3, (2, 2))), (3,)), 3)
     assert verdict.is_ramanujan
     assert verdict.offending == ()
 
 
 def test_loop_family_is_not_ramanujan():
-    verdict = ramanujan_check(pole_report(zeta_of(loop_family(3, 4)), (3,)), 3)
+    verdict = ramanujan_check(pole_report(bass_ihara_zeta(loop_family(3, 4)), (3,)), 3)
     assert not verdict.is_ramanujan
     assert any(1 / 3 < abs(z) < 1 / math.sqrt(3) for z in verdict.offending)
 
@@ -279,9 +277,9 @@ def test_verdicts_stable_under_tolerance_doubling(monkeypatch):
         (loop_family(3, 1), 3),
         (loop_family(3, 3), 3),
     ]
-    first = [ramanujan_check(pole_report(zeta_of(c), (q,)), q).is_ramanujan for c, q in cases]
+    first = [ramanujan_check(pole_report(bass_ihara_zeta(c), (q,)), q).is_ramanujan for c, q in cases]
     monkeypatch.setattr(spectra, "MODULUS_TOL", 2e-9)
-    second = [ramanujan_check(pole_report(zeta_of(c), (q,)), q).is_ramanujan for c, q in cases]
+    second = [ramanujan_check(pole_report(bass_ihara_zeta(c), (q,)), q).is_ramanujan for c, q in cases]
     assert first == second
 
 
@@ -290,7 +288,7 @@ def test_verdicts_stable_under_tolerance_doubling(monkeypatch):
 
 def test_sweep_radius_and_monotone_gap():
     # the loop-family sweep's rows, read off the pole layer directly
-    reports = [pole_report(zeta_of(loop_family(3, n)), (3,)) for n in range(1, 5)]
+    reports = [pole_report(bass_ihara_zeta(loop_family(3, n)), (3,)) for n in range(1, 5)]
     for report in reports:
         assert report.radius == pytest.approx(1 / 3, abs=1e-9)
         assert not ramanujan_check(report, 3).is_ramanujan
@@ -302,7 +300,7 @@ def test_sweep_radius_and_monotone_gap():
 def test_loop_family_poles_up_to_benchmark_edge(q, last):
     previous = None
     for n in range(1, last + 1):
-        z = zeta_of(loop_family(q, n))
+        z = bass_ihara_zeta(loop_family(q, n))
         report = pole_report(z, (q,))
         assert abs(report.radius * q - 1) <= 1e-6, n
         second = report.moduli_clusters[1]
@@ -322,7 +320,7 @@ SECOND_POLE_BRACKET = (F(25000007, 10**8), F(2500001, 10**7))
 
 
 def test_loop_4_10_second_pole_is_just_past_minus_a_quarter():
-    den = zeta_of(loop_family(4, 10)).den
+    den = bass_ihara_zeta(loop_family(4, 10)).den
     deflated, rem = poly_divmod(den, Poly([1, -4]))
     assert rem.is_zero()
     inner, outer = SECOND_POLE_BRACKET
@@ -331,7 +329,7 @@ def test_loop_4_10_second_pole_is_just_past_minus_a_quarter():
 
 def test_loop_4_10_pole_report_finds_the_second_pole():
     # no q values, so Aberth itself must separate 1/4 from its neighbour
-    second = pole_report(zeta_of(loop_family(4, 10)), ()).moduli_clusters[1]
+    second = pole_report(bass_ihara_zeta(loop_family(4, 10)), ()).moduli_clusters[1]
     inner, outer = SECOND_POLE_BRACKET
     assert float(inner) < second < float(outer)
 
@@ -354,7 +352,7 @@ OLD_EDGE_CASES = [(3, 16), (4, 12), (5, 9)]
 )
 def test_loop_second_pole_follows_the_gap_law(q, n):
     # exact: den / (1 - qu) changes sign across the bracket, with no float
-    den = zeta_of(loop_family(q, n)).den
+    den = bass_ihara_zeta(loop_family(q, n)).den
     deflated, rem = poly_divmod(den, Poly([1, -q]))
     assert rem.is_zero()
     inner, outer = second_pole_bracket(q, n)
@@ -376,7 +374,7 @@ def test_loop_critical_circle_factor_is_the_gcd_with_the_reflection(q, n):
     # p(u) = (qu)^deg den(1/(qu)) maps each root r to 1/(q r); the roots fixed
     # up to conjugation lie on |u| = 1/sqrt(q), and with 1 <-> 1/q they make up
     # gcd(den, p), exactly, in Z[u]
-    den = zeta_of(loop_family(q, n)).den
+    den = bass_ihara_zeta(loop_family(q, n)).den
     reflected = Poly(den[den.degree - j] * q**j for j in range(den.degree + 1))
     assert poly_gcd(den, reflected) == loop_critical_factor(q, n)
 
@@ -387,7 +385,7 @@ MERGE_CASES = [(3, 18), (3, 19), (3, 20), (7, 10), (7, 11)]
 
 @pytest.mark.parametrize("q, n", OLD_EDGE_CASES + MERGE_CASES)
 def test_loop_poles_past_the_old_edge(q, n):
-    report = pole_report(zeta_of(loop_family(q, n)), (q,))
+    report = pole_report(bass_ihara_zeta(loop_family(q, n)), (q,))
     inner, outer = second_pole_bracket(q, n)
     assert report.radius == 1 / q
     assert float(inner) < report.moduli_clusters[1] < float(outer)
@@ -395,7 +393,7 @@ def test_loop_poles_past_the_old_edge(q, n):
 
 def test_ramanujan_check_never_calls_a_numeric_pole_trivial():
     # -1/3 - delta is within MODULUS_TOL of 1/3 in modulus, but not a pole at 1/3
-    verdict = ramanujan_check(pole_report(zeta_of(loop_family(3, 18)), (3,)), 3)
+    verdict = ramanujan_check(pole_report(bass_ihara_zeta(loop_family(3, 18)), (3,)), 3)
     inner, outer = second_pole_bracket(3, 18)
     assert sorted({abs(z) for z in verdict.trivial}) == [1 / 3, 1.0]
     assert any(-float(outer) < z.real < -float(inner) for z in verdict.offending)
@@ -403,13 +401,13 @@ def test_ramanujan_check_never_calls_a_numeric_pole_trivial():
 
 def test_ramanujan_check_needs_q_tried_exactly():
     with pytest.raises(ValueError, match="did not try the poles"):
-        ramanujan_check(pole_report(zeta_of(pgl2(3)), ()), 3)
+        ramanujan_check(pole_report(bass_ihara_zeta(pgl2(3)), ()), 3)
 
 
 @given(g=small_graphs())
 @settings(max_examples=60, deadline=None)
 def test_exact_poles_are_roots_and_multiplicities_add_up(g):
-    z = zeta_of(g)
+    z = bass_ihara_zeta(g)
     den, report = z.den, pole_report(z, (2, 3, 4))
     assert sum(m for _, m in report.exact + report.numeric) == den.degree
     for value, m in report.exact:
@@ -449,12 +447,12 @@ def test_radius_matches_counting_growth():
     # 1/R equals limsup N_m^(1/m); N_m ~ const * q^m makes the raw rate
     # converge like q * const^(1/m), so a deep window is needed for 2%
     for c in (pgl2(2), chain(3, 4), star(3, (2, 2)), loop_family(3, 1)):
-        z = zeta_of(c)
+        z = bass_ihara_zeta(c)
         report = pole_report(z, (c.q,))
-        series = counting_series(bass_ihara_zeta(c), 120)
+        n_values = log_derivative_series(z, 120)[1:]
         rate = max(
-            float(series.n_values[m - 1]) ** (1.0 / m)
+            float(n_values[m - 1]) ** (1.0 / m)
             for m in range(100, 121)
-            if series.n_values[m - 1] > 0
+            if n_values[m - 1] > 0
         )
         assert rate * report.radius == pytest.approx(1.0, rel=2e-2)

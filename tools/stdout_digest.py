@@ -11,10 +11,14 @@ masked by ``perfbench/checks.py`` and the temporary directory's path
 replaced by a fixed name.  The ``dense`` workload runs only ``zeta``, so
 ``poles`` on each of its graphs is hashed too: their denominators, of degree
 54 and 62 with repeated (1 - u^2) factors, give Yun's split its largest
-gcds.  One SHA-256 line per workload and seed, one per seed for the dense
-poles, and one over all of them, go to stdout as a Markdown list, so two
-trees whose lines match print byte-identical output on all of these
-operations.
+gcds.  Every workload graph has central order 1 and no operation expands
+the Selberg power, so ``zeta --series 12 --expand-selberg``, ``count --m 12
+--oracle``, ``poles`` and ``verify --max-m 8`` also run on four builtin
+graphs: ``pgl2(3)`` (central order 2), ``chain(3, 4)`` with central order 3,
+``star(3, (2, 2))`` and ``loop_family(3, 2)``.  One SHA-256 line per workload
+and seed, one per seed for the dense poles, one over all of these, and one for
+the builtin graphs go to stdout as a Markdown list, so two trees whose lines
+match print byte-identical output on all of these operations.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -33,6 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import checks  # noqa: E402
 import workloads  # noqa: E402
 from cuspzeta.cli import main as cli_main  # noqa: E402
+from cuspzeta.families import chain, loop_family, pgl2, star  # noqa: E402
 
 SEEDS = (3, 4)
 
@@ -56,6 +63,22 @@ def dense_poles(seed: int, workdir: Path) -> list[workloads.Op]:
             for op in workloads.build("dense", seed, workdir)]
 
 
+def family_ops(workdir: Path) -> list[workloads.Op]:
+    """Four commands on each builtin graph, two of them with central order above 1."""
+    graphs = {"pgl2(3)": pgl2(3), "chain(3,4) c=3": replace(chain(3, 4), central_order=3),
+              "star(3,(2,2))": star(3, (2, 2)), "loops(3,2)": loop_family(3, 2)}
+    ops = []
+    for i, (name, graph) in enumerate(graphs.items()):
+        path = workdir / f"family{i}.json"
+        path.write_text(json.dumps(graph.to_json()))
+        for argv in (("zeta", str(path), "--series", "12", "--expand-selberg"),
+                     ("count", str(path), "--m", "12", "--oracle"),
+                     ("poles", str(path)),
+                     ("verify", str(path), "--max-m", "8")):
+            ops.append(workloads.Op(f"{argv[0]} {name}", argv, argv[0]))
+    return ops
+
+
 def main() -> int:
     total = hashlib.sha256()
     builders = [(f"`{name}`", partial(workloads.build, name)) for name in workloads.WORKLOADS]
@@ -69,6 +92,10 @@ def main() -> int:
             total.update(digest.digest())
             print(f"- {label} seed {seed}, {len(ops)} operations: `{digest.hexdigest()}`")
     print(f"- all: `{total.hexdigest()}`")
+    with tempfile.TemporaryDirectory() as workdir:
+        ops = family_ops(Path(workdir))
+        digest = hashlib.sha256(b"".join(run(op, workdir) for op in ops))
+    print(f"- builtin families, {len(ops)} operations: `{digest.hexdigest()}`")
     return 0
 
 
