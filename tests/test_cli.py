@@ -545,7 +545,7 @@ def test_verify_passes_on_builtin_family(capsys, tmp_path):
     names = {check["name"] for check in report["checks"]}
     assert "counting_vs_trace" in names
     assert "euler_product_vs_series" in names
-    assert "relabeling_invariance" in names
+    assert "vertex_side_vs_engine" in names
     assert "fixture:pgl2(2)" in names
     assert "PASS counting_vs_trace" in captured.err
     assert report["elapsed_s"] >= 0
@@ -571,29 +571,27 @@ def test_verify_reports_first_failing_m(capsys, tmp_path, monkeypatch):
     assert report["ok"] is False
 
 
-def test_verify_flags_a_relabeling_that_changes_the_zeta(capsys, tmp_path, monkeypatch):
-    # negative control: every call after the first, which is on the input graph,
-    # is on a relabelled copy, and gets a zeta with an extra pole at u = 1/2
-    real = cli.bass_ihara_zeta
+def test_verify_flags_a_vertex_side_that_disagrees_with_the_engine(capsys, tmp_path, monkeypatch):
+    # negative control: the vertex side, run once on a relabelled copy, gets a
+    # zeta with an extra pole at u = 1/2
+    real = cli.vertex_side_zeta
     calls = []
 
-    def relabel_sensitive(graph):
+    def off_by_a_pole(graph):
         calls.append(graph)
         z = real(graph)
-        if len(calls) == 1:
-            return z
         return RatFunc(z.num, z.den * Poly([1, -2]))
 
-    monkeypatch.setattr(cli, "bass_ihara_zeta", relabel_sensitive)
+    monkeypatch.setattr(cli, "vertex_side_zeta", off_by_a_pole)
     path = write_graph(tmp_path, loop_family(3, 1))
     assert cli.main(["verify", path, "--max-m", "6"]) == 1
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert report["ok"] is False
-    failing = next(c for c in report["checks"] if c["name"] == "relabeling_invariance")
+    failing = next(c for c in report["checks"] if c["name"] == "vertex_side_vs_engine")
     assert failing["pass"] is False
-    assert "FAIL relabeling_invariance" in captured.err.splitlines()
-    assert len(calls) == 2  # the first mismatch ends the relabelings
+    assert "FAIL vertex_side_vs_engine" in captured.err.splitlines()
+    assert len(calls) == 1
 
 
 def test_verify_max_m_bounds(capsys, tmp_path, monkeypatch):

@@ -4,15 +4,22 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from cuspzeta.exact import (
     ONE, Poly, RatFunc, log_derivative_series, poly_det, ratfunc_reduce, series_expand,
 )
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import BudgetExceededError, CuspidalGraph, EdgeIndexedGraph, relabel, truncate
+from cuspzeta.graphs import (
+    BudgetExceededError, Cusp, CuspidalGraph, EdgeIndexedGraph, relabel, truncate,
+)
 from cuspzeta.oracle import _successor_rows, trace_powers
-from cuspzeta.zeta import MAX_SELBERG_DEGREE, bass_ihara_zeta, build_effective, selberg_zeta
-from helpers import poly_add, poly_eval, poly_sub, schoolbook_power
+from cuspzeta.zeta import (
+    MAX_SELBERG_DEGREE, bass_ihara_zeta, build_effective, selberg_zeta, vertex_side_zeta,
+)
+from helpers import (
+    poly_add, poly_eval, poly_sub, schoolbook_power, small_graphs, weighted_vertex_side_zeta,
+)
 
 
 def rf(num, den) -> RatFunc:
@@ -270,11 +277,9 @@ def test_bass_identity_on_random_graphs(rng):
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_weighted_vertex_side_matches_engine_on_loop_family(q):
-    from helpers import weighted_vertex_side_zeta
-
     for n in range(1, 25):
         c = loop_family(q, n)
-        assert weighted_vertex_side_zeta(c) == bass_ihara_zeta(c), n
+        assert weighted_vertex_side_zeta(c) == vertex_side_zeta(c) == bass_ihara_zeta(c), n
 
 
 FAMILY_GRAPHS = {
@@ -291,20 +296,114 @@ FAMILY_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(FAMILY_GRAPHS))
 def test_weighted_vertex_side_matches_engine_on_fixture_families(name):
-    from helpers import weighted_vertex_side_zeta
-
     graph = FAMILY_GRAPHS[name]
-    assert weighted_vertex_side_zeta(graph) == bass_ihara_zeta(graph)
+    assert weighted_vertex_side_zeta(graph) == vertex_side_zeta(graph) == bass_ihara_zeta(graph)
 
 
 @pytest.mark.parametrize("n, cusps, seed", [(10, 2, 1), (10, 1, 2), (12, 1, 3), (12, 2, 4)])
 def test_weighted_vertex_side_matches_engine_on_dense_graphs(n, cusps, seed):
     # 52- to 64-row edge-side matrices with heavy fill-in, where the
     # shortest-entry pivot rule departs furthest from the first nonzero one
-    from helpers import random_dense_cuspidal_graph, weighted_vertex_side_zeta
+    from helpers import random_dense_cuspidal_graph
 
     graph = random_dense_cuspidal_graph(random.Random(seed), n, cusps)
-    assert weighted_vertex_side_zeta(graph) == bass_ihara_zeta(graph)
+    assert weighted_vertex_side_zeta(graph) == vertex_side_zeta(graph) == bass_ihara_zeta(graph)
+
+
+# --- the vertex side with chains contracted ----------------------------------
+
+
+def cycle(names: list[str], weights: list[tuple[int, int]]) -> list[tuple[str, str, int, int]]:
+    """Edge pairs around ``names`` in order, closing back at the first."""
+    return [(a, b, *w) for a, b, w in zip(names, names[1:] + names[:1], weights)]
+
+
+def theta_graph(w: int) -> EdgeIndexedGraph:
+    """Branch vertices a and b joined by chains of one, two and three interior vertices."""
+    pairs = [("a", "x", w, 2), ("x", "b", 1, w), ("a", "y1", 3, 1), ("y1", "y2", w, w),
+             ("y2", "b", 2, 3), ("a", "z1", 1, 1), ("z1", "z2", 2, 1), ("z2", "z3", 1, w),
+             ("z3", "b", w, 2)]
+    return EdgeIndexedGraph(["a", "b", "x", "y1", "y2", "z1", "z2", "z3"], pairs)
+
+
+VERTEX_SIDE_SHAPES = {
+    "bare 7-cycle": EdgeIndexedGraph(
+        [f"v{i}" for i in range(7)],
+        cycle([f"v{i}" for i in range(7)],
+              [(1, 2), (3, 1), (1, 1), (2, 2), (1, 3), (2, 1), (1, 1)]),
+    ),
+    "theta": theta_graph(2),
+    "theta, weights 10**100": theta_graph(10**100),
+    "cusps at chain ends": CuspidalGraph(
+        EdgeIndexedGraph(["c1", "x", "c2", "y", "z"],
+                         cycle(["c1", "x", "c2", "y", "z"],
+                               [(1, 2), (2, 1), (1, 1), (3, 1), (1, 2)])),
+        (Cusp("c1", 2, 3), Cusp("c2", 1, 2)), 3,
+    ),
+    "parallel edges through a degree-2 vertex": CuspidalGraph(
+        EdgeIndexedGraph(["a", "b", "p"], [("a", "b", 2, 1), ("b", "p", 1, 2), ("p", "b", 3, 1)]),
+        (Cusp("a", 1, 3),), 3,
+    ),
+    "self-loop at a branch vertex": EdgeIndexedGraph(
+        ["a", "x", "y"], [("a", "a", 2, 1)] + cycle(["a", "x", "y"], [(1, 2), (2, 2), (1, 3)])
+    ),
+    "pendant path": EdgeIndexedGraph(
+        ["a", "b", "c", "p1", "p2"],
+        cycle(["a", "b", "c"], [(1, 2), (2, 1), (1, 1)]) + [("a", "p1", 2, 1), ("p1", "p2", 1, 3)],
+    ),
+    "pendant path to a cusp": CuspidalGraph(
+        EdgeIndexedGraph(["a", "p1", "p2", "p3"], [("a", "a", 1, 1), ("a", "p1", 2, 1),
+                                                   ("p1", "p2", 1, 3), ("p2", "p3", 2, 2)]),
+        (Cusp("p3", 2, 3),), 3,
+    ),
+    "digon": EdgeIndexedGraph(["u", "v"], [("u", "v", 1, 2), ("v", "u", 3, 1)]),
+    "digon beside an isolated vertex": EdgeIndexedGraph(
+        ["u", "v", "w"], [("u", "v", 1, 2), ("v", "u", 3, 1)]
+    ),
+    "single vertex": EdgeIndexedGraph(["v"], []),
+    "single vertex with cusps": star(4, (2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_SIDE_SHAPES))
+def test_vertex_side_matches_engine_on_hand_built_shapes(name):
+    graph = VERTEX_SIDE_SHAPES[name]
+    if isinstance(graph, EdgeIndexedGraph):
+        graph = CuspidalGraph(graph, (), 1)
+    assert weighted_vertex_side_zeta(graph) == vertex_side_zeta(graph) == bass_ihara_zeta(graph)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6, 7])
+def test_vertex_side_matches_engine_on_loop_family(q):
+    for n in (1, 2, 48):
+        c = loop_family(q, n)
+        assert vertex_side_zeta(c) == bass_ihara_zeta(c), n
+
+
+@given(g=small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_vertex_side_matches_engine_on_small_graphs(g):
+    # loops, multi-edges, pendant rays and disconnected parts
+    reference = weighted_vertex_side_zeta(CuspidalGraph(g, (), 1))
+    assert reference == vertex_side_zeta(g) == bass_ihara_zeta(g)
+
+
+def test_vertex_side_contracts_a_long_cycle_to_one_row(monkeypatch):
+    # without contraction the 193-row M of this graph takes seconds; a lost
+    # contraction would pass every equality test and only be slow
+    from cuspzeta import zeta
+
+    c = loop_family(3, 96)
+    expected = bass_ihara_zeta(c)
+    real, sizes = zeta.poly_det, []
+
+    def recording(matrix):
+        sizes.append(matrix.n)
+        return real(matrix)
+
+    monkeypatch.setattr(zeta, "poly_det", recording)
+    assert vertex_side_zeta(c) == expected
+    assert sizes == [1]
 
 
 # --- counting series ---------------------------------------------------------
