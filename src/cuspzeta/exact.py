@@ -7,7 +7,7 @@ point, and nothing here divides except exactly.
 
 A :class:`Poly` is a dense polynomial in one variable ``u``, stored as an
 ascending tuple of ints with no trailing zeros (the zero polynomial is the
-empty tuple); a non-integral coefficient is a ``ValueError``.  A
+empty tuple); a coefficient that is not an ``int`` is a ``ValueError``.  A
 :class:`RatFunc` is a reduced rational function ``num/den`` with
 ``gcd(num, den) = 1`` and no common integer content, signed so that
 ``den(0) > 0`` (or the leading coefficient of ``den`` when ``den(0) = 0``),
@@ -51,13 +51,6 @@ __all__ = [
 ]
 
 
-def _integer(c) -> int:
-    """c as an ``int``: an int as it is, an integral Fraction as its numerator."""
-    if getattr(c, "denominator", None) != 1:
-        raise ValueError(f"polynomial coefficient {c!r} is not an integer")
-    return c.numerator
-
-
 class Poly:
     """Dense univariate polynomial over the integers.
 
@@ -68,7 +61,10 @@ class Poly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [c if type(c) is int else _integer(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise ValueError(f"polynomial coefficient {c!r} is not an integer")
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs: tuple[int, ...] = tuple(cs)

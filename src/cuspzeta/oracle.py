@@ -24,12 +24,15 @@ Sawada, Serra and Miers, J. Algorithms 2000): with p the period of the
 longest Lyndon prefix of the path a_0..a_{n-1}, the next edge must be
 >= a_{n-p}, and one above it sets p = n + 1.  A closing walk is a necklace
 (its class's minimal rotation) iff p | n, and a Lyndon word (primitive) iff
-p == n, so each class is found once, with primitive length p.  A child is pushed only if a backward
-breadth-first search from the start shows that it can still close within
-the length bound.  The search counts classes per (length, weight,
-primitive length) key and returns that multiset, a ``Counter`` of
-:class:`CycleClass` keys, since the Euler product needs nothing else: c
-primitive classes of one key contribute
+p == n, so each class is found once, with primitive length p.  A child is
+kept only if a backward breadth-first search from the start shows that it
+can still close within the length bound.  A path two edges short of the
+bound pushes no children: its children and grandchildren, the last two
+levels and most of the tree, are settled in place by two nested loops, and
+still each count as one visited path against the budget.  The search counts
+classes per (length, weight, primitive length) key and returns that
+multiset, a ``Counter`` of :class:`CycleClass` keys, since the Euler product
+needs nothing else: c primitive classes of one key contribute
 (1 - w u^l)^(-c) = sum_j C(c + j - 1, j) w^j u^(lj), one multiplication.
 
 Both oracles take a finite graph as it is, or a cuspidal graph, which they
@@ -141,7 +144,9 @@ def enumerate_primitive_cycles(
     the number of classes that share it, which is all
     :func:`euler_product_series` needs for one factor per key.  Classes are
     canonicalized by their minimal rotation; powers of shorter cycles are
-    included and flagged through ``primitive_length``.  Hard caps raise
+    included and flagged through ``primitive_length``.  The last two levels
+    of the search are settled in place rather than pushed, and every path
+    of them still counts toward ``MAX_VISITED_PATHS``.  Hard caps raise
     :class:`BudgetExceededError` instead of silently truncating.
     """
     if max_length < 1:
@@ -172,22 +177,50 @@ def enumerate_primitive_cycles(
             path[depth] = tip
             depth += 1
             visited += 1
-            if visited > MAX_VISITED_PATHS:
-                raise BudgetExceededError(
-                    f"cycle enumeration exceeded {MAX_VISITED_PATHS} visited paths"
-                )
             last = closing[tip]
             if last is not None and depth % period == 0:
                 key = depth, last * weight, period
                 counts[key] = counts.get(key, 0) + 1
             if depth < max_length:
                 anchor = path[depth - period]
-                for nxt, w in descending[tip]:
-                    if nxt < anchor:
-                        break
-                    if depth + left[nxt] < max_length:
+                if depth == max_length - 2:
+                    # Settle the last two levels in place: a child needs left <= 1,
+                    # and a grandchild must close.
+                    for nxt, w in descending[tip]:
+                        if nxt < anchor:
+                            break
+                        if left[nxt] > 1:
+                            continue
+                        visited += 1
                         child_period = period if nxt == anchor else depth + 1
-                        stack.append((nxt, depth, child_period, weight * w))
+                        child_weight = weight * w
+                        last = closing[nxt]
+                        if last is not None and (depth + 1) % child_period == 0:
+                            key = depth + 1, last * child_weight, child_period
+                            counts[key] = counts.get(key, 0) + 1
+                        path[depth] = nxt
+                        child_anchor = path[depth + 1 - child_period]
+                        for end, w2 in descending[nxt]:
+                            if end < child_anchor:
+                                break
+                            last = closing[end]
+                            if last is not None:
+                                visited += 1
+                                end_period = child_period if end == child_anchor else max_length
+                                if max_length % end_period == 0:
+                                    key = max_length, last * child_weight * w2, end_period
+                                    counts[key] = counts.get(key, 0) + 1
+                else:
+                    for nxt, w in descending[tip]:
+                        if nxt < anchor:
+                            break
+                        if depth + left[nxt] < max_length:
+                            child_period = period if nxt == anchor else depth + 1
+                            stack.append((nxt, depth, child_period, weight * w))
+            if visited > MAX_VISITED_PATHS:
+                raise BudgetExceededError(
+                    f"cycle enumeration exceeded {MAX_VISITED_PATHS} visited paths"
+                )
     return Counter({CycleClass(*key): count for key, count in counts.items()})
 
 

@@ -79,7 +79,8 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     simultaneous iteration always runs on simple roots.  Raises
     :class:`RootFindingError` if a nonzero constant term underflows to 0.0
     (which would fake a root at 0), if the iteration cap is reached before
-    convergence or if an approximation fails the scaled residual check.
+    convergence, if an approximation fails the scaled residual check or if
+    a root is not finite.
     """
     result: list[tuple[complex, int]] = []
     for part, mult in square_free_parts(p):
@@ -93,7 +94,10 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
         floats = [c / coeffs[-1] for c in coeffs]
         if floats[0] == 0.0:
             raise RootFindingError("a nonzero constant term underflows to 0.0")
-        result.extend((value, mult) for value in _aberth(floats))
+        roots = _aberth(floats)
+        if not all(map(cmath.isfinite, roots)):
+            raise RootFindingError("a root is not finite")
+        result.extend((value, mult) for value in roots)
     result.sort(key=_pole_order)
     return result
 
@@ -104,10 +108,17 @@ def _aberth(monic: Sequence[float]) -> list[complex]:
     A root stops moving once its residual reaches the evaluation noise
     floor; requiring further shrinking steps there would spin forever.  Its
     residual cannot change after that, so it is never evaluated again.
+
+    Every root lies within r_F = 2 max_k |c_k|**(1 / (n - k)) (Fujiwara's
+    bound).  A step that lands beyond max(r_F, 10**(250 / n)), where Horner's
+    rule may overflow, or on NaN, is pulled back onto |z| = r_F along the
+    new iterate's direction, or the old one's if the new one is not finite.
     """
     deriv = [i * c for i, c in enumerate(monic)][1:]
     sizes = [abs(c) for c in monic]
     degree = len(monic) - 1
+    fujiwara = 2.0 * max(c ** (1.0 / (degree - k)) for k, c in enumerate(sizes[:-1]))
+    limit = max(fujiwara, 10.0 ** (250 / degree))
     z = _newton_polygon_starts(sizes)
     noise = 8.0 * degree * 2.3e-16
     moving = list(range(degree))
@@ -127,6 +138,9 @@ def _aberth(monic: Sequence[float]) -> list[complex]:
             denom = 1.0 - ratio * rep
             delta = ratio / denom if denom != 0 else ratio
             z[i] = zi - delta
+            if not abs(z[i]) <= limit:
+                toward = z[i] if cmath.isfinite(z[i]) else zi
+                z[i] = fujiwara * toward / abs(toward)
             shift = max(shift, abs(delta) / max(1.0, abs(z[i])))
         moving = still_moving
         if shift <= SHIFT_TOL:
@@ -138,7 +152,7 @@ def _aberth(monic: Sequence[float]) -> list[complex]:
         )
     for i in range(degree):
         z[i] = _polish(monic, deriv, z[i])
-        if abs(_horner(monic, z[i])) > RESIDUAL_BOUND * _evaluation_scale(sizes, z[i]):
+        if not abs(_horner(monic, z[i])) <= RESIDUAL_BOUND * _evaluation_scale(sizes, z[i]):
             raise RootFindingError(f"root candidate {z[i]} failed the residual check")
     return z
 

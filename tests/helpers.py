@@ -269,16 +269,24 @@ def _divmod_over_q(a, b) -> tuple[list[F], list[F]]:
     return quot, rem
 
 
+def _as_ints(cs: list[F]) -> list[int]:
+    """Integral rationals as ints; a ValueError for one that is not integral."""
+    for c in cs:
+        if c.denominator != 1:
+            raise ValueError(f"coefficient {c} is not an integer")
+    return [c.numerator for c in cs]
+
+
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Long division over Q: (q, r) with a = q b + r and deg r < deg b.
 
     Both must be integral, as they are whenever b's leading coefficient is
-    +-1 or divides the result exactly; otherwise ``Poly`` raises ValueError.
+    +-1 or divides the result exactly; otherwise a ValueError.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     quot, rem = _divmod_over_q(a.coeffs, b.coeffs)
-    return Poly(quot), Poly(rem)
+    return Poly(_as_ints(quot)), Poly(_as_ints(rem))
 
 
 def poly_quotient(a: Poly, b: Poly) -> Poly:

@@ -338,6 +338,18 @@ def test_poles_star_clusters(capsys, tmp_path):
     assert all(len(p["value"]) == 2 for p in data["poles"])
 
 
+def test_poles_where_horner_overflowed_print_strict_json(capsys, tmp_path):
+    # loop_family(3, 65) once printed NaN poles, which strict JSON has no token for
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    graph = loop_family(3, 65)
+    data = json.loads(run_cli(capsys, "poles", write_graph(tmp_path, graph)).out,
+                      parse_constant=reject)
+    assert data["R"] == 1 / 3
+    assert sum(p["multiplicity"] for p in data["poles"]) == bass_ihara_zeta(graph).den.degree
+
+
 @pytest.mark.parametrize(
     "constant, value, pattern",
     [

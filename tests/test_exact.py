@@ -527,9 +527,9 @@ def test_det_meets_hadamard_bound(order, flip):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_det_mixed_integer_and_fractional_rows(seed):
-    # every third row's coefficients arrive as integral Fractions, as test
-    # references that compute in Fractions hand them over, and are stored as
-    # ints; one Poly object fills many cells of both kinds of row
+    # every third row's coefficients are integral Fractions, as test
+    # references that compute in Fractions produce them: Poly refuses them,
+    # so they go in as ints; one Poly object fills many cells of both kinds
     rng = random.Random(seed)
     n = 9
     shared = Poly([2, -3, 1]) if seed % 2 else Poly([-1, 0, 5])
@@ -544,12 +544,14 @@ def test_det_mixed_integer_and_fractional_rows(seed):
             elif pick == 1:
                 row.append(shared)
             elif fractional:
-                row.append(Poly([F(rng.randint(-9, 9) * d, d)
-                                 for d in [rng.choice([1, 2, 3, 5, 7])] * rng.randint(1, 3)]))
+                coeffs = [F(rng.randint(-9, 9) * d, d)
+                          for d in [rng.choice([1, 2, 3, 5, 7])] * rng.randint(1, 3)]
+                with pytest.raises(ValueError, match="not an integer"):
+                    Poly(coeffs)
+                row.append(Poly([c.numerator for c in coeffs]))
             else:
                 row.append(Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 3))]))
         rows.append(rng.sample(row, n))
-    assert all(type(c) is int for row in rows for p in row for c in p.coeffs)
     assert sum(p is shared for row in rows for p in row) >= n
     det = poly_det(PolyMatrix(rows))
     assert not det.is_zero()

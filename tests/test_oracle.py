@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from cuspzeta.exact import ONE, ratfunc_reduce, series_expand, Poly, poly_det
 from cuspzeta import oracle
 from cuspzeta.families import chain, loop_family, pgl2, star
-from cuspzeta.graphs import BudgetExceededError, CuspidalGraph, EdgeIndexedGraph, truncate
+from cuspzeta.graphs import (
+    BudgetExceededError, Cusp, CuspidalGraph, EdgeIndexedGraph, truncate,
+)
 from cuspzeta.oracle import (
     MAX_TRACE_ORDER,
     enumerate_primitive_cycles,
@@ -41,6 +43,15 @@ def complete_graph(n: int) -> EdgeIndexedGraph:
     names = [f"v{i}" for i in range(n)]
     pairs = [(names[i], names[j], 1, 1) for i in range(n) for j in range(i + 1, n)]
     return EdgeIndexedGraph(names, pairs)
+
+
+def verify_shaped_graph() -> CuspidalGraph:
+    """An 8-cycle plus a perfect matching of chords, weights 2..3, and two
+    cusps: the shape of the ``verify`` benchmark workload's small graphs."""
+    names = [f"v{i}" for i in range(8)]
+    ends = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (1, 6), (2, 5), (3, 7)]
+    pairs = [(names[a], names[b], 2 + k % 2, 3 - k // 3 % 2) for k, (a, b) in enumerate(ends)]
+    return CuspidalGraph(EdgeIndexedGraph(names, pairs), (Cusp("v1", 2, 3), Cusp("v6", 3, 5)), 3)
 
 
 def path_graph(n: int) -> EdgeIndexedGraph:
@@ -192,7 +203,11 @@ def test_trace_powers_match_reference_at_the_budget(g):
 
 
 @pytest.mark.parametrize(
-    "g, bound", [(truncate(chain(2, 3), 4), 8), (complete_graph(4), 7), (triangle(), 14)]
+    "g, bound",
+    [(truncate(chain(2, 3), 4), 8), (complete_graph(4), 7), (triangle(), 14)]
+    # the last two levels, settled in place, are most of the search at these bounds
+    + [(truncate(c, bound // 2 + 1), bound)
+       for c in (verify_shaped_graph(), loop_family(3, 12)) for bound in (8, 9, 10)],
 )
 def test_budget_boundary_is_the_reference_visited_count(g, bound):
     expected, visited = reference_cycle_classes(g, bound)

@@ -1,5 +1,6 @@
 """Tests for root finding, pole reports and Ramanujan classification."""
 
+import cmath
 import math
 from fractions import Fraction as F
 
@@ -389,6 +390,28 @@ def test_loop_poles_past_the_old_edge(q, n):
     inner, outer = second_pole_bracket(q, n)
     assert report.radius == 1 / q
     assert float(inner) < report.moduli_clusters[1] < float(outer)
+
+
+@pytest.mark.parametrize("q, n", [(3, 65), (4, 89)])
+def test_loop_poles_stay_finite_where_horner_overflowed(q, n):
+    # an Aberth iterate once jumped far enough out for Horner's rule to
+    # overflow, and its NaN passed every check and reached the report
+    z = bass_ihara_zeta(loop_family(q, n))
+    report = pole_report(z, (q,))
+    assert all(cmath.isfinite(value) for value, _ in report.poles)
+    assert sum(m for _, m in report.poles) == z.den.degree
+    assert report.radius == 1 / q
+
+
+def test_non_finite_values_make_the_pole_layer_raise(monkeypatch):
+    z = bass_ihara_zeta(loop_family(3, 4))
+    with monkeypatch.context() as mp:
+        mp.setattr(spectra, "_horner", lambda coeffs, x: complex("nan"))
+        with pytest.raises(RootFindingError, match="failed the residual check"):
+            pole_report(z, (3,))
+    monkeypatch.setattr(spectra, "_aberth", lambda monic: [complex("nan")] * (len(monic) - 1))
+    with pytest.raises(RootFindingError, match="not finite"):
+        pole_report(z, (3,))
 
 
 def test_ramanujan_check_never_calls_a_numeric_pole_trivial():
