@@ -112,7 +112,11 @@ def _aberth(monic: Sequence[float]) -> list[complex]:
     Every root lies within r_F = 2 max_k |c_k|**(1 / (n - k)) (Fujiwara's
     bound).  A step that lands beyond max(r_F, 10**(250 / n)), where Horner's
     rule may overflow, or on NaN, is pulled back onto |z| = r_F along the
-    new iterate's direction, or the old one's if the new one is not finite.
+    new iterate's direction, or the old one's if the new one is not finite,
+    and the sweep does not count as converged.  Ordinary iterates cross r_F
+    on their way in, so a clamp at r_F alone would move roots that converge
+    without one; the second bound keeps every such root, and the printed
+    poles, as they were.
     """
     deriv = [i * c for i, c in enumerate(monic)][1:]
     sizes = [abs(c) for c in monic]
@@ -138,10 +142,12 @@ def _aberth(monic: Sequence[float]) -> list[complex]:
             denom = 1.0 - ratio * rep
             delta = ratio / denom if denom != 0 else ratio
             z[i] = zi - delta
-            if not abs(z[i]) <= limit:
+            if abs(z[i]) <= limit:
+                shift = max(shift, abs(delta) / max(1.0, abs(z[i])))
+            else:  # a clamped step never counts as settled
                 toward = z[i] if cmath.isfinite(z[i]) else zi
                 z[i] = fujiwara * toward / abs(toward)
-            shift = max(shift, abs(delta) / max(1.0, abs(z[i])))
+                shift = math.inf
         moving = still_moving
         if shift <= SHIFT_TOL:
             converged = True

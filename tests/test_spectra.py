@@ -392,7 +392,14 @@ def test_loop_poles_past_the_old_edge(q, n):
     assert float(inner) < report.moduli_clusters[1] < float(outer)
 
 
-@pytest.mark.parametrize("q, n", [(3, 65), (4, 89)])
+# every loop_family(q, N) with N <= 128 whose pole report once held NaN
+HORNER_OVERFLOW_GRAPHS = [
+    *((3, n) for n in (65, 69, 78, 93, 96, 97, 98, 102, 106, 110, 125)),
+    (4, 89), (4, 94), (5, 102),
+]
+
+
+@pytest.mark.parametrize("q, n", HORNER_OVERFLOW_GRAPHS)
 def test_loop_poles_stay_finite_where_horner_overflowed(q, n):
     # an Aberth iterate once jumped far enough out for Horner's rule to
     # overflow, and its NaN passed every check and reached the report
@@ -407,11 +414,28 @@ def test_non_finite_values_make_the_pole_layer_raise(monkeypatch):
     z = bass_ihara_zeta(loop_family(3, 4))
     with monkeypatch.context() as mp:
         mp.setattr(spectra, "_horner", lambda coeffs, x: complex("nan"))
-        with pytest.raises(RootFindingError, match="failed the residual check"):
+        with pytest.raises(RootFindingError, match="did not converge"):
             pole_report(z, (3,))
     monkeypatch.setattr(spectra, "_aberth", lambda monic: [complex("nan")] * (len(monic) - 1))
     with pytest.raises(RootFindingError, match="not finite"):
         pole_report(z, (3,))
+
+
+def test_aberth_carries_on_past_a_clamped_step(monkeypatch):
+    # every root steps onto NaN in the first sweep and is pulled back onto the
+    # root bound; the iteration must go on from there, not stop as converged
+    monic = [-2.0] + [0.0] * 11 + [1.0]
+    horner = spectra._horner
+    calls = []
+
+    def nan_in_the_first_sweep(coeffs, x):
+        calls.append(x)
+        return complex("nan") if len(calls) <= 2 * 12 else horner(coeffs, x)
+
+    monkeypatch.setattr(spectra, "_horner", nan_in_the_first_sweep)
+    roots = spectra._aberth(monic)
+    assert all(abs(r**12 - 2) < 1e-12 for r in roots)
+    assert len({round(cmath.phase(r), 6) for r in roots}) == 12
 
 
 def test_ramanujan_check_never_calls_a_numeric_pole_trivial():
