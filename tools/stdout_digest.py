@@ -13,9 +13,12 @@ replaced by a fixed name.  The ``dense`` workload runs only ``zeta``, so
 54 and 62 with repeated (1 - u^2) factors, give Yun's split its largest
 gcds.  Every workload graph has central order 1 and no operation expands
 the Selberg power, so ``zeta --series 12 --expand-selberg``, ``count --m 12
---oracle``, ``poles`` and ``verify --max-m 8`` also run on four builtin
+--oracle``, ``poles`` and ``verify --max-m 8`` also run on five builtin
 graphs: ``pgl2(3)`` (central order 2), ``chain(3, 4)`` with central order 3,
-``star(3, (2, 2))`` and ``loop_family(3, 2)``.  One SHA-256 line per workload
+``star(3, (2, 2))``, ``loop_family(3, 2)`` and a theta graph.  No other graph
+has a chain of degree-2 vertices between two different branch vertices, so
+only the theta graph makes ``verify``'s vertex route divide its branch
+determinant by chain continuants.  One SHA-256 line per workload
 and seed, one per seed for the dense poles, one over all of these, and one for
 the builtin graphs go to stdout as a Markdown list, so two trees whose lines
 match print byte-identical output on all of these operations.
@@ -40,6 +43,7 @@ import checks  # noqa: E402
 import workloads  # noqa: E402
 from cuspzeta.cli import main as cli_main  # noqa: E402
 from cuspzeta.families import chain, loop_family, pgl2, star  # noqa: E402
+from cuspzeta.graphs import Cusp, CuspidalGraph, EdgeIndexedGraph  # noqa: E402
 
 SEEDS = (3, 4)
 
@@ -63,10 +67,19 @@ def dense_poles(seed: int, workdir: Path) -> list[workloads.Op]:
             for op in workloads.build("dense", seed, workdir)]
 
 
+def theta() -> CuspidalGraph:
+    """Branch vertices a and b joined by a-x1-x2-b, a-y1-b and a-b, with one cusp at a."""
+    pairs = [("a", "x1", 2, 1), ("x1", "x2", 1, 2), ("x2", "b", 2, 1),
+             ("a", "y1", 1, 2), ("y1", "b", 2, 1), ("a", "b", 1, 1)]
+    core = EdgeIndexedGraph(["a", "b", "x1", "x2", "y1"], pairs)
+    return CuspidalGraph(core, (Cusp("a", 1, 3),), 3, central_order=1)
+
+
 def family_ops(workdir: Path) -> list[workloads.Op]:
     """Four commands on each builtin graph, two of them with central order above 1."""
     graphs = {"pgl2(3)": pgl2(3), "chain(3,4) c=3": replace(chain(3, 4), central_order=3),
-              "star(3,(2,2))": star(3, (2, 2)), "loops(3,2)": loop_family(3, 2)}
+              "star(3,(2,2))": star(3, (2, 2)), "loops(3,2)": loop_family(3, 2),
+              "theta": theta()}
     ops = []
     for i, (name, graph) in enumerate(graphs.items()):
         path = workdir / f"family{i}.json"
