@@ -7,7 +7,9 @@ point, and nothing here divides except exactly.
 
 A :class:`Poly` is a dense polynomial in one variable ``u``, stored as an
 ascending tuple of ints with no trailing zeros (the zero polynomial is the
-empty tuple); a coefficient that is not an ``int`` is a ``ValueError``.  A
+empty tuple); a coefficient that is not an ``int`` is a ``ValueError``.
+``p / d`` is the exact quotient in Z[u] (:func:`_zquo`); an inexact one is
+an ``ArithmeticError``, an internal failure rather than bad input.  A
 :class:`RatFunc` is a reduced rational function ``num/den`` with
 ``gcd(num, den) = 1`` and no common integer content, signed so that
 ``den(0) > 0`` (or the leading coefficient of ``den`` when ``den(0) = 0``),
@@ -34,6 +36,7 @@ integer (its value at u = 2^B) are described at :func:`poly_det`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import gcd as _int_gcd, prod
 from typing import Iterable, Sequence
 
@@ -97,6 +100,11 @@ class Poly:
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
+    def __add__(self, other: Poly) -> Poly:
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return Poly(map(sum, zip_longest(self._coeffs, other._coeffs, fillvalue=0)))
+
     def __mul__(self, other: Poly | int) -> Poly:
         """One packed product; its coefficients are at most ||a||_1 ||b||_1."""
         if isinstance(other, int):
@@ -117,6 +125,15 @@ class Poly:
             raise ValueError("negative polynomial power")
         width = (sum(map(abs, self._coeffs)) ** n).bit_length() + 2
         return Poly(_unpack(_pack(self._coeffs, width) ** n, width))
+
+    def __truediv__(self, other: Poly) -> Poly:
+        """The exact quotient in Z[u], by :func:`_zquo`; an ``ArithmeticError``
+        when ``other`` does not divide ``self`` there."""
+        if not isinstance(other, Poly):
+            return NotImplemented
+        if not other._coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        return Poly(_zquo(self._coeffs, other._coeffs))
 
     def to_json(self) -> list[int]:
         return list(self._coeffs)
@@ -174,11 +191,11 @@ def _zsub(a: list[int], b: list[int]) -> list[int]:
 
 
 def _zquo(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
-    """a / b for integer polynomials when b divides a in Z[u]; else ValueError.
+    """a / b for integer polynomials when b divides a in Z[u]; else ArithmeticError.
 
     A primitive b that divides a over Q divides it in Z[u] (Gauss's lemma).
     """
-    if b == [1]:
+    if len(b) == 1 and b[0] == 1:
         return a
     rem = list(a)
     db, lead = len(b) - 1, b[-1]
@@ -189,7 +206,7 @@ def _zquo(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
             for j, c in enumerate(b):
                 rem[k + j] -= q * c
     if any(rem):
-        raise ValueError("inexact polynomial division")
+        raise ArithmeticError("inexact polynomial division")
     return quot
 
 
@@ -239,7 +256,7 @@ def _zgcd(f: Sequence[int], g: Sequence[int]) -> Sequence[int]:
         h = _zprimitive(_unpack(_int_gcd(_pack(f, width), _pack(g, width)), width))
         try:
             _zquo(f, h), _zquo(g, h)
-        except ValueError:
+        except ArithmeticError:
             width *= 2
         else:
             return h

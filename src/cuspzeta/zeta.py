@@ -22,16 +22,17 @@ effective matrix is I - uT itself.
 
 :func:`vertex_side_zeta` is the second exact route: Bass's |V| x |V|
 vertex-side determinant, with each chain of degree-2 vertices contracted by
-continuants.  It shares no code with the effective matrix, and ``verify``
-checks one route against the other.  The engine stays on the edge side
-until the benchmark measures the vertex route at scale.
+continuants, summed by ``Poly``'s ``+`` and divided out by its exact ``/``.
+Past the set-up (a plain graph as a cuspidal one, and the numerator
+prod_c (1 - ray_q u^2)) it shares no code with the effective matrix, and
+``verify`` checks one route against the other.  The engine stays on the
+edge side until the benchmark measures the vertex route at scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import zip_longest
 from math import prod
 
 from cuspzeta.exact import (
@@ -104,25 +105,27 @@ def build_effective(c: CuspidalGraph) -> EffectiveMatrix:
     return EffectiveMatrix(PolyMatrix(rows))
 
 
+def _cuspidal(c: CuspidalGraph | EdgeIndexedGraph) -> CuspidalGraph:
+    """A plain finite graph as the cuspidal graph without cusps."""
+    return CuspidalGraph(c, (), 1, 1) if isinstance(c, EdgeIndexedGraph) else c
+
+
+def _cusp_factors(c: CuspidalGraph) -> Poly:
+    """prod_c (1 - ray_q u^2), the numerator both routes start from."""
+    return prod((Poly([1, 0, -cusp.ray_q]) for cusp in c.cusps), start=ONE)
+
+
 def bass_ihara_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> RatFunc:
     """Weighted-graph zeta function, reduced: prod_c (1 - ray_q u^2) / det(effective).
 
     A plain finite graph is the cuspidal graph without cusps.  N_m is the
     u^m coefficient of ``log_derivative_series(z, m)``.
     """
-    if isinstance(c, EdgeIndexedGraph):
-        c = CuspidalGraph(c, (), 1, 1)
+    c = _cuspidal(c)
     det = poly_det(build_effective(c).entries)
     if det.is_zero():
         raise ArithmeticError("transfer determinant vanished identically (internal error)")
-    prefactor = ONE
-    for cusp in c.cusps:
-        prefactor = prefactor * Poly([1, 0, -cusp.ray_q])
-    return ratfunc_reduce(prefactor, det)
-
-
-def _add(p: Poly, r: Poly) -> Poly:
-    return Poly(map(sum, zip_longest(p.coeffs, r.coeffs, fillvalue=0)))
+    return ratfunc_reduce(_cusp_factors(c), det)
 
 
 def _continuants(steps) -> tuple[list[int], list[int]]:
@@ -142,23 +145,6 @@ def _continuants(steps) -> tuple[list[int], list[int]]:
 def _in_u(theta: list[int]) -> Poly:
     """A coefficient list in v = u^2 as a polynomial in u."""
     return Poly([x for c in theta for x in (c, 0)])
-
-
-def _exact_quotient(num: Poly, den: Poly) -> Poly:
-    """num / den for den(0) = 1, by the division-free series recurrence.
-
-    Coefficients past the quotient's degree are those of the remainder's
-    series, which vanish exactly when den divides num.
-    """
-    out: list[int] = []
-    d = den.coeffs
-    for m, c in enumerate(num.coeffs):
-        out.append(c - sum(d[j] * out[m - j] for j in range(1, min(m, len(d) - 1) + 1)))
-    cut = len(out) - len(d) + 1
-    if cut < 0 or any(out[cut:]):
-        raise ArithmeticError("chain continuant does not divide the branch determinant "
-                              "(internal error)")
-    return Poly(out[:cut])
 
 
 def vertex_side_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> RatFunc:
@@ -190,8 +176,7 @@ def vertex_side_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> RatFunc:
     theta of the chains at it, so the branch matrix is polynomial, and its
     determinant is det M times theta once per chain with a != b.
     """
-    if isinstance(c, EdgeIndexedGraph):
-        c = CuspidalGraph(c, (), 1, 1)
+    c = _cuspidal(c)
     core, edges = c.core, c.core.edges
     shift = dict.fromkeys(core.vertices, -1)  # the u^2 coefficient of M's diagonal
     for e in edges:
@@ -240,7 +225,7 @@ def vertex_side_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> RatFunc:
             ab = Poly([0] * len(path) + [-prod(f)])
             ba = Poly([0] * len(path) + [-prod(g)])
             if t == a:
-                ends[a].append((theta, {a: _add(_add(aa, bb), _add(ab, ba))}))
+                ends[a].append((theta, {a: aa + bb + ab + ba}))
             else:
                 ends[a].append((theta, {a: aa, t: ab}))
                 ends[t].append((theta, {t: bb, a: ba}))
@@ -253,11 +238,11 @@ def vertex_side_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> RatFunc:
         for theta, terms in ends[a]:
             row = {t: p * theta for t, p in row.items()}
             for t, term in terms.items():
-                row[t] = _add(row.get(t, ZERO), term * scale)
+                row[t] = row.get(t, ZERO) + term * scale
             scale = scale * theta
         matrix.append([row.get(t, ZERO) for t in branch])
-    det = _exact_quotient(poly_det(PolyMatrix(matrix)), divisor)
-    num = prod((Poly([1, 0, -cusp.ray_q]) for cusp in c.cusps), start=ONE)
+    det = poly_det(PolyMatrix(matrix)) / divisor
+    num = _cusp_factors(c)
     exponent = len(edges) // 2 - len(core.vertices) + len(c.cusps)
     if exponent >= 0:
         det = det * Poly([1, 0, -1]) ** exponent

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspzeta import cli, oracle, zeta
+from cuspzeta import cli, exact, oracle, zeta
 from cuspzeta.cli import MAX_SERIES_ORDER
 from cuspzeta.exact import Poly, RatFunc
 from cuspzeta.families import chain, loop_family, pgl2
@@ -301,6 +301,17 @@ def test_value_error_inside_a_command_exits_2_without_a_traceback(
     assert captured.out == ""
     assert captured.err == "error: boom\n"
     assert "Traceback" not in captured.err
+
+
+def test_an_inexact_division_inside_the_engine_exits_1(capsys, tmp_path, monkeypatch):
+    # a gcd that divides neither input makes ratfunc_reduce's exact division
+    # fail: an internal failure, not bad input
+    monkeypatch.setattr(exact, "_zgcd", lambda f, g: [5, 1])
+    path = write_graph(tmp_path, loop_family(3, 2))
+    assert cli.main(["poles", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: inexact polynomial division\n"
 
 
 # --- count -------------------------------------------------------------------

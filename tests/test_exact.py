@@ -3,9 +3,9 @@
 Expected values for the nontrivial cases are produced by independent
 oracles: a cofactor-expansion determinant here, and in ``helpers`` the
 previous sparse Bareiss, series by explicit long division, Euclid's gcd,
-reduction by way of Q and schoolbook products.  ``Poly`` has no division;
-the long division over Q those oracles use lives in ``helpers`` and is
-checked first.
+reduction by way of Q and schoolbook products.  The long division over Q
+those oracles use lives in ``helpers`` and is checked first; ``Poly``'s own
+exact ``/`` and ``+`` are checked against it.
 """
 
 import math
@@ -119,6 +119,40 @@ def test_poly_equals_only_polys():
 def test_poly_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         poly_divmod(Poly([1, 2]), ZERO)
+
+
+@given(a=polys, b=polys)
+def test_poly_sum_matches_the_reference(a, b):
+    assert a + b == poly_add(a, b) == b + a
+
+
+@given(a=polys, b=nonzero_polys)
+def test_poly_division_undoes_a_product(a, b):
+    assert (a * b) / b == a
+
+
+@given(a=polys, b=nonzero_polys, planted=st.booleans())
+def test_poly_division_is_exact_or_raises(a, b, planted):
+    # b divides a in Z[u] iff the division over Q leaves integral quotient
+    # and remainder, with the remainder zero
+    if planted:
+        a = a * b + Poly([1])  # a remainder of 1 when deg b > 0
+    try:
+        q, r = poly_divmod(a, b)
+    except ValueError:  # a non-integral quotient or remainder
+        q, r = None, ONE
+    if r.is_zero():
+        assert a / b == q
+    else:
+        with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+            a / b
+
+
+def test_poly_division_by_the_zero_polynomial():
+    with pytest.raises(ZeroDivisionError):
+        Poly([1, 2]) / ZERO
+    with pytest.raises(ZeroDivisionError):
+        ZERO / ZERO
 
 
 @given(a=polys, b=nonzero_polys)
