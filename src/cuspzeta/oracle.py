@@ -182,41 +182,35 @@ def enumerate_primitive_cycles(
                 key = depth, last * weight, period
                 counts[key] = counts.get(key, 0) + 1
             if depth < max_length:
-                anchor = path[depth - period]
-                if depth == max_length - 2:
-                    # Settle the last two levels in place: a child needs left <= 1,
-                    # and a grandchild must close.
-                    for nxt, w in descending[tip]:
-                        if nxt < anchor:
+                anchor, room = path[depth - period], max_length - depth
+                for nxt, w in descending[tip]:
+                    if nxt < anchor:
+                        break
+                    if left[nxt] >= room:
+                        continue
+                    child_period = period if nxt == anchor else depth + 1
+                    child_weight = weight * w
+                    if room != 2:
+                        stack.append((nxt, depth, child_period, child_weight))
+                        continue
+                    # room == 2: settle the child and its closing children in place.
+                    visited += 1
+                    last = closing[nxt]
+                    if last is not None and (depth + 1) % child_period == 0:
+                        key = depth + 1, last * child_weight, child_period
+                        counts[key] = counts.get(key, 0) + 1
+                    path[depth] = nxt
+                    child_anchor = path[depth + 1 - child_period]
+                    for end, w2 in descending[nxt]:
+                        if end < child_anchor:
                             break
-                        if left[nxt] > 1:
-                            continue
-                        visited += 1
-                        child_period = period if nxt == anchor else depth + 1
-                        child_weight = weight * w
-                        last = closing[nxt]
-                        if last is not None and (depth + 1) % child_period == 0:
-                            key = depth + 1, last * child_weight, child_period
-                            counts[key] = counts.get(key, 0) + 1
-                        path[depth] = nxt
-                        child_anchor = path[depth + 1 - child_period]
-                        for end, w2 in descending[nxt]:
-                            if end < child_anchor:
-                                break
-                            last = closing[end]
-                            if last is not None:
-                                visited += 1
-                                end_period = child_period if end == child_anchor else max_length
-                                if max_length % end_period == 0:
-                                    key = max_length, last * child_weight * w2, end_period
-                                    counts[key] = counts.get(key, 0) + 1
-                else:
-                    for nxt, w in descending[tip]:
-                        if nxt < anchor:
-                            break
-                        if depth + left[nxt] < max_length:
-                            child_period = period if nxt == anchor else depth + 1
-                            stack.append((nxt, depth, child_period, weight * w))
+                        last = closing[end]
+                        if last is not None:
+                            visited += 1
+                            end_period = child_period if end == child_anchor else max_length
+                            if max_length % end_period == 0:
+                                key = max_length, last * child_weight * w2, end_period
+                                counts[key] = counts.get(key, 0) + 1
             if visited > MAX_VISITED_PATHS:
                 raise BudgetExceededError(
                     f"cycle enumeration exceeded {MAX_VISITED_PATHS} visited paths"
