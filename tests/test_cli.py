@@ -268,15 +268,20 @@ def _graph_json(draw):
     return data
 
 
-@given(data=_graph_json() | _json)
-@settings(max_examples=150, deadline=None)
-def test_zeta_random_json_keeps_exit_code_contract(data):
+GRAPH_COMMANDS = [["zeta", "-", "--series", "4"], ["poles", "-"],
+                  ["count", "-", "--m", "4", "--oracle"], ["verify", "-", "--max-m", "4"]]
+
+
+@given(data=_graph_json() | _json, argv=st.sampled_from(GRAPH_COMMANDS))
+@settings(max_examples=600, deadline=None)
+def test_zeta_random_json_keeps_exit_code_contract(data, argv):
+    # every command that reads a graph, not only zeta
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(json.dumps(data))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["zeta", "-", "--series", "4"])
+            code = cli.main(argv)
     finally:
         sys.stdin = stdin
     assert code in (0, 1, 2)
