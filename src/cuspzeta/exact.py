@@ -127,8 +127,7 @@ class Poly:
         return Poly(_unpack(_pack(self._coeffs, width) ** n, width))
 
     def __truediv__(self, other: Poly) -> Poly:
-        """The exact quotient in Z[u], by :func:`_zquo`; an ``ArithmeticError``
-        when ``other`` does not divide ``self`` there."""
+        """The exact quotient in Z[u] (:func:`_zquo`); an ``ArithmeticError`` if inexact."""
         if not isinstance(other, Poly):
             return NotImplemented
         if not other._coeffs:

@@ -22,11 +22,10 @@ effective matrix is I - uT itself.
 
 :func:`vertex_side_zeta` is the second exact route: Bass's |V| x |V|
 vertex-side determinant, with each chain of degree-2 vertices contracted by
-continuants, summed by ``Poly``'s ``+`` and divided out by its exact ``/``.
-Past the set-up (a plain graph as a cuspidal one, and the numerator
-prod_c (1 - ray_q u^2)) it shares no code with the effective matrix, and
-``verify`` checks one route against the other.  The engine stays on the
-edge side until the benchmark measures the vertex route at scale.
+continuants, added by ``Poly``'s ``+`` and divided out by its exact ``/``.
+Past the set-up both share, it has no code in common with the effective
+matrix, and ``verify`` checks one route against the other.  The engine
+stays on the edge side until the benchmark measures the vertex route at scale.
 """
 
 from __future__ import annotations
