@@ -9,8 +9,8 @@ poles    pole report of the weighted-graph zeta function
 sweep    CSV pole sweep of the loop family over a range of N
 verify   engine-versus-oracle consistency checks with pass/fail lines: the
          counting series against trace powers, the series of Z against the
-         Euler product over primitive cycles, and Z against the vertex side
-         of a relabeled copy
+         Euler product over primitive cycles, Z against the vertex side of a
+         relabeled copy, and the finite poles' multiplicities against deg den
 
 Graphs are passed as file paths or "-" for standard input.  Exit codes:
 0 success, 1 verification or computation failure, 2 usage or parse error.
@@ -21,6 +21,7 @@ Commands raise; :func:`main` alone maps an exception to an exit code: a
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import random
 import sys
@@ -192,7 +193,7 @@ def _check(name: str, ok: bool, lhs, rhs) -> dict:
 
 
 def _verify_checks(
-    graph: CuspidalGraph, z: RatFunc, n_values: tuple[int, ...], max_m: int
+    graph: CuspidalGraph, z: RatFunc, n_values: tuple[int, ...], max_m: int, poles: PoleReport
 ) -> list[dict]:
     checks = []
     traces = trace_powers(graph, max_m)
@@ -224,6 +225,9 @@ def _verify_checks(
     permuted = relabel(graph, dict(zip(names, shuffled)))
     ok = vertex_side_zeta(permuted) == z
     checks.append(_check("vertex_side_vs_engine", ok, str(z), "one relabeled copy"))
+
+    found, degree = sum(m for pole, m in poles.poles if cmath.isfinite(pole)), z.den.degree
+    checks.append(_check("poles_account_for_den", found == degree, str(found), str(degree)))
     return checks
 
 
@@ -254,7 +258,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
     z = bass_ihara_zeta(graph)
     n_values = log_derivative_series(z, args.max_m)[1:]
-    checks = _verify_checks(graph, z, n_values, args.max_m)
+    poles = _pole_report(graph, z)
+    checks = _verify_checks(graph, z, n_values, args.max_m, poles)
     if args.fixtures:
         checks.extend(_fixture_checks())
     elapsed = time.monotonic() - started
@@ -268,7 +273,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         },
         "zeta": _zeta_json(graph, z),
         "counting": _counting_json(graph, n_values),
-        "poles": _pole_report(graph, z).to_json(),
+        "poles": poles.to_json(),
         "checks": checks,
         "elapsed_s": round(elapsed, 6),
         "ok": ok,

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import shlex
 import sys
@@ -574,6 +575,7 @@ def test_verify_passes_on_builtin_family(capsys, tmp_path):
     assert "counting_vs_trace" in names
     assert "euler_product_vs_series" in names
     assert "vertex_side_vs_engine" in names
+    assert "poles_account_for_den" in names
     assert "fixture:pgl2(2)" in names
     assert "PASS counting_vs_trace" in captured.err
     assert report["elapsed_s"] >= 0
@@ -620,6 +622,35 @@ def test_verify_flags_a_vertex_side_that_disagrees_with_the_engine(capsys, tmp_p
     assert failing["pass"] is False
     assert "FAIL vertex_side_vs_engine" in captured.err.splitlines()
     assert len(calls) == 1
+
+
+def drop_one_pole(report):
+    poles = report.exact + report.numeric
+    return replace(report, exact=(), numeric=poles[1:])
+
+
+def nan_pole(report):
+    (_, m), *rest = report.exact + report.numeric
+    return replace(report, exact=(), numeric=((complex(math.nan, 0), m), *rest))
+
+
+@pytest.mark.parametrize("corrupt", [drop_one_pole, nan_pole])
+def test_verify_flags_poles_that_do_not_account_for_den(capsys, tmp_path, monkeypatch, corrupt):
+    # negative control: a pole report one pole short, or with a NaN pole whose
+    # multiplicity keeps the sum at deg den, fails the check
+    real = cli.pole_report
+    monkeypatch.setattr(cli, "pole_report", lambda z, q_values: corrupt(real(z, q_values)))
+    path = write_graph(tmp_path, loop_family(3, 1))
+    assert cli.main(["verify", path, "--max-m", "6"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["ok"] is False
+    failing = next(c for c in report["checks"] if c["name"] == "poles_account_for_den")
+    den_degree = len(report["zeta"]["bass_ihara"]["den"]) - 1
+    assert failing["pass"] is False and failing["rhs"] == str(den_degree)
+    assert int(failing["lhs"]) < den_degree
+    assert "FAIL poles_account_for_den" in captured.err.splitlines()
+    assert "PASS vertex_side_vs_engine" in captured.err.splitlines()
 
 
 def test_verify_max_m_bounds(capsys, tmp_path, monkeypatch):
