@@ -8,8 +8,8 @@ point, and nothing here divides except exactly.
 A :class:`Poly` is a dense polynomial in one variable ``u``, stored as an
 ascending tuple of ints with no trailing zeros (the zero polynomial is the
 empty tuple); a coefficient that is not an ``int`` is a ``ValueError``.
-``p / d`` is the exact quotient in Z[u] (:func:`_zquo`); an inexact one is
-an ``ArithmeticError``, an internal failure rather than bad input.  A
+``p / d`` is the exact quotient in Z[u] (:func:`_zquo`), ``p + r`` the sum;
+an inexact quotient is an ``ArithmeticError``, an internal failure.  A
 :class:`RatFunc` is a reduced rational function ``num/den`` with
 ``gcd(num, den) = 1`` and no common integer content, signed so that
 ``den(0) > 0`` (or the leading coefficient of ``den`` when ``den(0) = 0``),
