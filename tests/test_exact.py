@@ -31,6 +31,8 @@ from cuspzeta.exact import (
     series_expand,
 )
 from cuspzeta.cli import MAX_SERIES_ORDER
+from cuspzeta.graphs import Cusp, CuspidalGraph, EdgeIndexedGraph
+from cuspzeta.zeta import build_effective
 from helpers import (
     poly_add,
     poly_derivative,
@@ -586,6 +588,78 @@ def test_det_mixed_integer_and_fractional_rows(seed):
     det = poly_det(PolyMatrix(rows))
     assert not det.is_zero()
     assert det == reference_poly_det(PolyMatrix(rows))
+
+
+@given(
+    odd_bits=st.integers(1, 6000),
+    shift=st.integers(0, 300),
+    quotient_bits=st.integers(0, 6000),
+    negative=st.tuples(st.booleans(), st.booleans()),
+    slack=st.integers(-4, 4),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_two_adic_quotient_is_floor_division(odd_bits, shift, quotient_bits, negative, slack, data):
+    # d = +-2^shift odd on both sides of TWO_ADIC_BITS, q of either sign and
+    # possibly 0 (a zero dividend); the precision lands on both sides of
+    # k = bits(q d) - bits(d) + 2, so a quotient longer than the inverse
+    # reaches must come from the // fallback
+    odd = data.draw(st.integers(1 << (odd_bits - 1), (1 << odd_bits) - 1)) | 1
+    d = -(odd << shift) if negative[0] else odd << shift
+    q = data.draw(st.integers(0, (1 << quotient_bits) - 1))
+    q = -q if negative[1] else q
+    precision = max(1, q.bit_length() + 2 + slack)
+    inverse = pow(odd, -1, 1 << precision)
+    assert exact._two_adic_quotient(q * d, d, shift, inverse, precision) == q
+    divide = exact._divider(d)
+    assert (q * d if divide is None else divide(q * d)) == q
+
+
+def test_two_adic_quotient_outside_its_precision_is_floor_division():
+    # an inverse of 0 is wrong everywhere, so only // can give these
+    d = -(3 << 700)
+    for q in (5**900, -(5**900)):
+        assert q.bit_length() + 1 > 64
+        assert exact._two_adic_quotient(q * d, d, 700, 0, 64) == q
+    assert exact._two_adic_quotient(0, d, 700, 0, 64) == 0  # k <= 0
+
+
+def big_weight_graph(seed: int) -> CuspidalGraph:
+    """A 4-cycle with two chords and one cusp, weights near 2^64: 14 edge rows."""
+    rng, w = random.Random(seed), 2**64
+    names = ["v0", "v1", "v2", "v3"]
+    pairs = [(names[i], names[(i + 1) % 4], rng.choice([w, w + 1, 3 * w]), rng.choice([w, 2 * w - 1]))
+             for i in range(4)]
+    pairs += [("v0", "v2", w, w), ("v1", "v3", w + 3, w)]
+    return CuspidalGraph(EdgeIndexedGraph(names, pairs), (Cusp("v0", rng.choice([w, 5]), rng.choice([w, 3])),), 1)
+
+
+@pytest.mark.parametrize("seed", [1, 5, 7])
+def test_det_with_long_negative_even_pivots_matches_reference(seed, monkeypatch):
+    # Weights near 2^64 make pivots past TWO_ADIC_BITS, some negative and
+    # even, so updates take the 2-adic quotient.  A stale pivot row is
+    # brought up to date by v P_{k-1} / P_{s-1} with a long P_{s-1} != P_{k-1}:
+    # one of those quotients is the row's pivot P_k.
+    matrix = build_effective(big_weight_graph(seed)).entries
+    assert matrix.n == 14
+    pivots, calls = [], []
+    divider, quotient = exact._divider, exact._two_adic_quotient
+
+    def recording_divider(d):
+        pivots.append(d)
+        return divider(d)
+
+    def recording_quotient(a, d, *rest):
+        q = quotient(a, d, *rest)
+        calls.append((len(pivots), d, q))
+        return q
+
+    monkeypatch.setattr(exact, "_divider", recording_divider)
+    monkeypatch.setattr(exact, "_two_adic_quotient", recording_quotient)
+    assert poly_det(matrix) == reference_poly_det(matrix)
+    assert any(d < 0 and d % 2 == 0 and d.bit_length() >= exact.TWO_ADIC_BITS for d in pivots)
+    assert len(calls) > 0  # the 2-adic branch ran
+    assert any(d != pivots[k - 1] and q == pivots[k] for k, d, q in calls)
 
 
 def test_det_needs_square_matrix():
