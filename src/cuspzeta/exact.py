@@ -575,14 +575,13 @@ def poly_det(matrix: PolyMatrix) -> Poly:
             top = {j: divide(v * pivot) if divide else v * pivot for j, v in top.items()}
         pivot = top.pop(col)
         pivot_bits = pivot.bit_length()
-        top = top.items()
         for i, row in rows.items():
             rik = row.pop(col, None)
             if rik is None:
                 continue
             divide = dividers[step[i]]
             new, low, low_col = {}, inf, n
-            for j, v in top:  # the pivot row's columns, then the row's own
+            for j, v in top.items():  # the pivot row's columns, then the row's own
                 value = pivot * row.pop(j, 0) - rik * v
                 if divide:
                     value = divide(value)
