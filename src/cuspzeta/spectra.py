@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 # No src/ path calls poly_gcd; only perfbench's test_restore_puts_originals_back
 # pins the name here, by rebinding it in this namespace.
 from cuspzeta.exact import (  # noqa: F401
-    Poly, RatFunc, divide_out_root, poly_gcd, square_free_parts,
+    Poly, RatFunc, poly_gcd, square_free_parts,
 )
 
 __all__ = [
@@ -126,7 +126,6 @@ def _aberth(monic: Sequence[float]) -> list[complex]:
     z = _newton_polygon_starts(sizes)
     noise = 8.0 * degree * 2.3e-16
     moving = list(range(degree))
-    converged = False
     for _ in range(MAX_ITERATIONS):
         shift = 0.0
         still_moving = []
@@ -150,9 +149,8 @@ def _aberth(monic: Sequence[float]) -> list[complex]:
                 shift = math.inf
         moving = still_moving
         if shift <= SHIFT_TOL:
-            converged = True
             break
-    if not converged:
+    else:
         raise RootFindingError(
             f"Aberth iteration did not converge within {MAX_ITERATIONS} steps"
         )
@@ -241,9 +239,10 @@ def pole_report(z: RatFunc, q_values: Iterable[int]) -> PoleReport:
     """Locate the poles (denominator roots) and cluster their moduli.
 
     First the rational poles +-1 and +-1/c, for each c in ``q_values``, are
-    divided out of the denominator exactly, each as often as it recurs
-    (:func:`divide_out_root`); only the quotient goes to
-    :func:`complex_roots`.  Each exact modulus is its own cluster, and
+    divided out of the denominator as often as ``Poly``'s exact ``/`` by the
+    primitive c u -+ 1 succeeds (by Gauss's lemma, that is the root test);
+    only the quotient goes to :func:`complex_roots`, which rejects a zero
+    denominator.  Each exact modulus is its own cluster, and
     numeric moduli within ``MODULUS_TOL`` relative form one, so an exact
     pole never merges with a numeric one however close.  Pass a graph's q
     and every cusp's ``ray_q``, as the CLI does; a pole +-1/c with c left
@@ -251,12 +250,15 @@ def pole_report(z: RatFunc, q_values: Iterable[int]) -> PoleReport:
     function without poles reports an infinite radius of convergence.
     """
     q_values = tuple(sorted(set(q_values)))
-    if z.den.degree < 1:
-        return PoleReport((), (), (), math.inf, None, q_values)
     den, exact = z.den, []
     for c in sorted({1, *q_values}):
         for a in (1, -1):
-            den, mult = divide_out_root(den, a, c)
+            root, mult = Poly([-a, c]), 0
+            try:
+                while den:  # the zero polynomial is a multiple of everything
+                    den, mult = den / root, mult + 1
+            except ArithmeticError:
+                pass
             if mult:
                 exact.append((complex(a / c), mult))
     numeric = complex_roots(den)
@@ -267,7 +269,7 @@ def pole_report(z: RatFunc, q_values: Iterable[int]) -> PoleReport:
         else:
             clusters.append([v])
     moduli = sorted([*{abs(value) for value, _ in exact}, *(sum(c) / len(c) for c in clusters)])
-    radius = moduli[0]
+    radius = moduli[0] if moduli else math.inf
     gap = moduli[1] - moduli[0] if len(moduli) > 1 else None
     return PoleReport(tuple(exact), tuple(numeric), tuple(moduli), radius, gap, q_values)
 

@@ -31,7 +31,6 @@ stays on the edge side until the benchmark measures the vertex route at scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import prod
 
 from cuspzeta.exact import (
@@ -78,7 +77,6 @@ def build_effective(c: CuspidalGraph) -> EffectiveMatrix:
     takes each move out of its head with weight w, or w - 1 on the move
     that reverses it.  Only the o rows differ: [1 - ray_q u^2, -(ray_q - 1) u].
     """
-    entry = cache(Poly)  # one Poly per distinct entry; Poly is immutable, so cells share it
     core = c.core
     order = core.canonical_edge_order()
     pos = {eid: r for r, eid in enumerate(order)}
@@ -91,15 +89,15 @@ def build_effective(c: CuspidalGraph) -> EffectiveMatrix:
     rows = [[ZERO] * n for _ in range(n)]
     for idx, cusp in enumerate(c.cusps):
         o = len(order) + 2 * idx
-        rows[o][o] = entry((1, 0, -cusp.ray_q))
-        rows[o][o + 1] = entry((0, 1 - cusp.ray_q))
+        rows[o][o] = Poly((1, 0, -cusp.ray_q))
+        rows[o][o + 1] = Poly((0, 1 - cusp.ray_q))
         heads.append((o + 1, cusp.vertex))
         moves.setdefault(cusp.vertex, []).append((o, -cusp.alpha, 1 - cusp.alpha, o + 1))
 
     for r, v in heads:
         row = rows[r]
         for col, step, back, rev in moves.get(v, ()):
-            row[col] = entry((1 if col == r else 0, back if rev == r else step))
+            row[col] = Poly((1 if col == r else 0, back if rev == r else step))
         row[r] = row[r] or ONE
     return EffectiveMatrix(PolyMatrix(rows))
 
@@ -188,7 +186,7 @@ def vertex_side_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> RatFunc:
     branch = [v for v in sorted(core.vertices) if v not in interior]
     direct = {v: {} for v in branch}  # summed weights of the edges between branch vertices
     ends = {v: [] for v in branch}  # (theta, {column: term}) of each chain at a branch row
-    seen, closing, divisor = set(), set(), ONE  # closing: inverses of chains' last edges
+    seen, divisor = set(), ONE  # seen: the interior vertices of the chains walked
     starts, i = iter(sorted(interior)), 0
     while True:
         if i == len(branch):  # every vertex left unseen is on a bare cycle
@@ -204,7 +202,7 @@ def vertex_side_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> RatFunc:
             if t in direct:
                 direct[a][t] = direct[a].get(t, 0) + edges[e].weight
                 continue
-            if e in closing:
+            if t in seen:  # the inverse of a walked chain's last edge
                 continue
             path = [e]
             while t not in direct:
@@ -212,7 +210,6 @@ def vertex_side_zeta(c: CuspidalGraph | EdgeIndexedGraph) -> RatFunc:
                 out = core.out_edges(t)
                 path.append(out[out[0] == edges[path[-1]].inverse])  # the edge pair's other end
                 t = edges[path[-1]].target
-            closing.add(edges[path[-1]].inverse)
             f = [edges[j].weight for j in path]
             g = [edges[edges[j].inverse].weight for j in path]
             steps = [(shift[edges[j].target], fw * gw) for j, fw, gw in zip(path, f, g)][:-1]

@@ -23,7 +23,6 @@ from cuspzeta.exact import (
     PolyMatrix,
     RatFunc,
     ZERO,
-    divide_out_root,
     log_derivative_series,
     poly_det,
     poly_gcd,
@@ -242,15 +241,6 @@ big_int_polys = st.lists(big_ints, min_size=1, max_size=5).map(Poly).filter(bool
 def test_gcd_of_wide_coefficients_is_euclids(a, b, c, power):
     planted = c**power
     assert poly_gcd(a * planted, b * planted) == reference_poly_gcd(a * planted, b * planted)
-
-
-def test_divide_out_root_counts_and_removes_a_rational_root():
-    cofactor = Poly([5, 1, 7])  # 5 + u + 7u^2 has no rational root
-    p = Poly([1, -3]) ** 2 * cofactor
-    assert divide_out_root(p, 1, 3) == (cofactor, 2)  # (3u - 1)^2 = (1 - 3u)^2
-    assert divide_out_root(p, -1, 3) == (p, 0)
-    assert divide_out_root(Poly([-2, 3]) * cofactor, 2, 3) == (cofactor, 1)
-    assert divide_out_root(Poly([4]), 1, 1) == (Poly([4]), 0)
 
 
 # --- rational functions ------------------------------------------------------

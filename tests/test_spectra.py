@@ -238,6 +238,28 @@ def test_pole_report_of_constant_one():
     assert report.gap is None
 
 
+COFACTOR = Poly([5, 1, 7])  # 5 + u + 7u^2 has no rational root
+
+
+def test_pole_report_divides_a_rational_pole_out_as_often_as_it_recurs():
+    report = pole_report(RatFunc(ONE, Poly([1, -3]) ** 2 * COFACTOR), (3,))
+    assert report.exact == ((complex(1 / 3), 2),)  # nothing at -1/3 or +-1
+    assert sum(m for _, m in report.numeric) == COFACTOR.degree
+
+
+def test_pole_report_tries_only_the_poles_it_is_named():
+    assert pole_report(RatFunc(ONE, COFACTOR), (3,)).exact == ()
+    # 2/3 is a root, but not one of +-1 and +-1/3, so Aberth finds it
+    report = pole_report(RatFunc(ONE, Poly([-2, 3]) * COFACTOR), (3,))
+    assert report.exact == ()
+    assert min(abs(z - 2 / 3) for z, _ in report.numeric) < 1e-12
+
+
+def test_pole_report_rejects_a_zero_denominator():
+    with pytest.raises(ValueError):
+        pole_report(RatFunc(ONE, Poly()), (3,))
+
+
 def test_pole_report_needs_the_q_values():
     # with () the pole 1/3 of loop_family(3, 18) merges with -1/3 - delta
     z = bass_ihara_zeta(loop_family(3, 18))
